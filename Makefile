@@ -38,12 +38,12 @@ record:
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
 
 # Root benchmark suite, 6 samples per benchmark, distilled into the
-# committed BENCH_pr10.json baseline (median ns/op, B/op, allocs/op
+# committed BENCH_pr13.json baseline (median ns/op, B/op, allocs/op
 # per benchmark) so perf changes diff against a recorded trajectory.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem -count=6 . | tee BENCH_pr10.raw
-	$(GO) run ./cmd/benchjson -o BENCH_pr10.json < BENCH_pr10.raw
-	rm -f BENCH_pr10.raw
+	$(GO) test -run '^$$' -bench . -benchmem -count=6 . | tee BENCH_pr13.raw
+	$(GO) run ./cmd/benchjson -o BENCH_pr13.json < BENCH_pr13.raw
+	rm -f BENCH_pr13.raw
 
 # Enforced regression gate over the hot-path benchmarks: rerun them
 # (medians of GATECOUNT samples) and diff against the committed
@@ -52,10 +52,10 @@ bench:
 # reported informationally. Raise GATETOL on noisy shared hardware.
 GATECOUNT ?= 3
 GATETOL ?= 0.10
-GATEHOT ?= Ingest|BatchIngest|SweepFastPath|RunCellFastPath|Fusion|FrameParse|TwoQueueAccept
+GATEHOT ?= Ingest|BatchIngest|SweepFastPath|RunCellFastPath|Fusion|FrameParse|TwoQueueAccept|CaptureSource
 bench-gate:
 	$(GO) test -run '^$$' -bench '$(GATEHOT)' -benchmem -count=$(GATECOUNT) . \
-		| $(GO) run ./cmd/benchjson -baseline BENCH_pr10.json -tolerance $(GATETOL) -hot '$(GATEHOT)'
+		| $(GO) run ./cmd/benchjson -baseline BENCH_pr13.json -tolerance $(GATETOL) -hot '$(GATEHOT)'
 
 # Benchmarks across every package, one sample each (no JSON).
 bench-all:

@@ -621,6 +621,55 @@ func BenchmarkBatchIngest(b *testing.B) {
 	}
 }
 
+// BenchmarkCaptureSource measures the live capture handoff on its own:
+// the streaming-ingest pcap fixture read by capture.NewPcapReader,
+// parsed on the Source's producer goroutine and drained with NextBatch
+// into an arena chunk — the path syndogd's live:pcap: input takes
+// before the aggregator. records/s is the rate the ring delivers.
+func BenchmarkCaptureSource(b *testing.B) {
+	path, records := streamBenchPcap(b)
+	prefix := netip.MustParsePrefix("130.216.0.0/16")
+	arena := ingest.NewArena(0)
+	buf := arena.Get()
+	defer arena.Put(buf)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := os.Open(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fr, err := capture.NewPcapReader(f, f)
+		if err != nil {
+			f.Close()
+			b.Fatal(err)
+		}
+		src, err := capture.NewSource(fr, capture.Config{StubPrefix: prefix})
+		if err != nil {
+			fr.Close()
+			b.Fatal(err)
+		}
+		got := 0
+		for {
+			n, err := src.NextBatch(buf)
+			got += n
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := src.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if got != records {
+			b.Fatalf("drained %d records, fixture has %d", got, records)
+		}
+	}
+	b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+}
+
 // BenchmarkFloodGeneration measures synthesizing a 10-minute
 // 120 SYN/s flood trace.
 func BenchmarkFloodGeneration(b *testing.B) {

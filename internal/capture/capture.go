@@ -14,13 +14,15 @@
 //     any pcap byte-stream; the AF_PACKET reader (afpacket_linux.go,
 //     behind "linux && live") reads a real interface.
 //   - Source runs a producer goroutine that parses frames into a
-//     bounded ring of records. The consumer side implements
-//     ingest.Source/ingest.BatchSource. In blocking mode (the default)
-//     a full ring backpressures the reader — lossless, right for pipes
-//     and replays. In drop mode a full ring sheds the record and
-//     counts it (the ingest.DropCounter contract): a NIC cannot be
-//     backpressured, so blocking the capture path would only move the
-//     loss into the kernel where it is harder to see.
+//     bounded ring of records (an ingest.ChanSource, the same
+//     single-producer/single-consumer ring simulator taps feed). The
+//     consumer side implements ingest.Source/ingest.BatchSource. In
+//     blocking mode (the default) a full ring backpressures the
+//     reader — lossless, right for pipes and replays. In drop mode a
+//     full ring sheds the record and counts it (the
+//     ingest.DropCounter contract): a NIC cannot be backpressured, so
+//     blocking the capture path would only move the loss into the
+//     kernel where it is harder to see.
 //
 // Every loss is accounted: ring drops (Dropped, Stats.RingDropped),
 // kernel-side drops (Stats.KernelDropped, from PACKET_STATISTICS when
@@ -37,6 +39,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/ingest"
 	"repro/internal/packet"
 	"repro/internal/pcapng"
 	"repro/internal/trace"
@@ -175,7 +178,8 @@ func (p *PcapReader) Close() error {
 
 // Stats is a point-in-time snapshot of a Source's accounting.
 type Stats struct {
-	// Frames counts frames read from the capture handle.
+	// Frames counts frames read from the capture handle: Parsed +
+	// Skipped.
 	Frames uint64
 	// Parsed counts frames that decoded into records.
 	Parsed uint64
@@ -214,33 +218,33 @@ type Config struct {
 }
 
 // Source adapts a FrameReader to the ingest pipeline: a producer
-// goroutine parses frames into a bounded ring; Next/NextBatch consume
-// it. It implements ingest.Source, ingest.BatchSource,
-// ingest.SpanSource, ingest.NamedSource and ingest.DropCounter.
+// goroutine parses frames and publishes each record into a bounded
+// ingest.ChanSource ring; Next/NextBatch consume it. It implements
+// ingest.Source, ingest.BatchSource, ingest.SpanSource,
+// ingest.NamedSource and ingest.DropCounter.
 type Source struct {
 	fr     FrameReader
 	parser *FrameParser
-	ch     chan trace.Record
-	done   chan struct{}
+	ring   *ingest.ChanSource
 	wg     sync.WaitGroup
 	once   sync.Once
+	stop   atomic.Bool // set by Close
 
 	name   string
-	drop   bool
 	rebase bool
 
-	frames      atomic.Uint64
+	// Written only by the producer, which stores its running counts
+	// (no read-modify-write).
 	parsed      atomic.Uint64
 	skipped     atomic.Uint64
-	ringDropped atomic.Uint64
+	span        atomic.Int64  // lastTs+1, stored at producer exit
 	kernelFinal atomic.Uint64 // reader drops latched at producer exit
 	readerDone  atomic.Bool
 
-	maxTs atomic.Int64
-	seen  atomic.Bool
-
-	errMu   sync.Mutex
-	readErr error // non-EOF reader failure, surfaced after the ring drains
+	// readErr is a non-EOF reader failure. The producer writes it
+	// before it closes the ring, so the consumer may read it once the
+	// ring has reported io.EOF.
+	readErr error
 
 	closeErr error
 }
@@ -263,13 +267,15 @@ func NewSource(fr FrameReader, cfg Config) (*Source, error) {
 	if name == "" {
 		name = "live"
 	}
+	newRing := ingest.NewChanSource
+	if cfg.Drop {
+		newRing = ingest.NewChanSourceDrop
+	}
 	s := &Source{
 		fr:     fr,
 		parser: parser,
-		ch:     make(chan trace.Record, ring),
-		done:   make(chan struct{}),
+		ring:   newRing(ring),
 		name:   name,
-		drop:   cfg.Drop,
 		rebase: cfg.Rebase,
 	}
 	s.wg.Add(1)
@@ -277,40 +283,36 @@ func NewSource(fr FrameReader, cfg Config) (*Source, error) {
 	return s, nil
 }
 
-// produce is the capture loop: read, parse, deliver. It owns the send
-// side of the ring and closes it on exit, so consumers always see a
-// clean end of stream.
+// produce is the capture loop: read, parse, publish. It is the ring's
+// only sender and closes it on exit, so consumers always see a clean
+// end of stream.
 func (s *Source) produce() {
 	defer s.wg.Done()
+	var (
+		parsed, skipped uint64
+		base, maxTs     time.Duration
+		baseSet         bool
+	)
 	defer func() {
+		// Span covers classified records only, exactly like the
+		// offline pcap stream: skipped frames never extend it.
+		if parsed > 0 {
+			s.span.Store(int64(maxTs) + 1)
+		}
 		s.kernelFinal.Store(s.fr.Drops())
 		s.readerDone.Store(true)
-		close(s.ch)
+		s.ring.CloseSend()
 	}()
-	var base time.Duration
-	baseSet := false
-	for {
-		select {
-		case <-s.done:
-			return
-		default:
-		}
+	for !s.stop.Load() {
 		f, err := s.fr.ReadFrame()
 		if err != nil {
-			if err != io.EOF {
-				// A read failure after Close is just the shutdown
-				// unblocking the reader, not a capture error.
-				select {
-				case <-s.done:
-				default:
-					s.errMu.Lock()
-					s.readErr = err
-					s.errMu.Unlock()
-				}
+			// A read failure after Close is just the shutdown
+			// unblocking the reader, not a capture error.
+			if err != io.EOF && !s.stop.Load() {
+				s.readErr = err
 			}
 			return
 		}
-		s.frames.Add(1)
 		ts := f.Ts
 		if s.rebase {
 			if !baseSet {
@@ -323,91 +325,50 @@ func (s *Source) produce() {
 		}
 		rec, ok := s.parser.Parse(ts, f.Data)
 		if !ok {
-			s.skipped.Add(1)
+			skipped++
+			s.skipped.Store(skipped)
 			continue
 		}
-		s.parsed.Add(1)
-		// Span covers classified records only, exactly like the
-		// offline pcap stream: skipped frames never extend it.
-		if int64(ts) > s.maxTs.Load() || !s.seen.Load() {
-			s.maxTs.Store(int64(ts))
-			s.seen.Store(true)
+		if parsed == 0 || ts > maxTs {
+			maxTs = ts
 		}
-		if s.drop {
-			select {
-			case s.ch <- rec:
-			default:
-				s.ringDropped.Add(1)
-			}
-			continue
-		}
-		select {
-		case s.ch <- rec:
-		case <-s.done:
-			return
-		}
+		parsed++
+		s.parsed.Store(parsed)
+		s.ring.Send(rec)
 	}
-}
-
-// eof is what a drained ring means: a clean end of stream, unless the
-// reader failed — then the failure is the stream's verdict.
-func (s *Source) eof() error {
-	s.errMu.Lock()
-	defer s.errMu.Unlock()
-	if s.readErr != nil {
-		return s.readErr
-	}
-	return io.EOF
 }
 
 // Next blocks for the next record; io.EOF (or the reader's failure)
 // once the producer has stopped and the ring has drained.
 func (s *Source) Next() (trace.Record, error) {
-	r, ok := <-s.ch
-	if !ok {
-		return trace.Record{}, s.eof()
-	}
-	return r, nil
+	r, err := s.ring.Next()
+	return r, s.verdict(err)
 }
 
-// NextBatch blocks for the first record, then opportunistically drains
-// whatever else is already ringed without blocking again — the same
-// contract as ingest.ChanSource, so a busy feed fills whole chunks and
-// an idle one degrades to one record per call with no added latency.
+// NextBatch blocks until a record is ringed, then copies every ringed
+// record that fits into buf — the ingest.ChanSource contract, so a busy
+// feed fills whole chunks and an idle one hands each record over as
+// soon as it is parsed.
 func (s *Source) NextBatch(buf []trace.Record) (int, error) {
-	if len(buf) == 0 {
-		return 0, nil
-	}
-	r, ok := <-s.ch
-	if !ok {
-		return 0, s.eof()
-	}
-	buf[0] = r
-	n := 1
-	for n < len(buf) {
-		select {
-		case r, ok := <-s.ch:
-			if !ok {
-				return n, s.eof()
-			}
-			buf[n] = r
-			n++
-		default:
-			return n, nil
-		}
-	}
-	return n, nil
+	n, err := s.ring.NextBatch(buf)
+	return n, s.verdict(err)
 }
 
-// Span reports lastTs+1 over the classified records so far (0 before
-// the first), matching the offline pcap stream's contract once the
-// source is exhausted.
-func (s *Source) Span() time.Duration {
-	if !s.seen.Load() {
-		return 0
+// verdict turns the ring's end of stream into the stream's: a clean
+// io.EOF, unless the reader failed.
+func (s *Source) verdict(err error) error {
+	if err == io.EOF && s.readErr != nil {
+		return s.readErr
 	}
-	return time.Duration(s.maxTs.Load()) + 1
+	return err
 }
+
+// Span reports lastTs+1 over the classified records once the producer
+// has exited, and 0 before then (and for a stream with no classified
+// records) — the span a live stream learns at EOF. A running producer
+// reads ahead of the consumer, so a span sampled mid-stream would
+// bound records the consumer has yet to see.
+func (s *Source) Span() time.Duration { return time.Duration(s.span.Load()) }
 
 // Name labels the source in reports.
 func (s *Source) Name() string { return s.name }
@@ -415,7 +376,7 @@ func (s *Source) Name() string { return s.name }
 // Dropped reports records shed under backpressure — the
 // ingest.DropCounter contract the daemon's recordsDropped accounting
 // reads. Always 0 outside drop mode.
-func (s *Source) Dropped() uint64 { return s.ringDropped.Load() }
+func (s *Source) Dropped() uint64 { return s.ring.Dropped() }
 
 // Stats returns a snapshot of the capture accounting.
 func (s *Source) Stats() Stats {
@@ -423,23 +384,25 @@ func (s *Source) Stats() Stats {
 	if !s.readerDone.Load() {
 		kernel = s.fr.Drops()
 	}
+	parsed, skipped := s.parsed.Load(), s.skipped.Load()
 	return Stats{
-		Frames:        s.frames.Load(),
-		Parsed:        s.parsed.Load(),
-		Skipped:       s.skipped.Load(),
-		RingDropped:   s.ringDropped.Load(),
+		Frames:        parsed + skipped,
+		Parsed:        parsed,
+		Skipped:       skipped,
+		RingDropped:   s.ring.Dropped(),
 		KernelDropped: kernel,
 	}
 }
 
 // Close stops the producer and closes the reader. It is idempotent and
-// never deadlocks: a producer blocked on a full ring exits via the
-// done channel, one blocked in ReadFrame is unblocked by the reader's
+// never deadlocks: a producer parked on a full ring is released by the
+// ring's Close, one blocked in ReadFrame is unblocked by the reader's
 // Close. Records already ringed stay readable until io.EOF.
 func (s *Source) Close() error {
 	s.once.Do(func() {
-		close(s.done)
+		s.stop.Store(true)
 		s.closeErr = s.fr.Close()
+		s.ring.Close()
 		s.wg.Wait()
 	})
 	return s.closeErr

@@ -3,11 +3,16 @@ package capture
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net/netip"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/ingest"
 	"repro/internal/packet"
 	"repro/internal/pcapng"
 	"repro/internal/trace"
@@ -212,35 +217,92 @@ func recordFlags(k packet.Kind) (uint8, bool) {
 }
 
 // TestNextBatchMatchesNext pins the chunked face against the
-// per-record one.
+// per-record one, over rings of one slot, of three (not a power of
+// two, so the ring wraps every few records) and of the default size.
 func TestNextBatchMatchesNext(t *testing.T) {
 	tr := captureTestTrace(t)
 	data := writePcapBytes(t, tr)
 
-	one := newPcapSource(t, data, Config{})
-	defer one.Close()
-	want := drainSource(t, one)
+	for _, ring := range []int{1, 3, DefaultRing} {
+		t.Run(fmt.Sprintf("ring=%d", ring), func(t *testing.T) {
+			one := newPcapSource(t, data, Config{Ring: ring})
+			defer one.Close()
+			want := drainSource(t, one)
 
-	batched := newPcapSource(t, data, Config{})
-	defer batched.Close()
-	var got []trace.Record
-	buf := make([]trace.Record, 64)
-	for {
-		n, err := batched.NextBatch(buf)
-		got = append(got, buf[:n]...)
-		if err == io.EOF {
-			break
-		}
+			batched := newPcapSource(t, data, Config{Ring: ring})
+			defer batched.Close()
+			var got []trace.Record
+			buf := make([]trace.Record, 64)
+			for {
+				n, err := batched.NextBatch(buf)
+				got = append(got, buf[:n]...)
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("batched yielded %d records, single %d", len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("record %d: batched %+v != single %+v", i, got[i], want[i])
+				}
+			}
+		})
+	}
+}
+
+// TestPipelineOverFilledRing runs ingest.Pipeline over a source whose
+// producer has already filled its ring. The pipeline bounds its
+// aggregator by the span it samples at start, so that span must not be
+// the producer's read-ahead: the reports must equal ingest.Open's on
+// the same file.
+func TestPipelineOverFilledRing(t *testing.T) {
+	tr := captureTestTrace(t)
+	data := writePcapBytes(t, tr)
+	path := filepath.Join(t.TempDir(), "capture.pcap")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run := func(src ingest.Source) []core.Report {
+		t.Helper()
+		agent, err := core.NewAgent(core.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		p := &ingest.Pipeline{Source: src, Detector: ingest.WrapAgent(agent), T0: core.DefaultObservationPeriod}
+		if err := p.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return agent.Reports()
 	}
+	file, _, err := ingest.Open(path, testPrefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	want := run(file)
+
+	const ring = 64
+	src := newPcapSource(t, data, Config{Ring: ring})
+	defer src.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for src.Stats().Parsed <= ring {
+		if time.Now().After(deadline) {
+			t.Fatalf("producer never filled the ring: %+v", src.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	got := run(src)
 	if len(got) != len(want) {
-		t.Fatalf("batched yielded %d records, single %d", len(got), len(want))
+		t.Fatalf("capture run closed %d periods, ingest.Open %d", len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("record %d: batched %+v != single %+v", i, got[i], want[i])
+			t.Fatalf("report %d: capture %+v != ingest.Open %+v", i, got[i], want[i])
 		}
 	}
 }
@@ -300,47 +362,60 @@ func stubFrames(t *testing.T, n int) [][]byte {
 	return frames
 }
 
-// TestDropModeAccounting pins the DropCounter contract: with a full
-// ring and no consumer, a drop-mode source sheds records and counts
-// every one — drained + Dropped always equals Parsed.
+// TestDropModeAccounting pins the DropCounter contract: a drop-mode
+// source sheds records when its ring is full and counts every one —
+// drained + Dropped always equals Parsed, whether the consumer stays
+// idle until the producer is done or drains while it runs.
 func TestDropModeAccounting(t *testing.T) {
-	const n = 100
-	src, err := NewSource(newStubReader(stubFrames(t, n)), Config{
-		StubPrefix: testPrefix,
-		Ring:       8,
-		Drop:       true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
+	for _, tc := range []struct {
+		name   string
+		frames int
+		idle   bool
+	}{
+		{"idle consumer", 100, true},
+		{"draining consumer", 20000, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src, err := NewSource(newStubReader(stubFrames(t, tc.frames)), Config{
+				StubPrefix: testPrefix,
+				Ring:       8,
+				Drop:       true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer src.Close()
 
-	// Wait for the producer to finish without consuming anything: in
-	// drop mode it never blocks.
-	deadline := time.Now().Add(5 * time.Second)
-	for src.Stats().Frames < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("producer stalled: %+v", src.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
+			if tc.idle {
+				// Wait for the producer to finish without consuming
+				// anything: in drop mode it never blocks.
+				deadline := time.Now().Add(5 * time.Second)
+				for src.Stats().Frames < uint64(tc.frames) {
+					if time.Now().After(deadline) {
+						t.Fatalf("producer stalled: %+v", src.Stats())
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
 
-	got := drainSource(t, src)
-	st := src.Stats()
-	if st.Parsed != n {
-		t.Fatalf("Parsed = %d, want %d", st.Parsed, n)
-	}
-	if uint64(len(got))+src.Dropped() != st.Parsed {
-		t.Errorf("drained %d + dropped %d != parsed %d", len(got), src.Dropped(), st.Parsed)
-	}
-	if src.Dropped() == 0 {
-		t.Error("expected drops with ring 8 and 100 records")
-	}
-	if st.RingDropped != src.Dropped() {
-		t.Errorf("Stats.RingDropped = %d, Dropped() = %d", st.RingDropped, src.Dropped())
-	}
-	if st.KernelDropped != 7 {
-		t.Errorf("KernelDropped = %d, want the reader's 7", st.KernelDropped)
+			got := drainSource(t, src)
+			st := src.Stats()
+			if st.Parsed != uint64(tc.frames) {
+				t.Fatalf("Parsed = %d, want %d", st.Parsed, tc.frames)
+			}
+			if uint64(len(got))+src.Dropped() != st.Parsed {
+				t.Errorf("drained %d + dropped %d != parsed %d", len(got), src.Dropped(), st.Parsed)
+			}
+			if tc.idle && src.Dropped() == 0 {
+				t.Errorf("expected drops with ring 8 and %d records", tc.frames)
+			}
+			if st.RingDropped != src.Dropped() {
+				t.Errorf("Stats.RingDropped = %d, Dropped() = %d", st.RingDropped, src.Dropped())
+			}
+			if st.KernelDropped != 7 {
+				t.Errorf("KernelDropped = %d, want the reader's 7", st.KernelDropped)
+			}
+		})
 	}
 }
 
@@ -375,21 +450,62 @@ func TestCloseUnblocksFullRing(t *testing.T) {
 	}
 }
 
-// TestCloseUnblocksBlockedRead: a producer blocked inside ReadFrame
-// must be unblocked by the reader's Close.
+// TestCloseUnblocksBlockedRead: a reader that yields k frames and then
+// blocks must not hold those records back — NextBatch hands all k over
+// while the producer waits in ReadFrame — and Close must unblock both
+// that read and a consumer parked in NextBatch, which returns io.EOF.
 func TestCloseUnblocksBlockedRead(t *testing.T) {
-	r := newStubReader(nil)
+	const k = 5
+	r := newStubReader(stubFrames(t, k))
 	r.block = make(chan struct{})
 	src, err := NewSource(r, Config{StubPrefix: testPrefix})
 	if err != nil {
 		t.Fatal(err)
 	}
+	type batch struct {
+		n   int
+		err error
+	}
+	// Buffered past anything the consumer can send, so it never blocks
+	// on a test that has already failed.
+	batches := make(chan batch, k+1)
+	go func() {
+		buf := make([]trace.Record, 64)
+		for {
+			n, err := src.NextBatch(buf)
+			batches <- batch{n, err}
+			if err != nil {
+				return
+			}
+		}
+	}()
+	next := func() batch {
+		t.Helper()
+		select {
+		case b := <-batches:
+			return b
+		case <-time.After(5 * time.Second):
+			t.Fatal("NextBatch is still blocked")
+			return batch{}
+		}
+	}
+	for got := 0; got < k; {
+		b := next()
+		if b.err != nil {
+			t.Fatalf("NextBatch after %d of %d records: %v", got, k, b.err)
+		}
+		got += b.n
+	}
+
 	done := make(chan struct{})
 	go func() { src.Close(); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close deadlocked against a blocked ReadFrame")
+	}
+	if b := next(); b.n != 0 || b.err != io.EOF {
+		t.Errorf("parked NextBatch after Close = (%d, %v), want (0, io.EOF)", b.n, b.err)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // DefaultChunk is the record-chunk size the batch pipeline uses when
-// the caller does not pick one: 1024 records × 48 B ≈ 48 KiB per
+// the caller does not pick one: 1024 records × 72 B ≈ 72 KiB per
 // chunk — large enough to amortize interface dispatch and period
 // bookkeeping to noise, small enough to stay cache- and
 // latency-friendly for live feeds.

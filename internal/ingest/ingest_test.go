@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/netip"
 	"testing"
@@ -211,19 +212,26 @@ func TestPipelineResume(t *testing.T) {
 }
 
 // TestChanSource drives the pipeline from a producer goroutine — the
-// live-capture shape — and checks equivalence with the batch path.
+// live-capture shape — and checks equivalence with the batch path,
+// over rings of one slot, of three (not a power of two, so the ring
+// wraps every few records) and of the sizes the repo's callers use.
 func TestChanSource(t *testing.T) {
 	tr := testTrace(t)
 	want := processTraceReports(t, tr)
 
-	src := NewChanSource(64)
-	go func() {
-		for _, r := range tr.Records {
-			src.Send(r)
-		}
-		src.CloseSend()
-	}()
-	compareReports(t, runPipeline(t, src, tr.Span), want)
+	for _, ring := range []int{1, 3, 64, 1024} {
+		t.Run(fmt.Sprintf("ring=%d", ring), func(t *testing.T) {
+			src := NewChanSource(ring)
+			defer src.Close() // releases the producer if the run fails
+			go func() {
+				for _, r := range tr.Records {
+					src.Send(r)
+				}
+				src.CloseSend()
+			}()
+			compareReports(t, runPipeline(t, src, tr.Span), want)
+		})
+	}
 }
 
 // TestIPTraceSource round-trips a trace through the iptrace capture

@@ -94,46 +94,109 @@ func NewFloodSource(cfg flood.Config) (*TraceSource, error) {
 	return NewTraceSource(tr), nil
 }
 
-// ChanSource is the channel-backed live source: a netsim router tap
-// (or any producer goroutine) sends records while the pipeline
-// consumes them. By default sends block once the buffer fills —
-// natural backpressure against a slow consumer. In drop mode
-// (NewChanSourceDrop) a full buffer sheds the record instead and
-// counts it, the right policy for a live capture feed where blocking
-// the capture path loses ground truth anyway; the count is surfaced
-// through Dropped so the loss is never silent.
+// ChanSource is the live source: a bounded single-producer/
+// single-consumer record ring between one goroutine that Sends records
+// (a netsim router tap, the capture loop) and the pipeline goroutine
+// that consumes them. Send publishes each record with one atomic store
+// and NextBatch copies everything already published, so a busy feed
+// fills whole chunks while an idle one hands each record over as soon
+// as it is sent. The consumer parks only on an empty ring, a blocking
+// producer only on a full one.
+//
+// By default Send blocks once the ring fills — natural backpressure
+// against a slow consumer. In drop mode (NewChanSourceDrop) a full ring
+// sheds the record instead and counts it, the right policy for a live
+// capture feed where blocking the capture path loses ground truth
+// anyway; the count is surfaced through Dropped so the loss is never
+// silent.
+//
+// The ring has exactly one producer and one consumer: Send, Tap's
+// function and CloseSend must all be called from one goroutine, and
+// Next and NextBatch from one other (or the same) goroutine — a second
+// sender is a data race. Dropped and Close are safe from any goroutine.
 type ChanSource struct {
-	ch      chan trace.Record
-	drop    bool
-	dropped atomic.Uint64
+	buf   []trace.Record
+	drop  bool
+	ready parker // the consumer, waiting for a record or CloseSend
+	space parker // a blocking producer, waiting for a free slot or Close
+
+	// Producer side. The padding keeps the two sides' hot fields on
+	// separate cache lines, so a publish does not invalidate the
+	// consumer's position and vice versa.
+	_        [64]byte
+	tail     atomic.Uint64 // records published
+	wpos     int           // slot of the next publish
+	headSeen uint64        // consumer position as last loaded
+
+	_    [64]byte
+	head atomic.Uint64 // records consumed
+	rpos int           // slot of the next record to consume
+
+	_       [64]byte
+	dropped atomic.Uint64 // written by the producer only
+	sendEnd atomic.Bool   // CloseSend: no record follows tail
+	recvEnd atomic.Bool   // Close: the consumer has stopped listening
 }
 
 // NewChanSource builds a live source buffering up to buf records.
 // Sends block when the buffer is full.
 func NewChanSource(buf int) *ChanSource {
-	return &ChanSource{ch: make(chan trace.Record, buf)}
+	return newChanSource(buf, false)
 }
 
 // NewChanSourceDrop builds a live source buffering up to buf records
 // that sheds (and counts) records instead of blocking when the buffer
 // overruns.
 func NewChanSourceDrop(buf int) *ChanSource {
-	return &ChanSource{ch: make(chan trace.Record, buf), drop: true}
+	return newChanSource(buf, true)
 }
 
-// Send delivers one record to the consumer. In drop mode a full
-// buffer discards the record and bumps the drop counter instead of
-// blocking.
+func newChanSource(buf int, drop bool) *ChanSource {
+	return &ChanSource{
+		buf:   make([]trace.Record, max(buf, 1)),
+		drop:  drop,
+		ready: parker{wake: make(chan struct{}, 1)},
+		space: parker{wake: make(chan struct{}, 1)},
+	}
+}
+
+// Send delivers one record to the consumer. On a full ring it blocks
+// until the consumer frees a slot or calls Close; in drop mode it
+// discards the record and bumps the drop counter instead. After Close,
+// a record that finds the ring full is discarded.
 func (s *ChanSource) Send(r trace.Record) {
-	if s.drop {
-		select {
-		case s.ch <- r:
-		default:
-			s.dropped.Add(1)
-		}
+	t := s.tail.Load()
+	if t-s.headSeen == uint64(len(s.buf)) && !s.reserve(t) {
 		return
 	}
-	s.ch <- r
+	s.buf[s.wpos] = r
+	if s.wpos++; s.wpos == len(s.buf) {
+		s.wpos = 0
+	}
+	s.tail.Store(t + 1)
+	s.ready.unpark()
+}
+
+// reserve is Send's path when the ring looked full at the last loaded
+// consumer position: it reloads that position and, if the ring really
+// is full, sheds the record or parks until a slot frees. It reports
+// whether the record may be stored.
+func (s *ChanSource) reserve(t uint64) bool {
+	free := func() bool {
+		s.headSeen = s.head.Load()
+		return t-s.headSeen < uint64(len(s.buf))
+	}
+	for !free() {
+		if s.drop {
+			s.dropped.Store(s.dropped.Load() + 1)
+			return false
+		}
+		if s.recvEnd.Load() {
+			return false
+		}
+		s.space.park(func() bool { return free() || s.recvEnd.Load() })
+	}
+	return true
 }
 
 // Dropped reports how many records Send has shed because the buffer
@@ -143,7 +206,10 @@ func (s *ChanSource) Dropped() uint64 { return s.dropped.Load() }
 
 // CloseSend marks the end of the stream; the consuming pipeline's
 // Next returns io.EOF once the buffer drains.
-func (s *ChanSource) CloseSend() { close(s.ch) }
+func (s *ChanSource) CloseSend() {
+	s.sendEnd.Store(true)
+	s.ready.unpark()
+}
 
 // Tap adapts the source to a netsim router tap, classifying each
 // forwarded segment into a record — the live-capture edge of the
@@ -168,45 +234,84 @@ func (s *ChanSource) Tap() netsim.Tap {
 
 // Next blocks for the next record; io.EOF after CloseSend drains.
 func (s *ChanSource) Next() (trace.Record, error) {
-	r, ok := <-s.ch
-	if !ok {
-		return trace.Record{}, io.EOF
+	var one [1]trace.Record
+	if _, err := s.NextBatch(one[:]); err != nil {
+		return trace.Record{}, err
 	}
-	return r, nil
+	return one[0], nil
 }
 
-// NextBatch blocks for the first record, then opportunistically drains
-// whatever else is already buffered without blocking again — a busy
-// feed fills whole chunks, an idle one degrades to one record per call
-// with no added latency.
+// NextBatch blocks until at least one record is published, then copies
+// every published record that fits into buf. It returns io.EOF, with
+// no records, once CloseSend has been called and the ring is drained.
 func (s *ChanSource) NextBatch(buf []trace.Record) (int, error) {
 	if len(buf) == 0 {
 		return 0, nil
 	}
-	r, ok := <-s.ch
-	if !ok {
-		return 0, io.EOF
-	}
-	buf[0] = r
-	n := 1
-	for n < len(buf) {
-		select {
-		case r, ok := <-s.ch:
-			if !ok {
-				return n, io.EOF
+	h := s.head.Load()
+	t := s.tail.Load()
+	for t == h {
+		if s.sendEnd.Load() {
+			// CloseSend follows the last publish, so this load sees
+			// every record there will ever be.
+			if t = s.tail.Load(); t == h {
+				return 0, io.EOF
 			}
-			buf[n] = r
-			n++
-		default:
-			return n, nil
+			break
 		}
+		s.ready.park(func() bool { return s.tail.Load() != h || s.sendEnd.Load() })
+		t = s.tail.Load()
 	}
+	n := int(min(t-h, uint64(len(buf))))
+	k := copy(buf[:n], s.buf[s.rpos:])
+	copy(buf[k:n], s.buf)
+	if s.rpos += n; s.rpos >= len(s.buf) {
+		s.rpos -= len(s.buf)
+	}
+	s.head.Store(h + uint64(n))
+	s.space.unpark()
 	return n, nil
 }
 
-// Close implements Source. It does not close the send side; the
-// producer owns that via CloseSend.
-func (s *ChanSource) Close() error { return nil }
+// Close is the consumer's side of shutdown: a producer parked on a full
+// ring is released, and from then on Send never blocks (a record that
+// finds the ring full is discarded). Records already published stay
+// readable; the producer still ends the stream with CloseSend.
+func (s *ChanSource) Close() error {
+	s.recvEnd.Store(true)
+	s.space.unpark()
+	return nil
+}
+
+// parker lets one goroutine sleep until another signals it. The waker
+// pays one atomic load when nobody sleeps, and at most one token is
+// ever in flight: only the waker that clears the parked flag sends.
+type parker struct {
+	parked atomic.Bool
+	wake   chan struct{} // capacity 1: the one token in flight
+}
+
+// park blocks until a wake, unless ready already holds once the parked
+// flag is up. The waker sets the state ready tests before it calls
+// unpark, and every one of these accesses is sequentially consistent,
+// so either ready sees that state or unpark sees the flag: no wake is
+// lost. When ready holds but a waker has already cleared the flag, its
+// token is on the way and park takes it, so none is left over. Callers
+// re-check their condition after park returns.
+func (p *parker) park(ready func() bool) {
+	p.parked.Store(true)
+	if ready() && p.parked.Swap(false) {
+		return
+	}
+	<-p.wake
+}
+
+// unpark wakes the parked goroutine, if any.
+func (p *parker) unpark() {
+	if p.parked.Load() && p.parked.Swap(false) {
+		p.wake <- struct{}{}
+	}
+}
 
 // pcapSource adapts trace.PcapStream to the Source interface, binding
 // the stub prefix for direction inference and owning the file handle.
