@@ -52,7 +52,7 @@ bench:
 # reported informationally. Raise GATETOL on noisy shared hardware.
 GATECOUNT ?= 3
 GATETOL ?= 0.10
-GATEHOT ?= Ingest|BatchIngest|SweepFastPath|RunCellFastPath|Fusion|FrameParse|TwoQueueAccept|CaptureSource
+GATEHOT ?= Ingest|BatchIngest|SweepFastPath|RunCellFastPath|Fusion|FrameParse|TwoQueueAccept|CaptureSource|TraceGeneration
 bench-gate:
 	$(GO) test -run '^$$' -bench '$(GATEHOT)' -benchmem -count=$(GATECOUNT) . \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_pr13.json -tolerance $(GATETOL) -hot '$(GATEHOT)'

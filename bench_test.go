@@ -93,9 +93,10 @@ func BenchmarkTable2UNCDetection(b *testing.B) { runArtifact(b, "table2") }
 
 // BenchmarkTable2UNCDetectionParallel regenerates Table 2 with the
 // Monte-Carlo cells fanned over 4 workers. The artifact bytes are
-// identical to the sequential benchmark (same seed derivation); on a
-// multi-core host the wall clock is the speedup over
-// BenchmarkTable2UNCDetection.
+// identical to the sequential benchmark (same seed derivation). Its
+// wall-clock difference from BenchmarkTable2UNCDetection is not the
+// pool's speedup: the UNC background is synthesized serially before
+// the fan-out, and both benchmarks pay for that synthesis.
 func BenchmarkTable2UNCDetectionParallel(b *testing.B) {
 	runArtifactOpts(b, "table2", func(i int) experiment.Options {
 		o := benchOpts(i)

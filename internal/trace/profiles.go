@@ -186,31 +186,49 @@ func Generate(p Profile, seed int64) (*Trace, error) {
 	if p.ResponseProb <= 0 || p.ResponseProb > 1 {
 		return nil, errors.New("trace: ResponseProb outside (0,1]")
 	}
+	if !p.Prefix.IsValid() || !p.Prefix.Addr().Is4() {
+		return nil, errors.New("trace: Prefix is not an IPv4 prefix")
+	}
+	if p.MeanRTT < 0 {
+		return nil, errors.New("trace: negative MeanRTT")
+	}
 	rng := rand.New(rand.NewSource(seed))
-	tr := &Trace{Name: p.Name, Span: p.Span}
 	outages := drawOutages(p, rng)
 
 	outStarts, err := connectionStarts(p, p.OutConnRate, rng)
 	if err != nil {
 		return nil, err
 	}
-	for _, t := range outStarts {
-		emitConnection(tr, p, rng, t, DirOut, responseProbAt(p, outages, t))
-	}
+	tr := &Trace{Name: p.Name, Span: p.Span, Records: emitDirection(p, rng, outStarts, DirOut, outages)}
 	if p.InConnRate > 0 {
 		inStarts, err := connectionStarts(p, p.InConnRate, rng)
 		if err != nil {
 			return nil, err
 		}
-		for _, t := range inStarts {
-			emitConnection(tr, p, rng, t, DirIn, responseProbAt(p, outages, t))
-		}
+		in := &Trace{Span: p.Span, Records: emitDirection(p, rng, inStarts, DirIn, outages)}
+		// Outbound connections are drawn first, so their records go
+		// first on ties: exactly Merge's tie rule.
+		tr = Merge(p.Name, tr, in)
 	}
-	tr.Sort()
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
 	return tr, nil
+}
+
+// emitDirection synthesizes the connections whose SYNs travel in
+// synDir, one per start, and returns their records in timestamp order.
+func emitDirection(p Profile, rng *rand.Rand, starts []time.Duration, synDir Direction, outages []outageWindow) []Record {
+	perConn := 1 + len(clientRetransmits) // an unanswered SYN and its retransmits
+	if p.WithTeardown {
+		perConn = max(perConn, 4) // SYN, SYN/ACK and two FINs
+	}
+	e := newEmitter(p.Span, perConn*len(starts))
+	for _, t := range starts {
+		e.advance(t)
+		emitConnection(e, p, rng, t, synDir, responseProbAt(p, outages, t))
+	}
+	return e.finish()
 }
 
 // connectionStarts draws the connection start times for one direction.
@@ -299,11 +317,11 @@ func responseProbAt(p Profile, outages []outageWindow, t time.Duration) float64 
 	return p.ResponseProb
 }
 
-// emitConnection appends the records of one connection whose SYN
+// emitConnection emits the records of one connection whose SYN
 // travels in synDir. For synDir == DirOut the SYN leaves the stub and
 // the SYN/ACK comes back in; for DirIn the roles flip. respProb is
 // the (possibly outage-degraded) probability of a SYN/ACK reply.
-func emitConnection(tr *Trace, p Profile, rng *rand.Rand, start time.Duration, synDir Direction, respProb float64) {
+func emitConnection(e *emitter, p Profile, rng *rand.Rand, start time.Duration, synDir Direction, respProb float64) {
 	inside := randomAddrIn(p.Prefix, rng)
 	outside := randomExternalAddr(rng)
 	var src, dst netip.Addr
@@ -316,7 +334,7 @@ func emitConnection(tr *Trace, p Profile, rng *rand.Rand, start time.Duration, s
 	const dstPort = 80
 	replyDir := flip(synDir)
 
-	appendRecord(tr, Record{
+	e.emit(Record{
 		Ts: start, Kind: packet.KindSYN, Dir: synDir,
 		Src: src, Dst: dst, SrcPort: srcPort, DstPort: dstPort,
 	})
@@ -326,7 +344,7 @@ func emitConnection(tr *Trace, p Profile, rng *rand.Rand, start time.Duration, s
 		// schedule; the extra SYNs also go unanswered. This is the
 		// benign source of SYN > SYN/ACK discrepancy.
 		for _, delay := range clientRetransmits {
-			appendRecord(tr, Record{
+			e.emit(Record{
 				Ts: start + delay, Kind: packet.KindSYN, Dir: synDir,
 				Src: src, Dst: dst, SrcPort: srcPort, DstPort: dstPort,
 			})
@@ -335,7 +353,7 @@ func emitConnection(tr *Trace, p Profile, rng *rand.Rand, start time.Duration, s
 	}
 
 	rtt := sampleRTT(p, rng)
-	appendRecord(tr, Record{
+	e.emit(Record{
 		Ts: start + rtt, Kind: packet.KindSYNACK, Dir: replyDir,
 		Src: dst, Dst: src, SrcPort: dstPort, DstPort: srcPort,
 	})
@@ -344,22 +362,144 @@ func emitConnection(tr *Trace, p Profile, rng *rand.Rand, start time.Duration, s
 		// Connection lifetime: lognormal around 15 s.
 		life := time.Duration(math.Exp(math.Log(15)+rng.NormFloat64()) * float64(time.Second))
 		end := start + rtt + life
-		appendRecord(tr, Record{
+		e.emit(Record{
 			Ts: end, Kind: packet.KindFIN, Dir: synDir,
 			Src: src, Dst: dst, SrcPort: srcPort, DstPort: dstPort,
 		})
-		appendRecord(tr, Record{
+		e.emit(Record{
 			Ts: end + rtt, Kind: packet.KindFIN, Dir: replyDir,
 			Src: dst, Dst: src, SrcPort: dstPort, DstPort: srcPort,
 		})
 	}
 }
 
-// appendRecord adds r if it falls inside the trace span.
-func appendRecord(tr *Trace, r Record) {
-	if r.Ts >= 0 && r.Ts < tr.Span {
-		tr.Records = append(tr.Records, r)
+// pendingCap caps the starting capacity of the emitter's pending heap,
+// record slab and free list. A one-minute UNC trace defers at most
+// ~3.1k records at once, so it never grows them; the full 30-minute
+// UNC span peaks near 6.5k.
+const pendingCap = 4096
+
+// emitter collects one direction's records in timestamp order as
+// connections are drawn, so no sort follows generation. Connection
+// starts never decrease and no record precedes its own connection's
+// start, so a record at or before the current start is final and goes
+// straight to out. A later one (SYN/ACK, retransmit, FIN) waits in a
+// min-heap keyed by (Ts, emission sequence) until a start passes it.
+// Equal timestamps leave in emission order, which is exactly what a
+// stable sort of the emission sequence produces. The heap holds only
+// the records of connections still in flight.
+type emitter struct {
+	span  time.Duration
+	start time.Duration // start of the connection being emitted
+	seq   uint64        // emission sequence of the next deferred record
+	out   []Record
+	// pending is a min-heap on (ts, seq) over deferred records kept in
+	// slab, so sifting moves 24-byte entries rather than records; free
+	// lists the slab slots released by pops.
+	pending []pendingRecord
+	slab    []Record
+	free    []int
+}
+
+// pendingRecord orders the deferred record slab[slot].
+type pendingRecord struct {
+	ts   time.Duration
+	seq  uint64
+	slot int
+}
+
+// newEmitter returns an emitter for at most capacity records.
+func newEmitter(span time.Duration, capacity int) *emitter {
+	n := min(capacity, pendingCap)
+	return &emitter{
+		span:    span,
+		out:     make([]Record, 0, capacity),
+		pending: make([]pendingRecord, 0, n),
+		slab:    make([]Record, 0, n),
+		free:    make([]int, 0, n),
 	}
+}
+
+// advance moves to the next connection, starting at start: every
+// deferred record at or before it is released first.
+func (e *emitter) advance(start time.Duration) {
+	for len(e.pending) > 0 && e.pending[0].ts <= start {
+		e.out = append(e.out, e.pop())
+	}
+	e.start = start
+}
+
+// emit adds r if it falls inside the trace span.
+func (e *emitter) emit(r Record) {
+	if r.Ts < 0 || r.Ts >= e.span {
+		return
+	}
+	if r.Ts <= e.start {
+		e.out = append(e.out, r)
+	} else {
+		e.push(r)
+	}
+}
+
+// finish releases every deferred record and returns the records.
+func (e *emitter) finish() []Record {
+	for len(e.pending) > 0 {
+		e.out = append(e.out, e.pop())
+	}
+	return e.out
+}
+
+func (e *emitter) less(i, j int) bool {
+	a, b := &e.pending[i], &e.pending[j]
+	return a.ts < b.ts || (a.ts == b.ts && a.seq < b.seq)
+}
+
+func (e *emitter) push(r Record) {
+	var slot int
+	if n := len(e.free); n > 0 {
+		slot = e.free[n-1]
+		e.free = e.free[:n-1]
+		e.slab[slot] = r
+	} else {
+		slot = len(e.slab)
+		e.slab = append(e.slab, r)
+	}
+	e.pending = append(e.pending, pendingRecord{ts: r.Ts, seq: e.seq, slot: slot})
+	e.seq++
+	h := e.pending
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !e.less(i, parent) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+func (e *emitter) pop() Record {
+	h := e.pending
+	slot := h[0].slot
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	e.pending = h
+	for i := 0; ; {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && e.less(r, child) {
+			child = r
+		}
+		if !e.less(child, i) {
+			break
+		}
+		h[i], h[child] = h[child], h[i]
+		i = child
+	}
+	e.free = append(e.free, slot)
+	return e.slab[slot]
 }
 
 func flip(d Direction) Direction {

@@ -191,6 +191,20 @@ func TestGenerateValidation(t *testing.T) {
 	if _, err := Generate(p, 1); err == nil {
 		t.Error("bad ResponseProb accepted")
 	}
+	p = UNC()
+	p.Prefix = netip.Prefix{}
+	if _, err := Generate(p, 1); err == nil {
+		t.Error("unset Prefix accepted")
+	}
+	p.Prefix = netip.MustParsePrefix("2001:db8::/32")
+	if _, err := Generate(p, 1); err == nil {
+		t.Error("IPv6 Prefix accepted")
+	}
+	p = UNC()
+	p.MeanRTT = -time.Millisecond
+	if _, err := Generate(p, 1); err == nil {
+		t.Error("negative MeanRTT accepted")
+	}
 }
 
 func TestGenerateDeterministic(t *testing.T) {
