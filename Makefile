@@ -1,16 +1,16 @@
 # SYN-dog reproduction — convenience targets.
 GO ?= go
 
-.PHONY: all build build-live vet test race check bench bench-gate examples experiments fast-experiments ablations evasion distributed victim fuzz soak soak-short clean
+.PHONY: all build build-live vet test race perfbench check bench bench-gate examples experiments fast-experiments ablations evasion distributed victim fuzz soak soak-short clean
 
 all: build vet test
 
 # The full pre-merge gate: static checks, the test suite, the race
-# detector, the seeded adversarial evasion matrix, the distributed
-# detection smoke, the victim two-queue race, a short-budget soak of
-# the multi-agent daemon, and the hot-path bench-regression gate in
-# one target.
-check: vet test race evasion distributed victim soak-short bench-gate
+# detector, the benchmark harness's own checks, the seeded adversarial
+# evasion matrix, the distributed detection smoke, the victim
+# two-queue race, a short-budget soak of the multi-agent daemon, and
+# the hot-path bench-regression gate in one target.
+check: vet test race perfbench evasion distributed victim soak-short bench-gate
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,12 @@ test:
 # and the sharded source tracker under concurrent ChanSource feeds.
 race:
 	$(GO) test -race ./...
+
+# perfbench/ is its own module (it replaces repro with ../), so the
+# root vet and test never compile it; this builds and tests it against
+# the working tree's packages.
+perfbench:
+	cd perfbench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
 
 # Record the outputs the repository ships with.
 record:
@@ -126,7 +132,7 @@ fuzz:
 	$(GO) test ./internal/sourcetrack -fuzz '^FuzzKeyedSnapshotRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/flood -fuzz '^FuzzPulsingCountsMatchRecords$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ingest -fuzz '^FuzzBatchMatchesRecordPath$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/capture -fuzz '^FuzzFrameParse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace -fuzz '^FuzzFrameParse$$' -fuzztime $(FUZZTIME)
 
 clean:
 	$(GO) clean ./...

@@ -544,11 +544,11 @@ func TestMain(m *testing.M) {
 
 // benchStreamingIngest measures the full streaming pipeline over one
 // fixture format — open, classify, aggregate, detect — exactly as the
-// binaries construct it. chunk picks the pipeline's batch size
-// (0 = DefaultChunk, negative = the single-record compatibility loop);
-// arena, when non-nil, recycles chunk buffers across iterations. The
-// records/s metric is the sustained ingest rate of one detector.
-func benchStreamingIngest(b *testing.B, ext string, chunk int, arena *ingest.Arena) {
+// binaries construct it. arena, when non-nil, sets the chunk size and
+// recycles chunk buffers across iterations; nil runs DefaultChunk
+// chunks, as the binaries do. The records/s metric is the sustained
+// ingest rate of one detector.
+func benchStreamingIngest(b *testing.B, ext string, arena *ingest.Arena) {
 	b.Helper()
 	path, records := streamBenchFile(b, ext)
 	prefix := netip.MustParsePrefix("130.216.0.0/16")
@@ -567,7 +567,6 @@ func benchStreamingIngest(b *testing.B, ext string, chunk int, arena *ingest.Are
 			Source:   src,
 			Detector: ingest.WrapAgent(agent),
 			T0:       core.DefaultObservationPeriod,
-			Chunk:    chunk,
 			Arena:    arena,
 		}
 		if err := p.Run(); err != nil {
@@ -586,18 +585,18 @@ func benchStreamingIngest(b *testing.B, ext string, chunk int, arena *ingest.Are
 // BenchmarkStreamingIngestPcap is the headline ingest benchmark: the
 // batch pipeline over a pcap capture, which never materializes.
 func BenchmarkStreamingIngestPcap(b *testing.B) {
-	benchStreamingIngest(b, ".pcap", 0, nil)
+	benchStreamingIngest(b, ".pcap", nil)
 }
 
 // BenchmarkStreamingIngestBinary streams the compact binary container.
 func BenchmarkStreamingIngestBinary(b *testing.B) {
-	benchStreamingIngest(b, ".trace", 0, nil)
+	benchStreamingIngest(b, ".trace", nil)
 }
 
 // BenchmarkStreamingIngestCSV streams the text container; the line
 // scanner and field parser dominate.
 func BenchmarkStreamingIngestCSV(b *testing.B) {
-	benchStreamingIngest(b, ".csv", 0, nil)
+	benchStreamingIngest(b, ".csv", nil)
 }
 
 // BenchmarkStreamingIngestTcpdump imports tcpdump -n text. This reader
@@ -605,19 +604,16 @@ func BenchmarkStreamingIngestCSV(b *testing.B) {
 // figure includes the parse and sort, then a batch replay of the
 // in-memory records.
 func BenchmarkStreamingIngestTcpdump(b *testing.B) {
-	benchStreamingIngest(b, ".txt", 0, nil)
+	benchStreamingIngest(b, ".txt", nil)
 }
 
 // BenchmarkBatchIngest pins the batch machinery itself on the pcap
-// path: chunk-size scaling, the arena's steady-state reuse, and the
-// single-record compatibility loop the batch path replaced (record —
-// the old pipeline, what the 5× gate is measured against).
+// path: chunk-size scaling and the arena's steady-state reuse.
 func BenchmarkBatchIngest(b *testing.B) {
-	b.Run("record", func(b *testing.B) { benchStreamingIngest(b, ".pcap", -1, nil) })
 	for _, chunk := range []int{64, 1024, 8192} {
 		chunk := chunk
 		b.Run(fmt.Sprintf("chunk=%d", chunk), func(b *testing.B) {
-			benchStreamingIngest(b, ".pcap", chunk, ingest.NewArena(chunk))
+			benchStreamingIngest(b, ".pcap", ingest.NewArena(chunk))
 		})
 	}
 }
@@ -694,11 +690,12 @@ func BenchmarkFloodGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkFrameParse measures the live capture subsystem's per-frame
+// BenchmarkFrameParse measures the shared frame decoder's per-frame
 // hot path — link-layer stripping, classification, TCP decode,
 // direction inference — over the three link framings the parser
-// accepts. This is the cost every sniffed packet pays before it
-// becomes a trace.Record, so it gates with the other hot paths.
+// accepts. This is the cost every captured packet, live or from a
+// file, pays before it becomes a trace.Record, so it gates with the
+// other hot paths.
 func BenchmarkFrameParse(b *testing.B) {
 	src := netip.MustParseAddr("10.0.0.1")
 	dst := netip.MustParseAddr("130.216.0.9")
@@ -722,15 +719,15 @@ func BenchmarkFrameParse(b *testing.B) {
 	for _, c := range cases {
 		c := c
 		b.Run(c.name, func(b *testing.B) {
-			parser, err := capture.NewFrameParser(c.linkType, prefix)
+			parser, err := trace.NewFrameParser(c.linkType, prefix)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			parsed := 0
+			var rec trace.Record
 			for i := 0; i < b.N; i++ {
-				rec, ok := parser.Parse(time.Duration(i), c.data)
-				if ok && rec.Kind == packet.KindSYN {
+				if parser.Parse(time.Duration(i), c.data, &rec) && rec.Kind == packet.KindSYN {
 					parsed++
 				}
 			}

@@ -69,7 +69,6 @@ func run(args []string, stdout io.Writer) (int, error) {
 		threshold  = fs.Float64("N", 1.05, "flooding threshold N")
 		alpha      = fs.Float64("alpha", 0.9, "EWMA memory for K-bar")
 		verbose    = fs.Bool("v", false, "print every observation period")
-		batch      = fs.Int("batch", ingest.DefaultChunk, "records per pipeline chunk; 0 replays record-at-a-time (same output, slower)")
 		track      = fs.Bool("track-sources", false, "attribute detection per source prefix (keyed CUSUM bank)")
 		keyBits    = fs.Int("key-bits", sourcetrack.DefaultKeyBits, "source key prefix width: 32 per host, 24, 16, ... (needs -track-sources)")
 		maxSources = fs.Int("max-sources", sourcetrack.DefaultMaxSources, "per-source CUSUM states to keep (Space-Saving admission; needs -track-sources)")
@@ -143,16 +142,7 @@ func run(args []string, stdout io.Writer) (int, error) {
 		}
 	}
 
-	// Both chunk sizes produce bit-identical reports (the equivalence
-	// the ingest fuzz target pins); -batch 0 keeps the single-record
-	// reference path reachable from the CLI.
-	chunk := *batch
-	if chunk == 0 {
-		chunk = -1
-	} else if chunk < 0 {
-		return 1, fmt.Errorf("negative -batch %d", *batch)
-	}
-	p := &ingest.Pipeline{Source: src, Detector: det, T0: *t0, Sink: sink, Chunk: chunk}
+	p := &ingest.Pipeline{Source: src, Detector: det, T0: *t0, Sink: sink}
 	if tracker != nil {
 		p.Tap = tracker
 	}

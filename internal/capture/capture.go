@@ -3,26 +3,23 @@
 // (build tag "live") or from any pcap byte-stream (file, pipe, FIFO) —
 // into trace.Record streams the rest of the system already speaks.
 //
-// The package is built from three pieces:
+// The package is built from two pieces around one shared decoder:
 //
-//   - FrameParser decodes one raw frame exactly the way the offline
-//     pcap path does (pcapng.LinkPayload link stripping, the paper's
-//     classifier, packet.Segment decoding, destination-based direction
-//     inference), so a capture replayed live is bit-identical to the
-//     same capture replayed through ingest.Open.
 //   - FrameReader abstracts where frames come from: PcapReader wraps
 //     any pcap byte-stream; the AF_PACKET reader (afpacket_linux.go,
 //     behind "linux && live") reads a real interface.
-//   - Source runs a producer goroutine that parses frames into a
-//     bounded ring of records (an ingest.ChanSource, the same
+//   - Source runs a producer goroutine that decodes frames with
+//     trace.FrameParser — the same decoder the offline pcap and
+//     iptrace paths call, so a capture replayed live is bit-identical
+//     to the same capture replayed through ingest.Open — into a bounded
+//     ring of records (an ingest.ChanSource, the same
 //     single-producer/single-consumer ring simulator taps feed). The
-//     consumer side implements ingest.Source/ingest.BatchSource. In
-//     blocking mode (the default) a full ring backpressures the
-//     reader — lossless, right for pipes and replays. In drop mode a
-//     full ring sheds the record and counts it (the
-//     ingest.DropCounter contract): a NIC cannot be backpressured, so
-//     blocking the capture path would only move the loss into the
-//     kernel where it is harder to see.
+//     consumer side implements ingest.Source. In blocking mode (the
+//     default) a full ring backpressures the reader — lossless, right
+//     for pipes and replays. In drop mode a full ring sheds the record
+//     and counts it (the ingest.DropCounter contract): a NIC cannot be
+//     backpressured, so blocking the capture path would only move the
+//     loss into the kernel where it is harder to see.
 //
 // Every loss is accounted: ring drops (Dropped, Stats.RingDropped),
 // kernel-side drops (Stats.KernelDropped, from PACKET_STATISTICS when
@@ -40,7 +37,6 @@ import (
 	"time"
 
 	"repro/internal/ingest"
-	"repro/internal/packet"
 	"repro/internal/pcapng"
 	"repro/internal/trace"
 )
@@ -67,65 +63,6 @@ type FrameReader interface {
 	Drops() uint64
 	// Close releases the handle and unblocks a pending ReadFrame.
 	Close() error
-}
-
-// FrameParser decodes one captured frame into a trace.Record with the
-// exact pipeline the offline pcap path uses: link-layer stripping,
-// classification, TCP segment decoding, and destination-based
-// direction inference. Parse never panics on arbitrary bytes (pinned
-// by FuzzFrameParse) and must stay in lockstep with
-// trace.PcapStream.NextDir — the equivalence suite compares the two
-// decode for decode.
-type FrameParser struct {
-	linkType uint32
-	prefix   netip.Prefix
-	seg      packet.Segment // decode target, kept off the per-call stack
-}
-
-// NewFrameParser builds a parser for frames of the given pcap link
-// type. stubPrefix drives direction inference: packets destined inside
-// it are inbound, everything else outbound (destination, not source,
-// because flood SYNs carry forged sources).
-func NewFrameParser(linkType uint32, stubPrefix netip.Prefix) (*FrameParser, error) {
-	switch linkType {
-	case pcapng.LinkTypeRaw, pcapng.LinkTypeEthernet:
-	default:
-		return nil, errors.New("capture: unsupported link type")
-	}
-	if !stubPrefix.IsValid() {
-		return nil, errors.New("capture: frame parser needs a stub prefix for direction inference")
-	}
-	return &FrameParser{linkType: linkType, prefix: stubPrefix}, nil
-}
-
-// Parse decodes one frame captured at ts. ok is false for frames the
-// classifier ignores: non-IPv4, non-TCP, fragmented or malformed — the
-// same skips the offline pcap decoder applies.
-func (p *FrameParser) Parse(ts time.Duration, data []byte) (rec trace.Record, ok bool) {
-	raw, err := pcapng.LinkPayload(p.linkType, data)
-	if err != nil {
-		return trace.Record{}, false
-	}
-	if packet.Classify(raw) == packet.KindNotTCP {
-		return trace.Record{}, false
-	}
-	seg := &p.seg
-	if err := seg.Unmarshal(raw); err != nil {
-		return trace.Record{}, false
-	}
-	dir := trace.DirOut
-	if p.prefix.Contains(seg.IP.Dst) {
-		dir = trace.DirIn
-	}
-	return trace.Record{
-		Ts:      ts,
-		Kind:    seg.Kind(),
-		Dir:     dir,
-		Src:     seg.IP.Src,
-		Dst:     seg.IP.Dst,
-		SrcPort: seg.TCP.SrcPort,
-		DstPort: seg.TCP.DstPort,
-	}, true
 }
 
 // PcapReader is the portable FrameReader: it reads classic libpcap
@@ -219,12 +156,12 @@ type Config struct {
 
 // Source adapts a FrameReader to the ingest pipeline: a producer
 // goroutine parses frames and publishes each record into a bounded
-// ingest.ChanSource ring; Next/NextBatch consume it. It implements
-// ingest.Source, ingest.BatchSource, ingest.SpanSource,
-// ingest.NamedSource and ingest.DropCounter.
+// ingest.ChanSource ring; NextBatch consumes it. It implements
+// ingest.Source, ingest.SpanSource, ingest.NamedSource and
+// ingest.DropCounter.
 type Source struct {
 	fr     FrameReader
-	parser *FrameParser
+	parser trace.FrameParser
 	ring   *ingest.ChanSource
 	wg     sync.WaitGroup
 	once   sync.Once
@@ -255,7 +192,10 @@ func NewSource(fr FrameReader, cfg Config) (*Source, error) {
 	if fr == nil {
 		return nil, errors.New("capture: nil frame reader")
 	}
-	parser, err := NewFrameParser(fr.LinkType(), cfg.StubPrefix)
+	if !cfg.StubPrefix.IsValid() {
+		return nil, errors.New("capture: source needs a stub prefix for direction inference")
+	}
+	parser, err := trace.NewFrameParser(fr.LinkType(), cfg.StubPrefix)
 	if err != nil {
 		return nil, err
 	}
@@ -292,6 +232,7 @@ func (s *Source) produce() {
 		parsed, skipped uint64
 		base, maxTs     time.Duration
 		baseSet         bool
+		rec             trace.Record
 	)
 	defer func() {
 		// Span covers classified records only, exactly like the
@@ -323,8 +264,7 @@ func (s *Source) produce() {
 				ts = 0 // non-monotonic capture clock; clamp, never go negative
 			}
 		}
-		rec, ok := s.parser.Parse(ts, f.Data)
-		if !ok {
+		if !s.parser.Parse(ts, f.Data, &rec) {
 			skipped++
 			s.skipped.Store(skipped)
 			continue
@@ -336,13 +276,6 @@ func (s *Source) produce() {
 		s.parsed.Store(parsed)
 		s.ring.Send(rec)
 	}
-}
-
-// Next blocks for the next record; io.EOF (or the reader's failure)
-// once the producer has stopped and the ring has drained.
-func (s *Source) Next() (trace.Record, error) {
-	r, err := s.ring.Next()
-	return r, s.verdict(err)
 }
 
 // NextBatch blocks until a record is ringed, then copies every ringed

@@ -45,19 +45,20 @@ func writePcapBytes(t *testing.T, tr *trace.Trace) []byte {
 	return buf.Bytes()
 }
 
-// drainSource pulls src dry one record at a time.
+// drainSource pulls src dry one record per NextBatch call.
 func drainSource(t *testing.T, src *Source) []trace.Record {
 	t.Helper()
 	var out []trace.Record
+	var one [1]trace.Record
 	for {
-		rec, err := src.Next()
+		n, err := src.NextBatch(one[:])
+		out = append(out, one[:n]...)
 		if err == io.EOF {
 			return out
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, rec)
 	}
 }
 
@@ -86,20 +87,21 @@ func TestPcapSourceMatchesPcapStream(t *testing.T) {
 	tr := captureTestTrace(t)
 	data := writePcapBytes(t, tr)
 
-	s, err := trace.NewPcapStream(bytes.NewReader(data))
+	s, err := trace.NewPcapStream(bytes.NewReader(data), testPrefix)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want []trace.Record
+	buf := make([]trace.Record, 256)
 	for {
-		rec, err := s.NextDir(testPrefix)
+		n, err := s.NextBatch(buf)
+		want = append(want, buf[:n]...)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, rec)
 	}
 
 	src := newPcapSource(t, data, Config{})
@@ -127,8 +129,8 @@ func TestPcapSourceMatchesPcapStream(t *testing.T) {
 	if st.RingDropped != 0 || src.Dropped() != 0 {
 		t.Errorf("blocking source dropped records: %+v", st)
 	}
-	if _, err := src.Next(); err != io.EOF {
-		t.Errorf("Next past EOF = %v, want io.EOF", err)
+	if n, err := src.NextBatch(buf); n != 0 || err != io.EOF {
+		t.Errorf("NextBatch past EOF = (%d, %v), want (0, io.EOF)", n, err)
 	}
 }
 
@@ -216,9 +218,9 @@ func recordFlags(k packet.Kind) (uint8, bool) {
 	}
 }
 
-// TestNextBatchMatchesNext pins the chunked face against the
-// per-record one, over rings of one slot, of three (not a power of
-// two, so the ring wraps every few records) and of the default size.
+// TestNextBatchMatchesNext pins chunked reads against one-record
+// reads, over rings of one slot, of three (not a power of two, so the
+// ring wraps every few records) and of the default size.
 func TestNextBatchMatchesNext(t *testing.T) {
 	tr := captureTestTrace(t)
 	data := writePcapBytes(t, tr)
@@ -521,10 +523,11 @@ func TestReaderErrorSurfaced(t *testing.T) {
 	}
 	defer src.Close()
 	var got int
+	var one [1]trace.Record
 	for {
-		_, err := src.Next()
+		n, err := src.NextBatch(one[:])
+		got += n
 		if err == nil {
-			got++
 			continue
 		}
 		if !errors.Is(err, boom) {
@@ -569,7 +572,7 @@ func TestNewSourceValidation(t *testing.T) {
 	if _, err := NewSource(newStubReader(nil), Config{}); err == nil {
 		t.Error("want error for missing stub prefix")
 	}
-	if _, err := NewFrameParser(147, testPrefix); err == nil {
+	if _, err := trace.NewFrameParser(147, testPrefix); err == nil {
 		t.Error("want error for unsupported link type")
 	}
 }

@@ -471,11 +471,11 @@ func (a *Agent) ProcessCounts(pc *trace.PeriodCounts) ([]Report, error) {
 	}
 	a.reports = slices.Grow(a.reports, periods-done)
 	for ; done < periods; done++ {
-		out, err := countAsUint(pc.OutSYN[done])
+		out, err := CountAsUint(pc.OutSYN[done])
 		if err != nil {
 			return nil, fmt.Errorf("core: OutSYN[%d]: %w", done, err)
 		}
-		in, err := countAsUint(pc.InSYNACK[done])
+		in, err := CountAsUint(pc.InSYNACK[done])
 		if err != nil {
 			return nil, fmt.Errorf("core: InSYNACK[%d]: %w", done, err)
 		}
@@ -486,11 +486,11 @@ func (a *Agent) ProcessCounts(pc *trace.PeriodCounts) ([]Report, error) {
 	return a.reports, nil
 }
 
-// countAsUint converts an aggregated packet count to the sniffer's
+// CountAsUint converts an aggregated packet count to the sniffer's
 // integer domain. Aggregated counts are tallies, so anything negative,
 // fractional, non-finite, or beyond float64's exact-integer range is a
 // corrupted input, not a count.
-func countAsUint(v float64) (uint64, error) {
+func CountAsUint(v float64) (uint64, error) {
 	if !(v >= 0) || v != math.Trunc(v) || v > 1<<53 {
 		return 0, fmt.Errorf("invalid period count %v", v)
 	}

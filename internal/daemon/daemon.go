@@ -25,7 +25,7 @@
 // trace, streaming binary/CSV/pcap/iptrace file) feeds any
 // ingest.Detector (the paper's CUSUM agent or a baseline) through an
 // ingest.Aggregator, so a daemon over a multi-gigabyte pcap holds one
-// record and four counters in memory, never the capture.
+// chunk of records and four counters in memory, never the capture.
 package daemon
 
 import (
@@ -329,7 +329,6 @@ func (d *Daemon) replay(ctx context.Context, speed float64) error {
 	// chunk at the period boundary, so a period closes at its wall-clock
 	// deadline without consuming the first record of the following one —
 	// the batch generalization of the old one-record peek.
-	bs := ingest.AsBatch(d.src)
 	arena := ingest.NewArena(0)
 	buf := arena.Get()
 	defer arena.Put(buf)
@@ -345,7 +344,7 @@ func (d *Daemon) replay(ctx context.Context, speed float64) error {
 		}
 		pos, n = 0, 0
 		for !srcDone && n == 0 {
-			m, err := bs.NextBatch(buf)
+			m, err := d.src.NextBatch(buf)
 			n = m
 			if err == io.EOF {
 				srcDone = true
@@ -481,12 +480,11 @@ func (d *Daemon) replayLive(ctx context.Context) error {
 	stopClose := context.AfterFunc(ctx, func() { _ = d.src.Close() })
 	defer stopClose()
 
-	bs := ingest.AsBatch(d.src)
 	arena := ingest.NewArena(0)
 	buf := arena.Get()
 	defer arena.Put(buf)
 	for {
-		n, err := bs.NextBatch(buf)
+		n, err := d.src.NextBatch(buf)
 		if n > 0 {
 			d.mu.Lock()
 			ferr := agg.FeedBatch(buf[:n])

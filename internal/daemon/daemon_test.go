@@ -725,16 +725,16 @@ func TestServeLifecycle(t *testing.T) {
 	}
 }
 
-// countingSource wraps a Source and counts how many records were read
-// off it — the probe for the resume-drain cancellation test.
+// countingSource wraps a Source and counts how many chunk reads were
+// made off it — the probe for the resume-drain cancellation test.
 type countingSource struct {
 	src   ingest.Source
 	reads int
 }
 
-func (c *countingSource) Next() (trace.Record, error) {
+func (c *countingSource) NextBatch(buf []trace.Record) (int, error) {
 	c.reads++
-	return c.src.Next()
+	return c.src.NextBatch(buf)
 }
 
 func (c *countingSource) Close() error { return c.src.Close() }
@@ -782,7 +782,7 @@ func TestReplayDrainRespectsContext(t *testing.T) {
 	// The skipped prefix holds thousands of records; a cancelled drain
 	// must not have churned through them.
 	if src.reads > 1 {
-		t.Errorf("cancelled drain read %d records from the source", src.reads)
+		t.Errorf("cancelled drain made %d reads from the source", src.reads)
 	}
 	s := d.Status()
 	if s.ReplayDone || s.ReplayError != "" {

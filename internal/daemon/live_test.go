@@ -63,8 +63,8 @@ type drainResult struct {
 }
 
 // drainThrough runs src dry through a fresh CUSUM agent and a
-// single-shard tracker — the same record-at-a-time loop on both sides,
-// so any difference comes from the source, not the consumer.
+// single-shard tracker — the same chunk loop on both sides, so any
+// difference comes from the source, not the consumer.
 func drainThrough(t *testing.T, src ingest.Source) drainResult {
 	t.Helper()
 	agent, err := core.NewAgent(core.Config{})
@@ -80,15 +80,16 @@ func drainThrough(t *testing.T, src ingest.Source) drainResult {
 		t.Fatal(err)
 	}
 	agg.SetTap(tracker)
+	buf := make([]trace.Record, ingest.DefaultChunk)
 	for {
-		r, err := src.Next()
+		n, err := src.NextBatch(buf)
+		if ferr := agg.FeedBatch(buf[:n]); ferr != nil {
+			t.Fatal(ferr)
+		}
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := agg.Feed(r); err != nil {
 			t.Fatal(err)
 		}
 	}

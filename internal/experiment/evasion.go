@@ -68,7 +68,7 @@ type evasionTap struct {
 	steps   []attrStep
 }
 
-func (t *evasionTap) Record(r trace.Record) { t.tracker.Record(r) }
+func (t *evasionTap) RecordBatch(recs []trace.Record) { t.tracker.RecordBatch(recs) }
 
 func (t *evasionTap) ClosePeriod(index int, end time.Duration) {
 	t.tracker.ClosePeriod(index, end)

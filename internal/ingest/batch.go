@@ -7,57 +7,12 @@ import (
 	"repro/internal/trace"
 )
 
-// DefaultChunk is the record-chunk size the batch pipeline uses when
-// the caller does not pick one: 1024 records × 72 B ≈ 72 KiB per
-// chunk — large enough to amortize interface dispatch and period
-// bookkeeping to noise, small enough to stay cache- and
-// latency-friendly for live feeds.
+// DefaultChunk is the record-chunk size a pipeline uses when the
+// caller supplies no arena: 1024 records × 72 B ≈ 72 KiB per chunk —
+// large enough to amortize interface dispatch and period bookkeeping
+// to noise, small enough to stay cache- and latency-friendly for live
+// feeds.
 const DefaultChunk = 1024
-
-// BatchSource is the chunked face of a record stream: NextBatch fills
-// buf with up to len(buf) records and returns how many it wrote.
-// io.EOF — which may arrive together with n > 0 (EOF mid-chunk) —
-// marks a clean end of stream; any other error invalidates nothing
-// before buf[n]. Every source ingest.Open returns implements it
-// natively; AsBatch adapts anything else.
-type BatchSource interface {
-	NextBatch(buf []trace.Record) (n int, err error)
-	Close() error
-}
-
-// AsBatch returns src's chunked face: src itself when it is a native
-// BatchSource, otherwise a thin adapter that fills each chunk through
-// the single-record Next — the compatibility path for Source
-// implementations outside this package.
-func AsBatch(src Source) BatchSource {
-	if bs, ok := src.(BatchSource); ok {
-		return bs
-	}
-	return &batchAdapter{src: src}
-}
-
-// batchAdapter lifts a legacy single-record Source onto the batch
-// contract. The per-record interface call remains — the adapter exists
-// so the rest of the pipeline has exactly one shape — but everything
-// downstream of the source still runs chunk at a time.
-type batchAdapter struct {
-	src Source
-}
-
-func (a *batchAdapter) NextBatch(buf []trace.Record) (int, error) {
-	n := 0
-	for n < len(buf) {
-		r, err := a.src.Next()
-		if err != nil {
-			return n, err
-		}
-		buf[n] = r
-		n++
-	}
-	return n, nil
-}
-
-func (a *batchAdapter) Close() error { return a.src.Close() }
 
 // arenaFreeSlots bounds the alloc-free fast lane of an Arena; chunks
 // beyond it spill into the sync.Pool (which boxes the slice header,
@@ -91,11 +46,8 @@ func NewArena(size int) *Arena {
 	return a
 }
 
-// Size returns the arena's chunk capacity in records.
-func (a *Arena) Size() int { return a.size }
-
-// Get returns a chunk of length Size. Contents are unspecified; the
-// caller overwrites before reading.
+// Get returns a chunk of the arena's size. Contents are unspecified;
+// the caller overwrites before reading.
 func (a *Arena) Get() []trace.Record {
 	select {
 	case buf := <-a.free:
@@ -135,10 +87,10 @@ type DropCounter interface {
 	Dropped() uint64
 }
 
-// drain pulls src dry through the batch interface into agg, reusing
-// one arena chunk. It is the shared run loop of Pipeline.Run and
-// anything else that wants an unpaced full replay.
-func drain(src BatchSource, agg *Aggregator, arena *Arena) error {
+// drain pulls src dry into agg, reusing one arena chunk. It is the
+// shared run loop of Pipeline.Run and anything else that wants an
+// unpaced full replay.
+func drain(src Source, agg *Aggregator, arena *Arena) error {
 	buf := arena.Get()
 	defer arena.Put(buf)
 	for {

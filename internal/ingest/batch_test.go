@@ -118,13 +118,6 @@ func TestChanSourceDropMode(t *testing.T) {
 	}
 }
 
-// recordOnlyTap hides a tracker's RecordBatch so the aggregator is
-// forced onto the per-record tap path — the fuzz reference side.
-type recordOnlyTap struct{ tk *sourcetrack.Tracker }
-
-func (rt recordOnlyTap) Record(r trace.Record)                    { rt.tk.Record(r) }
-func (rt recordOnlyTap) ClosePeriod(index int, end time.Duration) { rt.tk.ClosePeriod(index, end) }
-
 // fuzzRecords decodes an arbitrary byte string into a record stream:
 // 4 bytes per record (signed ts delta in 100ms steps, kind, dir, host
 // byte). Deliberately unclamped — negative and out-of-order timestamps
@@ -168,11 +161,16 @@ func newFuzzTracker(t *testing.T) *sourcetrack.Tracker {
 }
 
 // FuzzBatchMatchesRecordPath is the batch pipeline's equivalence
-// oracle: over arbitrary record streams (including invalid ones) and
+// oracle. Over arbitrary record streams (including invalid ones) and
 // arbitrary chunk sizes (including 1 and EOF-mid-chunk), the chunked
 // path — NextBatch through an arena into FeedBatch, keyed tracker on
-// the batch tap — must return the same error, the same period reports
-// and the same keyed tracker state as the record-at-a-time reference.
+// the tap — must return the same error, the same volume counters, the
+// same period reports and the same keyed tracker state as the
+// per-record reference: one FeedBatch call per record, so every record
+// meets every check itself. On streams trace.Validate accepts, the
+// reports must also equal core.Agent.ProcessTrace and the keyed view
+// sourcetrack.Tracker.ProcessTrace, references that share no code with
+// the aggregator.
 func FuzzBatchMatchesRecordPath(f *testing.F) {
 	f.Add([]byte{}, uint8(1))
 	f.Add([]byte{10, 1, 0, 1, 10, 2, 1, 1, 10, 1, 0, 2}, uint8(1))
@@ -185,7 +183,7 @@ func FuzzBatchMatchesRecordPath(f *testing.F) {
 		span := 8 * time.Second
 		chunk := int(chunkByte%32) + 1
 
-		// Reference: record-at-a-time Feed with the per-record tap.
+		// Reference: one single-record FeedBatch call per record.
 		det1, err := NewAgentDetector(core.Config{T0: t0})
 		if err != nil {
 			t.Fatal(err)
@@ -195,10 +193,10 @@ func FuzzBatchMatchesRecordPath(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		agg1.SetTap(recordOnlyTap{tk1})
+		agg1.SetTap(tk1)
 		var err1 error
-		for _, r := range recs {
-			if err1 = agg1.Feed(r); err1 != nil {
+		for i := range recs {
+			if err1 = agg1.FeedBatch(recs[i : i+1]); err1 != nil {
 				break
 			}
 		}
@@ -206,9 +204,7 @@ func FuzzBatchMatchesRecordPath(f *testing.F) {
 			err1 = agg1.Finish(0)
 		}
 
-		// Batch path: a TraceSource streamed chunk-at-a-time (odd chunk
-		// sizes go through the single-record adapter so both NextBatch
-		// faces are covered), tracker on the batch tap.
+		// Batch path: a TraceSource streamed chunk-at-a-time.
 		det2, err := NewAgentDetector(core.Config{T0: t0})
 		if err != nil {
 			t.Fatal(err)
@@ -219,11 +215,8 @@ func FuzzBatchMatchesRecordPath(f *testing.F) {
 			t.Fatal(err)
 		}
 		agg2.SetTap(tk2)
-		var bs BatchSource = NewTraceSource(&trace.Trace{Records: recs, Span: span})
-		if chunk%2 == 1 {
-			bs = &batchAdapter{src: NewTraceSource(&trace.Trace{Records: recs, Span: span})}
-		}
-		err2 := drain(bs, agg2, NewArena(chunk))
+		tr := &trace.Trace{Records: recs, Span: span}
+		err2 := drain(NewTraceSource(tr), agg2, NewArena(chunk))
 		if err2 == nil {
 			err2 = agg2.Finish(0)
 		}
@@ -246,12 +239,37 @@ func FuzzBatchMatchesRecordPath(f *testing.F) {
 		if !reflect.DeepEqual(v1, v2) {
 			t.Fatalf("keyed state divergence (chunk %d):\n record %+v\n batch  %+v", chunk, v1, v2)
 		}
+
+		if tr.Validate() != nil {
+			return
+		}
+		if err2 != nil {
+			t.Fatalf("valid stream failed the pipeline: %v", err2)
+		}
+		agent, err := core.NewAgent(core.Config{T0: t0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := agent.ProcessTrace(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(r2, want) {
+			t.Fatalf("pipeline diverges from Agent.ProcessTrace (chunk %d):\n batch %+v\n want  %+v", chunk, r2, want)
+		}
+		tk3 := newFuzzTracker(t)
+		if err := tk3.ProcessTrace(tr); err != nil {
+			t.Fatal(err)
+		}
+		if v3 := tk3.View(0); !reflect.DeepEqual(v2, v3) {
+			t.Fatalf("keyed view diverges from Tracker.ProcessTrace (chunk %d):\n batch %+v\n want  %+v", chunk, v2, v3)
+		}
 	})
 }
 
-// TestBatchMatchesRecordPathSeeds replays the fuzz seeds (plus a real
-// flood trace at several chunk sizes) deterministically, so the
-// equivalence holds in plain `go test` runs too.
+// TestBatchMatchesRecordPathSeeds runs a real flood trace through the
+// pipeline at several chunk sizes against Agent.ProcessTrace, so the
+// equivalence holds on realistic streams in plain `go test` runs too.
 func TestBatchMatchesRecordPathSeeds(t *testing.T) {
 	tr := testTrace(t)
 	want := processTraceReports(t, tr)
@@ -265,7 +283,6 @@ func TestBatchMatchesRecordPathSeeds(t *testing.T) {
 				Source:   NewTraceSource(tr),
 				Detector: det,
 				T0:       20 * time.Second,
-				Chunk:    chunk,
 				Arena:    NewArena(chunk),
 			}
 			if err := p.Run(); err != nil {

@@ -2,7 +2,6 @@ package ingest
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/core"
@@ -202,11 +201,11 @@ func ReplayCounts(det Detector, pc *trace.PeriodCounts) error {
 			len(pc.OutSYN), len(pc.InSYNACK))
 	}
 	for i := det.Periods(); i < pc.Periods(); i++ {
-		out, err := countAsUint(pc.OutSYN[i])
+		out, err := core.CountAsUint(pc.OutSYN[i])
 		if err != nil {
 			return fmt.Errorf("ingest: OutSYN[%d]: %w", i, err)
 		}
-		in, err := countAsUint(pc.InSYNACK[i])
+		in, err := core.CountAsUint(pc.InSYNACK[i])
 		if err != nil {
 			return fmt.Errorf("ingest: InSYNACK[%d]: %w", i, err)
 		}
@@ -218,14 +217,4 @@ func ReplayCounts(det Detector, pc *trace.PeriodCounts) error {
 		})
 	}
 	return nil
-}
-
-// countAsUint mirrors core's conversion guard: aggregated counts are
-// tallies, so anything negative, fractional, non-finite, or beyond
-// float64's exact-integer range is corruption, not a count.
-func countAsUint(v float64) (uint64, error) {
-	if !(v >= 0) || v != math.Trunc(v) || v > 1<<53 {
-		return 0, fmt.Errorf("invalid period count %v", v)
-	}
-	return uint64(v), nil
 }

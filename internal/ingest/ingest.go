@@ -1,18 +1,19 @@
 // Package ingest defines the layered streaming pipeline the paper's
-// Figure 2 describes: a Source yields classified packet records one at
-// a time, the Aggregator folds them into per-period counts, and a
-// Detector turns each closed period into a detection decision. Every
-// binary and experiment constructs the same pipeline with different
-// sources and detectors:
+// Figure 2 describes: a Source yields classified packet records a
+// chunk at a time, the Aggregator folds them into per-period counts,
+// and a Detector turns each closed period into a detection decision.
+// Every binary and experiment constructs the same pipeline with
+// different sources and detectors:
 //
 //	Source → (Classify) → Aggregate → Detect → Sink
 //
 // Classification happens inside the packet-backed sources (pcap,
-// iptrace, live taps) via internal/packet; record-backed sources
-// (binary, CSV, in-memory traces) carry the kind already. The whole
-// path is O(1) in trace length: nothing past the current record and
-// the current period's four counters is retained, which is what lets
-// the daemon ingest captures larger than memory.
+// iptrace, live captures) through trace.FrameParser; record-backed
+// sources (binary, CSV, in-memory traces, simulator taps) carry the
+// kind already. The whole path is O(1) in trace length: nothing past
+// the current chunk and the current period's four counters is
+// retained, which is what lets the daemon ingest captures larger than
+// memory.
 //
 // The pipeline is bit-identical to core.Agent.ProcessTrace: the
 // Aggregator mirrors its skip/boundary/tail logic exactly, and the
@@ -23,7 +24,6 @@ package ingest
 import (
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/core"
@@ -31,11 +31,14 @@ import (
 	"repro/internal/trace"
 )
 
-// Source is a pull iterator over classified packet records. Next
-// returns io.EOF at a clean end of stream. Sources that wrap files
-// release them in Close; Close is safe to call after an error.
+// Source is a pull iterator over classified packet records, a chunk
+// at a time. NextBatch fills buf with up to len(buf) records and
+// returns how many it wrote. io.EOF — which may arrive together with
+// n > 0 (EOF mid-chunk) — marks a clean end of stream; any other error
+// invalidates nothing before buf[n]. Sources that wrap files release
+// them in Close; Close is safe to call after an error.
 type Source interface {
-	Next() (trace.Record, error)
+	NextBatch(buf []trace.Record) (n int, err error)
 	Close() error
 }
 
@@ -98,41 +101,31 @@ type Sink func(core.Report)
 // RecordTap observes the records the aggregator counts plus every
 // period close — the keyed demux hook. The aggregator guarantees the
 // tap sees exactly the records the aggregate detector's counts came
-// from: resume-skipped and past-span records never reach it, and
+// from, in order, one counted run per RecordBatch call:
+// resume-skipped and past-span records never reach it, and
 // ClosePeriod fires at the same boundaries the detector folds.
 // internal/sourcetrack implements it; ingest stays detector-agnostic.
 type RecordTap interface {
-	Record(r trace.Record)
+	RecordBatch(recs []trace.Record)
 	ClosePeriod(index int, end time.Duration)
 }
 
-// BatchRecordTap is the chunked upgrade of RecordTap: taps that
-// implement it receive each counted run of records in one call instead
-// of one call per record, in the same order Record would have seen
-// them. FeedBatch prefers it when present; Feed still delivers records
-// one at a time.
-type BatchRecordTap interface {
-	RecordTap
-	RecordBatch(recs []trace.Record)
-}
-
-// Aggregator is the push-side period folder: Feed it time-ordered
-// records and it counts them into the current period, closing each
-// period boundary through the Detector. Its skip/boundary/tail
-// behavior mirrors core.Agent.ProcessTrace exactly, so the two paths
-// produce bit-identical reports.
+// Aggregator is the push-side period folder: feed it time-ordered
+// chunks of records and it counts them into the current period,
+// closing each period boundary through the Detector. Its
+// skip/boundary/tail behavior mirrors core.Agent.ProcessTrace exactly,
+// so the two paths produce bit-identical reports.
 type Aggregator struct {
 	t0   time.Duration
 	det  Detector
 	sink Sink
 	tap  RecordTap
 
-	span     time.Duration // 0 while unknown
-	periods  int           // span / t0; -1 while span unknown
-	done     int
-	next     time.Duration  // end of the current open period
-	resumed  time.Duration  // records before this were counted pre-snapshot
-	batchTap BatchRecordTap // tap's chunked face, when it has one
+	span    time.Duration // 0 while unknown
+	periods int           // span / t0; -1 while span unknown
+	done    int
+	next    time.Duration // end of the current open period
+	resumed time.Duration // records before this were counted pre-snapshot
 
 	out, in core.PeriodCounts
 
@@ -169,62 +162,29 @@ func NewAggregator(t0 time.Duration, span time.Duration, det Detector, sink Sink
 	return a, nil
 }
 
-// Feed counts one record, closing any period boundaries it crosses.
-// Records must arrive in time order; records inside already-resumed
-// periods are skipped, and records past the last complete period are
-// ignored (the trailing partial period is discarded, mirroring
-// trace.Aggregate).
-func (a *Aggregator) Feed(r trace.Record) error {
-	if r.Ts < 0 {
-		return fmt.Errorf("ingest: record with negative timestamp %v", r.Ts)
-	}
-	if a.sawRecord && r.Ts < a.lastTs {
-		return fmt.Errorf("ingest: record at %v out of order (previous at %v)", r.Ts, a.lastTs)
-	}
-	if a.span > 0 && r.Ts >= a.span {
-		return fmt.Errorf("ingest: record at %v outside span %v", r.Ts, a.span)
-	}
-	a.lastTs, a.sawRecord = r.Ts, true
-	a.records++
-	if r.Ts < a.resumed {
-		a.skipped++
-		return nil
-	}
-	for r.Ts >= a.next && (a.periods < 0 || a.done < a.periods) {
-		a.closePeriod()
-	}
-	if a.periods >= 0 && a.done >= a.periods {
-		return nil // past the last complete period
-	}
-	a.count(r)
-	if a.tap != nil {
-		a.tap.Record(r)
-	}
-	return nil
-}
-
 // SetTap attaches a keyed demux tap. It must be set before the first
-// Feed; the tap then sees every counted record and period close.
+// FeedBatch; the tap then sees every counted record and period close.
 func (a *Aggregator) SetTap(tap RecordTap) {
 	a.tap = tap
-	a.batchTap, _ = tap.(BatchRecordTap)
 }
 
-// FeedBatch counts a chunk of records, bit-identical to calling Feed
-// on each in order — same counts, same boundary closes, same tap
-// sequence, same error at the same record — but with the per-record
-// interface dispatch amortized away: records are processed in runs
-// that share one boundary/span/resume decision, so the inner loop is a
-// timestamp-order check and a counter increment. On error, records
-// before the offending one are fully counted, exactly as the
-// single-record path leaves them.
+// FeedBatch counts a chunk of time-ordered records, closing any period
+// boundaries they cross. Records inside already-resumed periods are
+// skipped, and records past the last complete period are ignored (the
+// trailing partial period is discarded, mirroring trace.Aggregate). A
+// negative, out-of-order or out-of-span record is an error; records
+// before it are fully counted. The outcome does not depend on how the
+// stream is cut into chunks — same counts, boundary closes, tap
+// sequence and error — and records are processed in runs that share
+// one boundary/span/resume decision, so the inner loop is a
+// timestamp-order check and a counter increment.
 func (a *Aggregator) FeedBatch(recs []trace.Record) error {
 	i, n := 0, len(recs)
 	for i < n {
 		r := &recs[i]
-		// Head-of-run validation: the same checks Feed applies to every
-		// record. Records inside the run are covered by the run's scan
-		// invariant (non-decreasing and below the open period's end).
+		// Head-of-run validation. Records inside the run are covered by
+		// the run's scan invariant (non-decreasing and below the open
+		// period's end).
 		if r.Ts < 0 {
 			return fmt.Errorf("ingest: record with negative timestamp %v", r.Ts)
 		}
@@ -247,7 +207,7 @@ func (a *Aggregator) FeedBatch(recs []trace.Record) error {
 		}
 		if a.periods >= 0 && a.done >= a.periods {
 			// Past the last complete period: validated and tallied but
-			// never counted, mirroring Feed's early return.
+			// never counted.
 			a.lastTs, a.sawRecord = r.Ts, true
 			a.records++
 			i++
@@ -273,12 +233,8 @@ func (a *Aggregator) FeedBatch(recs []trace.Record) error {
 		}
 		a.lastTs, a.sawRecord = prev, true
 		a.records += j - i
-		if a.batchTap != nil {
-			a.batchTap.RecordBatch(recs[i:j])
-		} else if a.tap != nil {
-			for k := i; k < j; k++ {
-				a.tap.Record(recs[k])
-			}
+		if a.tap != nil {
+			a.tap.RecordBatch(recs[i:j])
 		}
 		i = j
 	}
@@ -383,24 +339,19 @@ type Pipeline struct {
 	// Tap, if set, receives every counted record and period close —
 	// the keyed source-attribution demux rides here.
 	Tap RecordTap
-	// Chunk is the batch size in records: 0 picks DefaultChunk, a
-	// negative value selects the single-record compatibility loop
-	// (one Source.Next and one Feed per record). Both paths are
-	// bit-identical; the batch path is simply faster.
-	Chunk int
-	// Arena, if set, supplies the run's chunk buffer; callers running
-	// many pipelines share one arena so chunks recycle across runs.
-	// Nil allocates one chunk for the run.
+	// Arena, if set, supplies the run's chunk buffer and so its chunk
+	// size; callers running many pipelines share one arena so chunks
+	// recycle across runs. Nil allocates one DefaultChunk chunk for the
+	// run.
 	Arena *Arena
 }
 
 // Run drains the source through the aggregator and finishes the tail.
 // The source is not closed; the caller owns it.
 //
-// Records move in chunks: the source's native NextBatch (or the
-// single-record adapter) fills an arena chunk, and the aggregator
-// folds each chunk with one boundary decision per run of records.
-// Chunk < 0 falls back to the record-at-a-time loop.
+// Records move in chunks: the source's NextBatch fills an arena chunk,
+// and the aggregator folds each chunk with one boundary decision per
+// run of records.
 func (p *Pipeline) Run() error {
 	span := p.Span
 	if span == 0 {
@@ -415,18 +366,12 @@ func (p *Pipeline) Run() error {
 	if p.Tap != nil {
 		agg.SetTap(p.Tap)
 	}
-	if p.Chunk < 0 {
-		if err := p.runSingle(agg); err != nil {
-			return err
-		}
-	} else {
-		arena := p.Arena
-		if arena == nil || arena.Size() != p.chunkSize() {
-			arena = NewArena(p.chunkSize())
-		}
-		if err := drain(AsBatch(p.Source), agg, arena); err != nil {
-			return err
-		}
+	arena := p.Arena
+	if arena == nil {
+		arena = NewArena(DefaultChunk)
+	}
+	if err := drain(p.Source, agg, arena); err != nil {
+		return err
 	}
 	finalSpan := time.Duration(0)
 	if span == 0 {
@@ -435,29 +380,4 @@ func (p *Pipeline) Run() error {
 		}
 	}
 	return agg.Finish(finalSpan)
-}
-
-func (p *Pipeline) chunkSize() int {
-	if p.Chunk > 0 {
-		return p.Chunk
-	}
-	return DefaultChunk
-}
-
-// runSingle is the legacy record-at-a-time loop, kept as the
-// compatibility path (and as the reference the equivalence suites pin
-// the batch path against).
-func (p *Pipeline) runSingle(agg *Aggregator) error {
-	for {
-		r, err := p.Source.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := agg.Feed(r); err != nil {
-			return err
-		}
-	}
 }

@@ -2,9 +2,13 @@ package ingest
 
 import (
 	"bytes"
+	"compress/gzip"
 	"fmt"
 	"io"
 	"net/netip"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -131,12 +135,11 @@ func TestPipelineMatchesProcessTrace(t *testing.T) {
 		}
 		pcapWant := processTraceReports(t, decoded)
 
-		s, err := trace.NewPcapStream(bytes.NewReader(data))
+		s, err := trace.NewPcapStream(bytes.NewReader(data), testPrefix)
 		if err != nil {
 			t.Fatal(err)
 		}
-		src := &pcapSource{s: s, prefix: testPrefix}
-		compareReports(t, runPipeline(t, src, 0), pcapWant)
+		compareReports(t, runPipeline(t, &pcapSource{PcapStream: s}, 0), pcapWant)
 	})
 }
 
@@ -249,15 +252,16 @@ func TestIPTraceSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []trace.Record
+	chunk := make([]trace.Record, 100)
 	for {
-		r, err := src.Next()
+		n, err := src.NextBatch(chunk)
+		got = append(got, chunk[:n]...)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, r)
 	}
 	if len(got) == 0 {
 		t.Fatal("no records decoded")
@@ -279,6 +283,89 @@ func TestIPTraceSource(t *testing.T) {
 	}
 	if i != len(got) {
 		t.Fatalf("decoded %d extra records", len(got)-i)
+	}
+}
+
+// TestOpenChunkInvariance writes one trace in every streamed container
+// ingest.Open reads and drains each at chunk sizes 1, 7 and
+// DefaultChunk: records and span must equal the trace that was
+// written, however the stream is cut. The packet containers carry TCP
+// records only, pcap at microsecond resolution, and learn the span at
+// EOF as lastTs+1.
+func TestOpenChunkInvariance(t *testing.T) {
+	tr := testTrace(t)
+	wire := func(res time.Duration) *trace.Trace {
+		out := &trace.Trace{}
+		for _, r := range tr.Records {
+			if r.Kind != packet.KindNotTCP {
+				r.Ts = r.Ts.Truncate(res)
+				out.Records = append(out.Records, r)
+			}
+		}
+		out.Span = out.Records[len(out.Records)-1].Ts + 1
+		return out
+	}
+	pcapWire := wire(time.Microsecond)
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name  string
+		write func(io.Writer, *trace.Trace) error
+		want  *trace.Trace
+	}{
+		{"x.trace", trace.WriteBinary, tr},
+		{"x.csv", trace.WriteCSV, tr},
+		{"x.pcap", trace.WritePcap, pcapWire},
+		{"x.ipt", trace.WriteIPTrace, wire(1)},
+		{"x.pcap.gz", trace.WritePcap, pcapWire},
+	} {
+		var buf bytes.Buffer
+		if strings.HasSuffix(c.name, ".gz") {
+			gz := gzip.NewWriter(&buf)
+			if err := c.write(gz, tr); err != nil {
+				t.Fatal(err)
+			}
+			if err := gz.Close(); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := c.write(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, c.name)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, chunk := range []int{1, 7, DefaultChunk} {
+			t.Run(fmt.Sprintf("%s/chunk=%d", c.name, chunk), func(t *testing.T) {
+				src, _, err := Open(path, testPrefix)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer src.Close()
+				var got []trace.Record
+				buf := make([]trace.Record, chunk)
+				for {
+					n, err := src.NextBatch(buf)
+					got = append(got, buf[:n]...)
+					if err == io.EOF {
+						break
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				if len(got) != len(c.want.Records) {
+					t.Fatalf("read %d records, wrote %d", len(got), len(c.want.Records))
+				}
+				for i := range got {
+					if got[i] != c.want.Records[i] {
+						t.Fatalf("record %d:\n got  %+v\n want %+v", i, got[i], c.want.Records[i])
+					}
+				}
+				if span := src.(SpanSource).Span(); span != c.want.Span {
+					t.Errorf("span = %v, want %v", span, c.want.Span)
+				}
+			})
+		}
 	}
 }
 
@@ -371,13 +458,13 @@ func TestPipelineErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := agg.Feed(trace.Record{Ts: 30 * time.Second}); err != nil {
+	if err := agg.FeedBatch([]trace.Record{{Ts: 30 * time.Second}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := agg.Feed(trace.Record{Ts: 10 * time.Second}); err == nil {
+	if err := agg.FeedBatch([]trace.Record{{Ts: 10 * time.Second}}); err == nil {
 		t.Error("want error for out-of-order record")
 	}
-	if err := agg.Feed(trace.Record{Ts: 2 * time.Minute}); err == nil {
+	if err := agg.FeedBatch([]trace.Record{{Ts: 2 * time.Minute}}); err == nil {
 		t.Error("want error for record outside span")
 	}
 
@@ -406,7 +493,7 @@ func TestStreamingPcapAllocs(t *testing.T) {
 	records := len(tr.Records)
 
 	allocs := testing.AllocsPerRun(3, func() {
-		s, err := trace.NewPcapStream(bytes.NewReader(data))
+		s, err := trace.NewPcapStream(bytes.NewReader(data), testPrefix)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -414,7 +501,7 @@ func TestStreamingPcapAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := &Pipeline{Source: &pcapSource{s: s, prefix: testPrefix}, Detector: det, T0: 20 * time.Second}
+		p := &Pipeline{Source: &pcapSource{PcapStream: s}, Detector: det, T0: 20 * time.Second}
 		if err := p.Run(); err != nil {
 			t.Fatal(err)
 		}

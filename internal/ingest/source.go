@@ -14,6 +14,7 @@ import (
 	"repro/internal/iptrace"
 	"repro/internal/netsim"
 	"repro/internal/packet"
+	"repro/internal/pcapng"
 	"repro/internal/trace"
 )
 
@@ -39,16 +40,6 @@ type TraceSource struct {
 // NewTraceSource wraps an in-memory trace.
 func NewTraceSource(tr *trace.Trace) *TraceSource {
 	return &TraceSource{tr: tr}
-}
-
-// Next returns the next record.
-func (s *TraceSource) Next() (trace.Record, error) {
-	if s.pos >= len(s.tr.Records) {
-		return trace.Record{}, io.EOF
-	}
-	r := s.tr.Records[s.pos]
-	s.pos++
-	return r, nil
 }
 
 // NextBatch copies up to len(buf) records into buf. For an in-memory
@@ -112,8 +103,8 @@ func NewFloodSource(cfg flood.Config) (*TraceSource, error) {
 //
 // The ring has exactly one producer and one consumer: Send, Tap's
 // function and CloseSend must all be called from one goroutine, and
-// Next and NextBatch from one other (or the same) goroutine — a second
-// sender is a data race. Dropped and Close are safe from any goroutine.
+// NextBatch from one other (or the same) goroutine — a second sender
+// is a data race. Dropped and Close are safe from any goroutine.
 type ChanSource struct {
 	buf   []trace.Record
 	drop  bool
@@ -205,7 +196,7 @@ func (s *ChanSource) reserve(t uint64) bool {
 func (s *ChanSource) Dropped() uint64 { return s.dropped.Load() }
 
 // CloseSend marks the end of the stream; the consuming pipeline's
-// Next returns io.EOF once the buffer drains.
+// NextBatch returns io.EOF once the buffer drains.
 func (s *ChanSource) CloseSend() {
 	s.sendEnd.Store(true)
 	s.ready.unpark()
@@ -230,15 +221,6 @@ func (s *ChanSource) Tap() netsim.Tap {
 			DstPort: seg.TCP.DstPort,
 		})
 	}
-}
-
-// Next blocks for the next record; io.EOF after CloseSend drains.
-func (s *ChanSource) Next() (trace.Record, error) {
-	var one [1]trace.Record
-	if _, err := s.NextBatch(one[:]); err != nil {
-		return trace.Record{}, err
-	}
-	return one[0], nil
 }
 
 // NextBatch blocks until at least one record is published, then copies
@@ -313,32 +295,16 @@ func (p *parker) unpark() {
 	}
 }
 
-// pcapSource adapts trace.PcapStream to the Source interface, binding
-// the stub prefix for direction inference and owning the file handle.
-type pcapSource struct {
-	s      *trace.PcapStream
-	prefix netip.Prefix
-	c      io.Closer
-}
-
-func (s *pcapSource) Next() (trace.Record, error) { return s.s.NextDir(s.prefix) }
-func (s *pcapSource) Span() time.Duration         { return s.s.Span() }
-func (s *pcapSource) Close() error                { return closeAll(s.c) }
-
-// NextBatch runs the whole decode+classify loop inside trace.PcapStream
-// — the native batch face of pcap ingest.
-func (s *pcapSource) NextBatch(buf []trace.Record) (int, error) {
-	return s.s.NextBatchDir(s.prefix, buf)
-}
-
-// IPTraceSource streams an iptrace capture, classifying each payload
-// and taking direction from the record's tx flag — no stub prefix
-// needed, the capture format carries direction natively.
+// IPTraceSource streams an iptrace capture. Its payloads are bare IPv4
+// and its record headers carry direction in the tx flag, so the frame
+// parser runs on the raw link type and the tx flag then sets each
+// record's direction — no stub prefix needed.
 type IPTraceSource struct {
-	cr   *iptrace.CaptureReader
-	c    io.Closer
-	max  time.Duration
-	seen bool
+	cr     *iptrace.CaptureReader
+	parser trace.FrameParser
+	c      io.Closer
+	max    time.Duration
+	seen   bool
 }
 
 // NewIPTraceSource parses the capture magic and returns a source.
@@ -347,52 +313,33 @@ func NewIPTraceSource(r io.Reader) (*IPTraceSource, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &IPTraceSource{cr: cr}, nil
+	parser, err := trace.NewFrameParser(pcapng.LinkTypeRaw, netip.Prefix{})
+	if err != nil {
+		return nil, err
+	}
+	return &IPTraceSource{cr: cr, parser: parser}, nil
 }
 
-// Next returns the next classified TCP record.
-func (s *IPTraceSource) Next() (trace.Record, error) {
-	var seg packet.Segment
-	for {
+// NextBatch decodes up to len(buf) classified records into buf. io.EOF
+// (possibly alongside n > 0) marks a clean end of stream.
+func (s *IPTraceSource) NextBatch(buf []trace.Record) (int, error) {
+	n := 0
+	for n < len(buf) {
 		p, err := s.cr.Next()
 		if err != nil {
-			return trace.Record{}, err
+			return n, err
 		}
-		if packet.Classify(p.Data) == packet.KindNotTCP {
+		if !s.parser.Parse(p.Ts, p.Data, &buf[n]) {
 			continue
 		}
-		if err := seg.Unmarshal(p.Data); err != nil {
-			continue
-		}
-		dir := trace.DirIn
+		buf[n].Dir = trace.DirIn
 		if p.Tx {
-			dir = trace.DirOut
+			buf[n].Dir = trace.DirOut
 		}
 		if p.Ts > s.max || !s.seen {
 			s.max = p.Ts
 			s.seen = true
 		}
-		return trace.Record{
-			Ts:      p.Ts,
-			Kind:    seg.Kind(),
-			Dir:     dir,
-			Src:     seg.IP.Src,
-			Dst:     seg.IP.Dst,
-			SrcPort: seg.TCP.SrcPort,
-			DstPort: seg.TCP.DstPort,
-		}, nil
-	}
-}
-
-// NextBatch decodes up to len(buf) classified records into buf.
-func (s *IPTraceSource) NextBatch(buf []trace.Record) (int, error) {
-	n := 0
-	for n < len(buf) {
-		r, err := s.Next()
-		if err != nil {
-			return n, err
-		}
-		buf[n] = r
 		n++
 	}
 	return n, nil
@@ -409,8 +356,8 @@ func (s *IPTraceSource) Span() time.Duration {
 // Close implements Source.
 func (s *IPTraceSource) Close() error { return closeAll(s.c) }
 
-// binarySource and csvSource bind the trace streams to their file
-// handles.
+// binarySource, csvSource and pcapSource bind the trace streams to
+// their file handles.
 type binarySource struct {
 	*trace.BinaryStream
 	c io.Closer
@@ -424,6 +371,13 @@ type csvSource struct {
 }
 
 func (s *csvSource) Close() error { return closeAll(s.c) }
+
+type pcapSource struct {
+	*trace.PcapStream
+	c io.Closer
+}
+
+func (s *pcapSource) Close() error { return closeAll(s.c) }
 
 // Open opens a capture file as a streaming Source, picking the codec
 // from the extension with the same rules as trace.Load plus the
@@ -472,11 +426,11 @@ func openReader(r io.Reader, c io.Closer, path string, stubPrefix netip.Prefix) 
 		if !stubPrefix.IsValid() {
 			return nil, Info{}, fmt.Errorf("trace: %s needs a stub prefix for direction inference", path)
 		}
-		s, err := trace.NewPcapStream(r)
+		s, err := trace.NewPcapStream(r, stubPrefix)
 		if err != nil {
 			return nil, Info{}, err
 		}
-		return &pcapSource{s: s, prefix: stubPrefix, c: c}, Info{Name: path, Records: -1}, nil
+		return &pcapSource{PcapStream: s, c: c}, Info{Name: path, Records: -1}, nil
 	case strings.HasSuffix(name, ".ipt"):
 		s, err := NewIPTraceSource(r)
 		if err != nil {
@@ -513,20 +467,21 @@ func openReader(r io.Reader, c io.Closer, path string, stubPrefix netip.Prefix) 
 // replay (total periods, progress denominators) before re-opening the
 // file for the paced run.
 func PcapInfo(r io.Reader) (Info, error) {
-	s, err := trace.NewPcapStream(r)
+	s, err := trace.NewPcapStream(r, netip.Prefix{})
 	if err != nil {
 		return Info{}, err
 	}
+	buf := make([]trace.Record, DefaultChunk)
 	n := 0
 	for {
-		_, err := s.NextDir(netip.Prefix{})
+		k, err := s.NextBatch(buf)
+		n += k
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return Info{}, err
 		}
-		n++
 	}
 	return Info{Span: s.Span(), Records: n}, nil
 }

@@ -14,8 +14,8 @@ import (
 // one single-producer/single-consumer ring per shard and a worker
 // goroutine per shard, so a live feed's record stream is keyed once on
 // the producer side and folded into shard state off the hot path. The
-// producer (the aggregator's single Feed goroutine) never touches a
-// shard lock; workers contend with nothing but /sources snapshots.
+// producer (the aggregator's single FeedBatch goroutine) never touches
+// a shard lock; workers contend with nothing but /sources snapshots.
 //
 // Period semantics are preserved exactly: ClosePeriod flushes the
 // producer's pending chunks and waits until every pushed op has been
@@ -80,11 +80,10 @@ func (r *spscRing) pop() ([]feedOp, bool) {
 }
 
 // Feeder pumps records into a Tracker through per-shard SPSC rings.
-// It implements the same tap interfaces as the tracker itself
-// (ingest.RecordTap / ingest.BatchRecordTap), so it drops into any
-// Pipeline.Tap slot. The producer side (Record, RecordBatch,
-// ClosePeriod) must be a single goroutine — the discipline the
-// aggregator already has. Close when done; an unclosed feeder leaks
+// It implements the same tap interface as the tracker itself
+// (ingest.RecordTap), so it drops into any Pipeline.Tap slot. The
+// producer side (RecordBatch, ClosePeriod) must be a single goroutine
+// — the discipline the aggregator already has. Close when done; an unclosed feeder leaks
 // its workers.
 type Feeder struct {
 	t       *Tracker
@@ -186,18 +185,8 @@ func (f *Feeder) enqueue(op feedOp) {
 	f.pending[si] = ops
 }
 
-// Record implements ingest.RecordTap: key on the producer side, queue
-// for the shard worker.
-func (f *Feeder) Record(r trace.Record) {
-	op, ok := f.t.keyRecord(&r)
-	if !ok {
-		return
-	}
-	f.enqueue(op)
-}
-
-// RecordBatch implements ingest.BatchRecordTap: one keying pass over
-// the chunk on the producer side, shard work queued for the workers.
+// RecordBatch implements ingest.RecordTap: one keying pass over the
+// chunk on the producer side, shard work queued for the workers.
 func (f *Feeder) RecordBatch(recs []trace.Record) {
 	for i := range recs {
 		op, ok := f.t.keyRecord(&recs[i])

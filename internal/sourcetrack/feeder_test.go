@@ -46,20 +46,21 @@ func TestFeederMatchesDirectTap(t *testing.T) {
 		direct.ClosePeriod(0, end)
 		feeder.ClosePeriod(0, end)
 	}
+	// The direct tracker takes one record at a time; the feeder takes
+	// each period's records as one batch, so its per-shard chunking
+	// (pushes at 256 ops and at the barrier) is in play.
+	start := 0
 	for i := range tr.Records {
 		r := tr.Records[i]
 		for r.Ts >= boundary {
+			feeder.RecordBatch(tr.Records[start:i])
+			start = i
 			flushAt(boundary)
 			boundary += t0
 		}
 		direct.Record(r)
-		// Alternate the feeder's two producer faces so both are covered.
-		if i%2 == 0 {
-			feeder.Record(r)
-		} else {
-			feeder.RecordBatch(tr.Records[i : i+1])
-		}
 	}
+	feeder.RecordBatch(tr.Records[start:])
 	flushAt(boundary)
 
 	if direct.Periods() != fed.Periods() {
@@ -91,7 +92,7 @@ func TestFeederClosePeriodBarrier(t *testing.T) {
 		// 3 records per period: far below the 256-op push threshold, so
 		// only the barrier's flush can get them applied in time.
 		for i := 0; i < 3; i++ {
-			feeder.Record(rec)
+			feeder.RecordBatch([]trace.Record{rec})
 		}
 		feeder.ClosePeriod(p, time.Duration(p+1)*time.Second)
 	}

@@ -374,7 +374,7 @@ func (s *shard) closePeriod(end time.Duration, cfg *core.Config, onReport func(n
 // shards concurrently; ClosePeriod must come from a single caller
 // (the pipeline's aggregator) with no Observe in flight for
 // deterministic period boundaries — exactly the discipline the
-// ingest.Aggregator's single Feed/ClosePeriod caller already has.
+// ingest.Aggregator's single FeedBatch/ClosePeriod caller already has.
 type Tracker struct {
 	cfg     Config
 	shards  []*shard
@@ -391,9 +391,9 @@ type Tracker struct {
 	sweepMu sync.RWMutex
 
 	// batchMu guards the per-shard grouping scratch ObserveBatch uses.
-	// The canonical caller (the aggregator's single Feed goroutine) is
-	// serial; the lock merely keeps an unexpected concurrent batch
-	// caller safe, at one uncontended lock per chunk.
+	// The canonical caller (the aggregator's single FeedBatch
+	// goroutine) is serial; the lock merely keeps an unexpected
+	// concurrent batch caller safe, at one uncontended lock per chunk.
 	batchMu sync.Mutex
 	scratch [][]feedOp
 
@@ -508,7 +508,10 @@ func (t *Tracker) Observe(r trace.Record) {
 	}
 }
 
-// Record implements the ingest.RecordTap demux hook.
+// Record observes one record. The ingest pipeline delivers records
+// through RecordBatch; Record stays for callers timing or feeding
+// single records outside it — the benchmark harness's timed tap in
+// perfbench/capture.go calls it.
 func (t *Tracker) Record(r trace.Record) { t.Observe(r) }
 
 // keyRecord classifies one record into a feedOp: outgoing SYNs keyed
@@ -581,7 +584,7 @@ func (t *Tracker) ObserveBatch(recs []trace.Record) {
 	}
 }
 
-// RecordBatch implements the ingest.BatchRecordTap demux hook.
+// RecordBatch implements the ingest.RecordTap demux hook.
 func (t *Tracker) RecordBatch(recs []trace.Record) { t.ObserveBatch(recs) }
 
 // ClosePeriod closes the observation period for every tracked key.

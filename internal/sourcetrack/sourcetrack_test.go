@@ -287,12 +287,15 @@ func TestConcurrentChanSourceFeeds(t *testing.T) {
 			}(stubRecords(stub, period))
 			go func() {
 				defer wg.Done()
+				buf := make([]trace.Record, 64)
 				for {
-					r, err := src.Next()
+					n, err := src.NextBatch(buf)
+					for _, r := range buf[:n] {
+						tk.Record(r)
+					}
 					if err != nil {
 						return
 					}
-					tk.Record(r)
 				}
 			}()
 		}

@@ -200,18 +200,11 @@ func (s *Summarizer) Backfill(reports []core.Report) []PeriodSummary {
 	return out
 }
 
-// RecordTap is the subset of ingest.RecordTap the Tap chains to,
-// declared structurally so this package does not depend on the
-// pipeline package.
+// RecordTap mirrors ingest.RecordTap, declared structurally so this
+// package does not depend on the pipeline package.
 type RecordTap interface {
-	Record(r trace.Record)
-	ClosePeriod(index int, end time.Duration)
-}
-
-// BatchRecordTap mirrors ingest.BatchRecordTap.
-type BatchRecordTap interface {
-	RecordTap
 	RecordBatch(recs []trace.Record)
+	ClosePeriod(index int, end time.Duration)
 }
 
 // Tap glues a Summarizer into an ingest pipeline: install it as both
@@ -227,15 +220,12 @@ type Tap struct {
 	// Emit receives each period's summary.
 	Emit func(PeriodSummary)
 
-	inner BatchRecordTap // Inner's chunked face, when it has one
-	last  core.Report
+	last core.Report
 }
 
 // NewTap builds the pipeline glue around a summarizer.
 func NewTap(s *Summarizer, inner RecordTap, emit func(PeriodSummary)) *Tap {
-	t := &Tap{S: s, Inner: inner, Emit: emit}
-	t.inner, _ = inner.(BatchRecordTap)
-	return t
+	return &Tap{S: s, Inner: inner, Emit: emit}
 }
 
 // Sink is the aggregator sink: it captures the detector's report for
@@ -243,23 +233,10 @@ func NewTap(s *Summarizer, inner RecordTap, emit func(PeriodSummary)) *Tap {
 // ClosePeriod on the tap.
 func (t *Tap) Sink(r core.Report) { t.last = r }
 
-// Record forwards one counted record to the inner tap.
-func (t *Tap) Record(r trace.Record) {
-	if t.Inner != nil {
-		t.Inner.Record(r)
-	}
-}
-
-// RecordBatch forwards a counted run of records, chunked when the
-// inner tap supports it.
+// RecordBatch forwards a counted run of records to the inner tap.
 func (t *Tap) RecordBatch(recs []trace.Record) {
-	switch {
-	case t.inner != nil:
-		t.inner.RecordBatch(recs)
-	case t.Inner != nil:
-		for _, r := range recs {
-			t.Inner.Record(r)
-		}
+	if t.Inner != nil {
+		t.Inner.RecordBatch(recs)
 	}
 }
 

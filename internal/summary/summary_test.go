@@ -134,7 +134,7 @@ type countingTap struct {
 	log     *[]string
 }
 
-func (c *countingTap) Record(trace.Record) { c.records++ }
+func (c *countingTap) RecordBatch(recs []trace.Record) { c.records += len(recs) }
 func (c *countingTap) ClosePeriod(i int, _ time.Duration) {
 	c.closed = append(c.closed, i)
 	*c.log = append(*c.log, "inner-close")
@@ -150,7 +150,7 @@ func TestTapOrdering(t *testing.T) {
 		got = append(got, ps)
 	})
 
-	tap.Record(trace.Record{Kind: packet.KindSYN})
+	tap.RecordBatch([]trace.Record{{Kind: packet.KindSYN}})
 	tap.RecordBatch([]trace.Record{{Kind: packet.KindSYN}, {Kind: packet.KindSYNACK}})
 	rep := core.Report{Index: 0, End: 20 * time.Second, OutSYN: 2, InSYNACK: 1, X: 0.4}
 	tap.Sink(rep)

@@ -81,24 +81,13 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Trace{Name: s.Name(), Span: s.Span()}
 	// Pre-size from the header but cap the trust: a forged count must
 	// not let a tiny input allocate gigabytes (found by FuzzReadBinary).
-	preAlloc := s.Count()
-	if preAlloc > 1<<16 {
-		preAlloc = 1 << 16
+	recs, err := collect(s, make([]Record, 0, min(s.Count(), 1<<16)))
+	if err != nil {
+		return nil, err
 	}
-	t.Records = make([]Record, 0, preAlloc)
-	for {
-		rec, err := s.Next()
-		if err == io.EOF {
-			return t, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		t.Records = append(t.Records, rec)
-	}
+	return &Trace{Name: s.Name(), Span: s.Span(), Records: recs}, nil
 }
 
 func wrapTrunc(err error) error {
@@ -134,18 +123,11 @@ func WriteCSV(w io.Writer, t *Trace) error {
 // ingestion.
 func ReadCSV(r io.Reader) (*Trace, error) {
 	s := NewCSVStream(r)
-	t := &Trace{}
-	for {
-		rec, err := s.Next()
-		if err == io.EOF {
-			t.Name, t.Span = s.Name(), s.Span()
-			return t, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		t.Records = append(t.Records, rec)
+	recs, err := collect(s, nil)
+	if err != nil {
+		return nil, err
 	}
+	return &Trace{Name: s.Name(), Span: s.Span(), Records: recs}, nil
 }
 
 func parseCSVHeader(t *Trace, line string) error {

@@ -2,12 +2,52 @@ package trace
 
 import (
 	"bytes"
+	"net/netip"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/packet"
+	"repro/internal/pcapng"
 )
+
+// FuzzFrameParse pins the frame decoder every input path shares: Parse
+// never panics on arbitrary frame bytes under either link type, and
+// any record it accepts is a classified TCP record stamped with the
+// frame's capture time.
+func FuzzFrameParse(f *testing.F) {
+	src := netip.MustParseAddr("10.0.0.1")
+	dst := netip.MustParseAddr("130.216.0.9")
+	seg := packet.Build(src, dst, 1234, 80, 0, 0, packet.FlagSYN)
+	raw := seg.Marshal(nil)
+	eth := append(append(make([]byte, 0, 14+len(raw)), make([]byte, 12)...), 0x08, 0x00)
+	eth = append(eth, raw...)
+	vlan := append(append(make([]byte, 0, 18+len(raw)), make([]byte, 12)...), 0x81, 0x00, 0x00, 0x05, 0x08, 0x00)
+	vlan = append(vlan, raw...)
+
+	f.Add(raw, true)
+	f.Add(eth, false)
+	f.Add(vlan, false)
+	f.Add([]byte{}, true)
+	f.Add([]byte{0x45}, false)
+
+	prefix := netip.MustParsePrefix("130.216.0.0/16")
+	f.Fuzz(func(t *testing.T, data []byte, rawLink bool) {
+		linkType := uint32(pcapng.LinkTypeEthernet)
+		if rawLink {
+			linkType = pcapng.LinkTypeRaw
+		}
+		parser, err := NewFrameParser(linkType, prefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const ts = 3 * time.Second
+		var rec Record
+		if parser.Parse(ts, data, &rec) && (rec.Ts != ts || rec.Kind == packet.KindNotTCP) {
+			t.Fatalf("accepted frame decoded to %+v", rec)
+		}
+	})
+}
 
 // FuzzReadBinary asserts the binary codec never panics and that
 // whatever it accepts re-encodes and re-decodes to the same trace.

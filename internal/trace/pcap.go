@@ -43,22 +43,15 @@ func WritePcap(w io.Writer, t *Trace) error {
 // exactly as the leaf-router classifier would ignore them. Ethernet
 // captures are supported by skipping the MAC header.
 func ReadPcap(r io.Reader, name string, stubPrefix netip.Prefix) (*Trace, error) {
-	s, err := NewPcapStream(r)
+	s, err := NewPcapStream(r, stubPrefix)
 	if err != nil {
 		return nil, err
 	}
-	t := &Trace{Name: name}
-	for {
-		rec, err := s.NextDir(stubPrefix)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		t.Records = append(t.Records, rec)
+	recs, err := collect(s, nil)
+	if err != nil {
+		return nil, err
 	}
-	t.Span = s.Span()
+	t := &Trace{Name: name, Span: s.Span(), Records: recs}
 	t.Sort()
 	return t, nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"slices"
 	"strings"
 	"time"
 
@@ -14,12 +15,12 @@ import (
 )
 
 // This file holds the streaming record readers the ingest pipeline is
-// built on: each decodes one record at a time in O(1) memory. The
-// materializing readers (ReadBinary, ReadCSV, ReadPcap) are thin
-// collect loops over these streams, so there is exactly one decoder
-// per format.
+// built on: each decodes records a chunk at a time in O(1) memory
+// through its one read method, NextBatch. The materializing readers
+// (ReadBinary, ReadCSV, ReadPcap) share one collect loop over these
+// streams, so there is exactly one decoder per format.
 
-// BinaryStream decodes the compact binary format record by record.
+// BinaryStream decodes the compact binary format.
 type BinaryStream struct {
 	br    *bufio.Reader
 	name  string
@@ -70,41 +71,16 @@ func (s *BinaryStream) Name() string { return s.name }
 // Count returns the header's record count.
 func (s *BinaryStream) Count() uint32 { return s.count }
 
-// Next returns the next record, io.EOF after the header's count has
-// been delivered, or ErrTruncated when the stream ends early.
-func (s *BinaryStream) Next() (Record, error) {
-	if s.read >= s.count {
-		return Record{}, io.EOF
-	}
-	rec := &s.rec
-	if _, err := io.ReadFull(s.br, rec[:]); err != nil {
-		return Record{}, wrapTrunc(err)
-	}
-	s.read++
-	return Record{
-		Ts:      time.Duration(binary.LittleEndian.Uint64(rec[0:8])),
-		Kind:    packet.Kind(rec[8]),
-		Dir:     Direction(rec[9]),
-		Src:     netip.AddrFrom4([4]byte(rec[10:14])),
-		Dst:     netip.AddrFrom4([4]byte(rec[14:18])),
-		SrcPort: binary.LittleEndian.Uint16(rec[18:20]),
-		DstPort: binary.LittleEndian.Uint16(rec[20:22]),
-	}, nil
-}
-
 // NextBatch decodes up to len(buf) records into buf, returning how
-// many were filled. io.EOF (possibly alongside n > 0) means the
-// header's count has been delivered; ErrTruncated means the stream
-// ended early. The decode loop stays inside one call, so the per-record
-// cost is a ReadFull from the bufio buffer plus field extraction — no
-// interface dispatch.
+// many were filled. io.EOF arrives with the chunk that delivers the
+// header's last record (or alone, once it has been delivered);
+// ErrTruncated means the stream ended early. The decode loop stays
+// inside one call, so the per-record cost is a ReadFull from the bufio
+// buffer plus field extraction — no interface dispatch.
 func (s *BinaryStream) NextBatch(buf []Record) (int, error) {
 	n := 0
 	rec := &s.rec
-	for n < len(buf) {
-		if s.read >= s.count {
-			return n, io.EOF
-		}
+	for n < len(buf) && s.read < s.count {
 		if _, err := io.ReadFull(s.br, rec[:]); err != nil {
 			return n, wrapTrunc(err)
 		}
@@ -120,12 +96,11 @@ func (s *BinaryStream) NextBatch(buf []Record) (int, error) {
 		}
 		n++
 	}
+	if s.read >= s.count {
+		return n, io.EOF
+	}
 	return n, nil
 }
-
-// Close implements the ingest Source contract; the stream does not own
-// the underlying reader.
-func (s *BinaryStream) Close() error { return nil }
 
 // CSVStream decodes the text format line by line. The span and name
 // come from the "# trace" header line, which WriteCSV emits first;
@@ -145,15 +120,15 @@ func NewCSVStream(r io.Reader) *CSVStream {
 }
 
 // Span returns the span declared by the header line, or 0 if no header
-// has been scanned yet. It is authoritative once Next has returned
+// has been scanned yet. It is authoritative once NextBatch has returned
 // io.EOF.
 func (s *CSVStream) Span() time.Duration { return s.span }
 
 // Name returns the trace name declared by the header line, if any.
 func (s *CSVStream) Name() string { return s.name }
 
-// Next returns the next record or io.EOF at end of input.
-func (s *CSVStream) Next() (Record, error) {
+// next returns the next record or io.EOF at end of input.
+func (s *CSVStream) next() (Record, error) {
 	for s.sc.Scan() {
 		s.lineNo++
 		line := strings.TrimSpace(s.sc.Text())
@@ -187,7 +162,7 @@ func (s *CSVStream) Next() (Record, error) {
 func (s *CSVStream) NextBatch(buf []Record) (int, error) {
 	n := 0
 	for n < len(buf) {
-		r, err := s.Next()
+		r, err := s.next()
 		if err != nil {
 			return n, err
 		}
@@ -197,41 +172,36 @@ func (s *CSVStream) NextBatch(buf []Record) (int, error) {
 	return n, nil
 }
 
-// Close implements the ingest Source contract.
-func (s *CSVStream) Close() error { return nil }
-
-// PcapStream decodes a libpcap capture packet by packet: each frame
-// has its link-layer header stripped (pcapng.LinkPayload — Ethernet
-// MAC headers and VLAN tags never reach the classifier), is classified
-// by the paper's classifier, and becomes a Record whose direction is
-// inferred from the destination relative to stubPrefix. Non-TCP,
-// non-IPv4, fragmented and malformed packets are skipped, exactly as
-// the leaf-router classifier would ignore them.
+// PcapStream decodes a libpcap capture packet by packet through a
+// FrameParser: link-layer stripping, the paper's classifier, TCP
+// decoding and destination-based direction inference relative to the
+// stub prefix. Non-TCP, non-IPv4, fragmented and malformed packets are
+// skipped, exactly as the leaf-router classifier would ignore them.
 //
 // A pcap file carries no span header: Span reports lastTs+1 once the
 // stream is exhausted (0 before). Records are delivered in capture
 // order; captures from a single interface are time-ordered, which the
 // ingest pipeline verifies — use ReadPcap to repair unordered files.
 type PcapStream struct {
-	pr    *pcapng.Reader
-	max   time.Duration
-	seen  bool
-	reuse bool
-	seg   packet.Segment // decode target, kept off the per-call stack
+	pr     *pcapng.Reader
+	parser FrameParser
+	max    time.Duration
+	seen   bool
 }
 
-// NewPcapStream parses the pcap file header and returns a stream.
-func NewPcapStream(r io.Reader) (*PcapStream, error) {
+// NewPcapStream parses the pcap file header and returns a stream whose
+// records take their direction from stubPrefix (see NewFrameParser).
+// Unsupported link types are an error.
+func NewPcapStream(r io.Reader, stubPrefix netip.Prefix) (*PcapStream, error) {
 	pr, err := pcapng.NewReader(r)
 	if err != nil {
 		return nil, err
 	}
-	switch pr.LinkType() {
-	case pcapng.LinkTypeRaw, pcapng.LinkTypeEthernet:
-	default:
-		return nil, fmt.Errorf("trace: unsupported link type %d", pr.LinkType())
+	parser, err := NewFrameParser(pr.LinkType(), stubPrefix)
+	if err != nil {
+		return nil, err
 	}
-	return &PcapStream{pr: pr, reuse: true}, nil
+	return &PcapStream{pr: pr, parser: parser}, nil
 }
 
 // Span returns lastTs+1 after the stream is exhausted, 0 before (pcap
@@ -243,98 +213,47 @@ func (s *PcapStream) Span() time.Duration {
 	return s.max + 1
 }
 
-// Next returns the next classified TCP record. stubPrefix-based
-// direction inference happens in NextDir; Next is the common decode.
-func (s *PcapStream) next() (time.Duration, *packet.Segment, error) {
-	seg := &s.seg
-	for {
-		var (
-			p   pcapng.Packet
-			err error
-		)
-		if s.reuse {
-			p, err = s.pr.NextReuse()
-		} else {
-			p, err = s.pr.Next()
-		}
-		if err != nil {
-			return 0, nil, err
-		}
-		raw, err := pcapng.LinkPayload(s.pr.LinkType(), p.Data)
-		if err != nil {
-			continue // not an IPv4 frame; the classifier ignores it
-		}
-		if packet.Classify(raw) == packet.KindNotTCP {
-			continue
-		}
-		if err := seg.Unmarshal(raw); err != nil {
-			continue
-		}
-		// Span covers classified records only, matching ReadPcap's
-		// historical behavior: skipped frames never extend the span.
-		if p.Ts > s.max || !s.seen {
-			s.max = p.Ts
-			s.seen = true
-		}
-		return p.Ts, seg, nil
-	}
-}
-
-// NextDir returns the next record with direction assigned by
-// destination: packets destined inside stubPrefix are inbound,
-// everything else outbound. Destination is the right discriminator
-// because flood SYNs carry forged sources — a source-based rule would
-// misfile the very packets SYN-dog must count.
-func (s *PcapStream) NextDir(stubPrefix netip.Prefix) (Record, error) {
-	ts, seg, err := s.next()
-	if err != nil {
-		return Record{}, err
-	}
-	dir := DirOut
-	if stubPrefix.Contains(seg.IP.Dst) {
-		dir = DirIn
-	}
-	return Record{
-		Ts:      ts,
-		Kind:    seg.Kind(),
-		Dir:     dir,
-		Src:     seg.IP.Src,
-		Dst:     seg.IP.Dst,
-		SrcPort: seg.TCP.SrcPort,
-		DstPort: seg.TCP.DstPort,
-	}, nil
-}
-
-// NextBatchDir decodes up to len(buf) classified records into buf with
-// NextDir's destination-based direction rule. io.EOF (possibly
-// alongside n > 0) marks a clean end of stream. The whole
+// NextBatch decodes up to len(buf) classified records into buf. io.EOF
+// (possibly alongside n > 0) marks a clean end of stream. The whole
 // decode+classify loop runs inside one call against the buffered
 // reader, which is what lets the batch pipeline amortize its
 // per-record costs.
-func (s *PcapStream) NextBatchDir(stubPrefix netip.Prefix, buf []Record) (int, error) {
+func (s *PcapStream) NextBatch(buf []Record) (int, error) {
 	n := 0
 	for n < len(buf) {
-		ts, seg, err := s.next()
+		p, err := s.pr.NextReuse()
 		if err != nil {
 			return n, err
 		}
-		dir := DirOut
-		if stubPrefix.Contains(seg.IP.Dst) {
-			dir = DirIn
+		if !s.parser.Parse(p.Ts, p.Data, &buf[n]) {
+			continue
 		}
-		buf[n] = Record{
-			Ts:      ts,
-			Kind:    seg.Kind(),
-			Dir:     dir,
-			Src:     seg.IP.Src,
-			Dst:     seg.IP.Dst,
-			SrcPort: seg.TCP.SrcPort,
-			DstPort: seg.TCP.DstPort,
+		// Span covers classified records only: skipped frames never
+		// extend it.
+		if p.Ts > s.max || !s.seen {
+			s.max = p.Ts
+			s.seen = true
 		}
 		n++
 	}
 	return n, nil
 }
 
-// Close implements the ingest Source contract.
-func (s *PcapStream) Close() error { return nil }
+// collect appends every record s yields to recs, decoding straight into
+// the slice's spare capacity — the one materializing loop ReadBinary,
+// ReadCSV and ReadPcap share.
+func collect(s interface{ NextBatch([]Record) (int, error) }, recs []Record) ([]Record, error) {
+	for {
+		if len(recs) == cap(recs) {
+			recs = slices.Grow(recs, 1024)
+		}
+		n, err := s.NextBatch(recs[len(recs):cap(recs)])
+		recs = recs[:len(recs)+n]
+		if err == io.EOF {
+			return recs, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+}

@@ -28,18 +28,22 @@ func streamTestTrace(t *testing.T) *Trace {
 	return tr
 }
 
-func collect(t *testing.T, next func() (Record, error)) []Record {
+// drainOneByOne pulls s dry one record per NextBatch call — the
+// smallest chunk, against which the collect loop's large chunks are
+// compared.
+func drainOneByOne(t *testing.T, s interface{ NextBatch([]Record) (int, error) }) []Record {
 	t.Helper()
 	var out []Record
+	var one [1]Record
 	for {
-		rec, err := next()
+		n, err := s.NextBatch(one[:])
+		out = append(out, one[:n]...)
 		if err == io.EOF {
 			return out
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, rec)
 	}
 }
 
@@ -61,7 +65,7 @@ func TestBinaryStreamMatchesReadBinary(t *testing.T) {
 	if int(s.Count()) != len(tr.Records) {
 		t.Errorf("count = %d, want %d", s.Count(), len(tr.Records))
 	}
-	got := collect(t, s.Next)
+	got := drainOneByOne(t, s)
 	want, err := ReadBinary(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
@@ -74,9 +78,9 @@ func TestBinaryStreamMatchesReadBinary(t *testing.T) {
 			t.Fatalf("record %d: stream %+v != materialized %+v", i, got[i], want.Records[i])
 		}
 	}
-	// A second Next past EOF stays EOF.
-	if _, err := s.Next(); err != io.EOF {
-		t.Errorf("Next past EOF = %v, want io.EOF", err)
+	// A second NextBatch past EOF stays EOF.
+	if n, err := s.NextBatch(make([]Record, 4)); n != 0 || err != io.EOF {
+		t.Errorf("NextBatch past EOF = (%d, %v), want (0, io.EOF)", n, err)
 	}
 }
 
@@ -91,8 +95,9 @@ func TestBinaryStreamTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	chunk := make([]Record, 64)
 	for {
-		_, err := s.Next()
+		_, err := s.NextBatch(chunk)
 		if err == nil {
 			continue
 		}
@@ -118,7 +123,7 @@ func TestCSVStreamMatchesReadCSV(t *testing.T) {
 	data := buf.Bytes()
 
 	s := NewCSVStream(bytes.NewReader(data))
-	got := collect(t, s.Next)
+	got := drainOneByOne(t, s)
 	if s.Name() != tr.Name || s.Span() != tr.Span {
 		t.Errorf("header = (%q, %v), want (%q, %v)", s.Name(), s.Span(), tr.Name, tr.Span)
 	}
@@ -138,7 +143,7 @@ func TestCSVStreamMatchesReadCSV(t *testing.T) {
 
 func TestCSVStreamBadLine(t *testing.T) {
 	s := NewCSVStream(bytes.NewReader([]byte("# trace x span_ns=100\n1,syn,sideways,1.2.3.4,5.6.7.8,1,2\n")))
-	if _, err := s.Next(); err == nil {
+	if _, err := s.NextBatch(make([]Record, 4)); err == nil {
 		t.Fatal("want error for bad direction")
 	}
 }
@@ -152,14 +157,14 @@ func TestPcapStreamMatchesReadPcap(t *testing.T) {
 	}
 	data := buf.Bytes()
 
-	s, err := NewPcapStream(bytes.NewReader(data))
+	s, err := NewPcapStream(bytes.NewReader(data), prefix)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Span() != 0 {
 		t.Errorf("span before EOF = %v, want 0", s.Span())
 	}
-	got := collect(t, func() (Record, error) { return s.NextDir(prefix) })
+	got := drainOneByOne(t, s)
 
 	want, err := ReadPcap(bytes.NewReader(data), "stream-test", prefix)
 	if err != nil {
@@ -198,11 +203,11 @@ func TestPcapStreamEthernet(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			data := writeEthernetPcap(t, tr, tc.tags)
-			s, err := NewPcapStream(bytes.NewReader(data))
+			s, err := NewPcapStream(bytes.NewReader(data), prefix)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := collect(t, func() (Record, error) { return s.NextDir(prefix) })
+			got := drainOneByOne(t, s)
 
 			var rawBuf bytes.Buffer
 			if err := WritePcap(&rawBuf, tr); err != nil {
@@ -267,7 +272,7 @@ func TestPcapStreamRejectsUnknownLink(t *testing.T) {
 	}
 	data := buf.Bytes()
 	data[20] = 147 // some exotic link type
-	if _, err := NewPcapStream(bytes.NewReader(data)); err == nil {
+	if _, err := NewPcapStream(bytes.NewReader(data), netip.MustParsePrefix("130.216.0.0/16")); err == nil {
 		t.Fatal("want error for unsupported link type")
 	}
 }
