@@ -8,9 +8,10 @@ all: build vet test
 # The full pre-merge gate: static checks, the test suite, the race
 # detector, the benchmark harness's own checks, the seeded adversarial
 # evasion matrix, the distributed detection smoke, the victim
-# two-queue race, a short-budget soak of the multi-agent daemon, and
-# the hot-path bench-regression gate in one target.
-check: vet test race perfbench evasion distributed victim soak-short bench-gate
+# two-queue race, a short-budget soak of the multi-agent daemon, the
+# runnable examples, and the hot-path bench-regression gate in one
+# target.
+check: vet test race perfbench evasion distributed victim soak-short examples bench-gate
 
 build:
 	$(GO) build ./...
@@ -67,6 +68,8 @@ bench-gate:
 bench-all:
 	$(GO) test -bench=. -benchmem ./...
 
+# Every runnable example end to end (~16 s); each exits non-zero on
+# failure.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/leafrouter

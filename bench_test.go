@@ -121,19 +121,19 @@ func BenchmarkFig8AucklandSensitivity(b *testing.B) { runArtifact(b, "fig8") }
 // a=0.2/N=0.6 detecting a 15 SYN/s flood the defaults cannot).
 func BenchmarkFig9TunedSensitivity(b *testing.B) { runArtifact(b, "fig9") }
 
-// --- counts fast path vs record-level replay ---------------------------
+// --- counts fast path ---------------------------------------------------
 
-// sweepBenchConfig is a Table 2-shaped sweep (12 Monte-Carlo cells on
-// a 15-minute UNC background) used to compare the two execution paths;
-// both produce byte-identical Performance rows. The background is
+// BenchmarkSweepFastPath runs a Table 2-shaped sweep (12 Monte-Carlo
+// cells on a 15-minute UNC background) on the counts path: the
+// background is aggregated once, each cell bins the flood arrivals and
+// feeds per-period counts straight to the detector. The background is
 // preset so the measured work is the sweep itself — aggregation plus
-// the per-cell loop — not trace synthesis, which both paths share
-// unchanged.
-func sweepBenchConfig(recordLevel bool) experiment.SweepConfig {
+// the per-cell loop — not trace synthesis.
+func BenchmarkSweepFastPath(b *testing.B) {
 	bg, _ := cellBenchInputs()
 	p := trace.UNC()
 	p.Span = bg.Span
-	return experiment.SweepConfig{
+	cfg := experiment.SweepConfig{
 		Profile:       p,
 		Background:    bg,
 		Agent:         core.Config{},
@@ -144,12 +144,7 @@ func sweepBenchConfig(recordLevel bool) experiment.SweepConfig {
 		FloodDuration: 8 * time.Minute,
 		Seed:          1,
 		Parallelism:   1,
-		RecordLevel:   recordLevel,
 	}
-}
-
-func benchmarkSweep(b *testing.B, recordLevel bool) {
-	cfg := sweepBenchConfig(recordLevel)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -163,19 +158,9 @@ func benchmarkSweep(b *testing.B, recordLevel bool) {
 	}
 }
 
-// BenchmarkSweepFastPath runs the sweep on the default counts path:
-// the background is aggregated once, each cell bins the flood arrivals
-// and feeds per-period counts straight to the detector.
-func BenchmarkSweepFastPath(b *testing.B) { benchmarkSweep(b, false) }
-
-// BenchmarkSweepRecordLevel runs the identical sweep through the
-// record-level pipeline: per cell, materialize the flood as records,
-// merge into the background and replay packet by packet.
-func BenchmarkSweepRecordLevel(b *testing.B) { benchmarkSweep(b, true) }
-
-// cellBench* hold the shared sweep inputs for the per-cell benchmarks,
-// built once per test binary so -count=N reruns and the record/fast
-// pair measure the same background.
+// cellBench* hold the shared sweep inputs for the sweep and per-cell
+// benchmarks, built once per test binary so -count=N reruns measure
+// the same background.
 var (
 	cellBenchOnce   sync.Once
 	cellBenchBG     *trace.Trace
@@ -221,26 +206,6 @@ func BenchmarkRunCellFastPath(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := r.Run(cellBenchCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.AlarmPeriod < 0 {
-			b.Fatal("flood not detected")
-		}
-	}
-}
-
-// BenchmarkRunCellRecordLevel measures the same cell on the record
-// path: flood record generation + merge + full replay of every packet.
-func BenchmarkRunCellRecordLevel(b *testing.B) {
-	bg, _ := cellBenchInputs()
-	cfg := cellBenchCfg
-	cfg.Background = bg
-	cfg.RecordLevel = true
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.Run(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

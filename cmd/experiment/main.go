@@ -43,12 +43,11 @@ func run(args []string) error {
 		csv      = fs.String("csv", "", "directory to also write per-artifact CSV files into")
 		md       = fs.Bool("md", false, "print artifacts as markdown instead of text/ASCII")
 		parallel = fs.Int("parallel", 0, "worker count for Monte-Carlo cells (0 = one per CPU); output is identical at any value")
-		recLevel = fs.Bool("record-level", false, "replay full packet records instead of the per-period counts fast path; output is identical, only slower")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	opts := experiment.Options{Seed: *seed, Runs: *runs, Fast: *fast, Parallelism: *parallel, RecordLevel: *recLevel}
+	opts := experiment.Options{Seed: *seed, Runs: *runs, Fast: *fast, Parallelism: *parallel}
 
 	var exps []experiment.Experiment
 	switch *id {

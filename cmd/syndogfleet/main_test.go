@@ -100,7 +100,7 @@ func TestFleetSnapshotDir(t *testing.T) {
 	// agent must still carry the alarm.
 	for i := 0; i < 3; i++ {
 		path := filepath.Join(dir, fmt.Sprintf("stub%02d.json", i))
-		agent, resumed, err := daemon.LoadOrNewAgent(path, core.Config{T0: 10 * time.Second})
+		agent, _, resumed, err := daemon.LoadOrNewState(path, core.Config{T0: 10 * time.Second}, fleetTrack())
 		if err != nil {
 			t.Fatalf("stub %d: %v", i, err)
 		}
@@ -117,8 +117,19 @@ func TestFleetSnapshotDir(t *testing.T) {
 	// A mismatched config must refuse the fleet snapshot, same as any
 	// other resume.
 	path := filepath.Join(dir, "stub00.json")
-	if _, _, err := daemon.LoadOrNewAgent(path, core.Config{}); err == nil {
+	if _, _, _, err := daemon.LoadOrNewState(path, core.Config{}, fleetTrack()); err == nil {
 		t.Error("fleet snapshot resumed under wrong t0")
+	}
+}
+
+// fleetTrack is the keyed configuration the fleet's per-stub trackers
+// run with.
+func fleetTrack() *sourcetrack.Config {
+	return &sourcetrack.Config{
+		KeyBits:    8,
+		MaxSources: 64,
+		Shards:     1,
+		Agent:      core.Config{T0: 10 * time.Second},
 	}
 }
 
@@ -154,17 +165,11 @@ func TestFleetSnapshotCarriesKeyedState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	track := &sourcetrack.Config{
-		KeyBits:    8,
-		MaxSources: 64,
-		Shards:     1,
-		Agent:      core.Config{T0: 10 * time.Second},
-	}
 	// Stub 0 hosted the slave: its keyed half must restore with the
 	// flood evidence intact — tracked sources, and at least one keyed
 	// alarm pointing at the spoofed blocks.
 	path := filepath.Join(dir, "stub00.json")
-	agent, tracker, resumed, err := daemon.LoadOrNewState(path, core.Config{T0: 10 * time.Second}, track)
+	agent, tracker, resumed, err := daemon.LoadOrNewState(path, core.Config{T0: 10 * time.Second}, fleetTrack())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,9 +193,19 @@ func TestFleetSnapshotCarriesKeyedState(t *testing.T) {
 	if alarmed == 0 {
 		t.Error("slave stub's keyed alarms were not carried")
 	}
-	// The same file still resumes aggregate-only through the old
-	// keyed-unaware reader (back-compat with pre-keyed snapshots).
-	if _, resumed, err := daemon.LoadOrNewAgent(path, core.Config{T0: 10 * time.Second}); err != nil || !resumed {
-		t.Errorf("aggregate-only read of keyed fleet snapshot: resumed=%v err=%v", resumed, err)
+	// The same file still reads aggregate-only through the keyed-unaware
+	// reader (back-compat with pre-keyed snapshots).
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	plain, err := core.ReadSnapshot(f)
+	if err != nil {
+		t.Fatalf("aggregate-only read of keyed fleet snapshot: %v", err)
+	}
+	if len(plain.Reports()) != len(agent.Reports()) || plain.Alarmed() != agent.Alarmed() {
+		t.Errorf("aggregate-only read: %d reports alarmed=%v, keyed-aware read: %d reports alarmed=%v",
+			len(plain.Reports()), plain.Alarmed(), len(agent.Reports()), agent.Alarmed())
 	}
 }

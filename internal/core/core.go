@@ -265,50 +265,45 @@ func (a *Agent) Install(sim *eventsim.Sim, router *netsim.LeafRouter) (*eventsim
 }
 
 // EndPeriod closes the current observation period: both sniffers
-// report and reset, the EWMA and CUSUM update, and the period report
-// is appended and returned.
+// report and reset, the period is folded through Fold, and the period
+// report is appended and returned.
 func (a *Agent) EndPeriod(now time.Duration) Report {
 	out := a.outbound.Drain()
 	in := a.inbound.Drain()
-
-	k := a.kBar.Update(float64(in.SYNACK))
-	norm := k
-	if norm < a.cfg.MinK {
-		norm = a.cfg.MinK
-	}
-	delta := float64(out.SYN) - float64(in.SYNACK)
-	x := delta / norm
-
-	if len(a.reports) < a.cfg.WarmupPeriods {
-		// Warm-up: prime K̄ only; the detector sees nothing.
-		r := Report{
-			Index: len(a.reports), End: now,
-			OutSYN: out.SYN, InSYNACK: in.SYNACK,
-			K: k, X: x,
-		}
-		a.reports = append(a.reports, r)
-		return r
-	}
-	alarmed := a.det.Observe(x)
-
-	r := Report{
-		Index:    len(a.reports),
-		End:      now,
-		OutSYN:   out.SYN,
-		InSYNACK: in.SYNACK,
-		K:        k,
-		X:        x,
-		Y:        a.det.Statistic(),
-		Alarmed:  alarmed,
-	}
+	r := Fold(&a.cfg, a.kBar, a.det, len(a.reports), now, out.SYN, in.SYNACK)
 	a.reports = append(a.reports, r)
-
-	if alarmed && a.alarm == nil {
+	if r.Alarmed && a.alarm == nil {
 		al := Alarm{Period: r.Index, At: now, Y: r.Y}
 		a.alarm = &al
 		if a.OnAlarm != nil {
 			a.OnAlarm(al)
 		}
+	}
+	return r
+}
+
+// Fold turns one closed period's two totals into its report — the
+// single place a period becomes a decision. It updates K̄ with the
+// period's SYN/ACKs (Eq. 1), floors the normalizer at cfg.MinK,
+// computes Xn = (syn − synAck)/K̄, and, once index has passed the
+// warm-up, feeds Xn to the CUSUM (Eqs. 2-4). A warm-up period primes
+// K̄ only: its report carries Y 0 and no alarm. Alarm latching is the
+// caller's; the aggregate Agent and each keyed source state keep
+// their own.
+func Fold(cfg *Config, kBar *cusum.EWMA, det *cusum.Detector, index int, end time.Duration, syn, synAck uint64) Report {
+	k := kBar.Update(float64(synAck))
+	norm := k
+	if norm < cfg.MinK {
+		norm = cfg.MinK
+	}
+	r := Report{
+		Index: index, End: end,
+		OutSYN: syn, InSYNACK: synAck,
+		K: k, X: (float64(syn) - float64(synAck)) / norm,
+	}
+	if index >= cfg.WarmupPeriods {
+		r.Alarmed = det.Observe(r.X)
+		r.Y = det.Statistic()
 	}
 	return r
 }
@@ -389,70 +384,36 @@ func (a *Agent) Design() cusum.Design {
 	}
 }
 
-// ProcessTrace replays a recorded trace through the agent: every
-// record is counted, and a period boundary fires each T0. The trailing
-// partial period is discarded, mirroring trace.Aggregate. It returns
-// the agent's accumulated period reports.
+// ProcessTrace replays a recorded trace through the agent: the trace
+// is validated, binned into complete periods by trace.Aggregate (the
+// trailing partial period is discarded) and folded by ProcessCounts.
+// It returns the agent's accumulated period reports.
 //
-// ProcessTrace is resume-aware: an agent restored from a snapshot
-// already holds len(Reports()) completed periods, so replay skips that
-// many leading periods of the trace — records inside them were counted
-// before the snapshot and must not be appended again. A fresh agent
-// has zero reports and replays from the start; an agent whose history
-// already covers the whole trace returns its reports unchanged.
+// Like ProcessCounts it is resume-aware: an agent restored from a
+// snapshot already holds len(Reports()) completed periods, so replay
+// skips that many leading periods of the trace — records inside them
+// were counted before the snapshot and must not be appended again.
 func (a *Agent) ProcessTrace(tr *trace.Trace) ([]Report, error) {
-	if tr.Span <= 0 {
-		return nil, errors.New("core: trace has no span")
-	}
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
-	periods := int(tr.Span / a.cfg.T0)
-	if periods == 0 {
-		return nil, fmt.Errorf("core: trace span %v shorter than one period %v", tr.Span, a.cfg.T0)
+	pc, err := tr.Aggregate(a.cfg.T0)
+	if err != nil {
+		return nil, err
 	}
-	done := len(a.reports) // resume offset: periods already reported
-	if done >= periods {
-		return a.reports, nil
-	}
-	resumed := a.cfg.T0 * time.Duration(done)
-	next := resumed + a.cfg.T0 // end of the current period
-	for _, r := range tr.Records {
-		if r.Ts < resumed {
-			continue // already counted before the snapshot
-		}
-		for r.Ts >= next && done < periods {
-			a.EndPeriod(next)
-			next += a.cfg.T0
-			done++
-		}
-		if done >= periods {
-			break
-		}
-		a.Observe(toNetsimDir(r.Dir), r.Kind)
-	}
-	for done < periods {
-		a.EndPeriod(next)
-		next += a.cfg.T0
-		done++
-	}
-	return a.reports, nil
+	return a.ProcessCounts(pc)
 }
 
 // ProcessCounts drives the agent directly from per-period counts: for
 // each complete period it loads the sniffers with that period's
-// outgoing-SYN and incoming-SYN/ACK totals and closes the period. It
-// is the counts-level twin of ProcessTrace — for any trace tr,
-// ProcessCounts(tr.Aggregate(t0)) produces bit-identical reports to
-// ProcessTrace(tr), because EndPeriod consumes only the two totals and
-// both paths feed it the same numbers. Detection is non-parametric
-// (Eq. 1-4 see only per-period counts), so experiments that never need
-// individual records use this path at O(periods) instead of
-// O(records).
+// outgoing-SYN and incoming-SYN/ACK totals and closes the period.
+// Detection is non-parametric (Eqs. 1-4 see only per-period counts),
+// so every in-memory replay runs here at O(periods); ProcessTrace is
+// trace.Aggregate in front of it.
 //
-// Like ProcessTrace it is resume-aware: an agent restored from a
-// snapshot already holds len(Reports()) completed periods, and replay
-// skips that many leading periods of the counts.
+// It is resume-aware: an agent restored from a snapshot already holds
+// len(Reports()) completed periods, and replay skips that many leading
+// periods of the counts.
 func (a *Agent) ProcessCounts(pc *trace.PeriodCounts) ([]Report, error) {
 	if pc == nil || pc.Periods() == 0 {
 		return nil, errors.New("core: no complete periods in counts")
@@ -495,11 +456,4 @@ func CountAsUint(v float64) (uint64, error) {
 		return 0, fmt.Errorf("invalid period count %v", v)
 	}
 	return uint64(v), nil
-}
-
-func toNetsimDir(d trace.Direction) netsim.Direction {
-	if d == trace.DirOut {
-		return netsim.Outbound
-	}
-	return netsim.Inbound
 }

@@ -283,35 +283,6 @@ func TestProcessTraceCountsOnlyRelevantRecords(t *testing.T) {
 	}
 }
 
-func TestProcessTraceMatchesAggregate(t *testing.T) {
-	p := trace.Auckland()
-	p.Span = 10 * time.Minute
-	tr, err := trace.Generate(p, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := NewAgent(Config{})
-	reports, err := a.ProcessTrace(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc, err := tr.Aggregate(20 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != pc.Periods() {
-		t.Fatalf("periods: agent %d vs aggregate %d", len(reports), pc.Periods())
-	}
-	for i, r := range reports {
-		if float64(r.OutSYN) != pc.OutSYN[i] {
-			t.Errorf("period %d OutSYN: agent %d vs aggregate %v", i, r.OutSYN, pc.OutSYN[i])
-		}
-		if float64(r.InSYNACK) != pc.InSYNACK[i] {
-			t.Errorf("period %d InSYNACK: agent %d vs aggregate %v", i, r.InSYNACK, pc.InSYNACK[i])
-		}
-	}
-}
-
 func TestProcessTraceValidation(t *testing.T) {
 	a, _ := NewAgent(Config{})
 	if _, err := a.ProcessTrace(&trace.Trace{}); err == nil {

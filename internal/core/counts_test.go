@@ -6,93 +6,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/packet"
 	"repro/internal/trace"
 )
-
-// TestProcessCountsMatchesProcessTrace pins the fast path's core
-// contract on every site profile: aggregating a trace and replaying
-// the counts produces exactly the reports a record-level replay does.
-func TestProcessCountsMatchesProcessTrace(t *testing.T) {
-	for _, p := range trace.Profiles() {
-		p := p
-		t.Run(p.Name, func(t *testing.T) {
-			p.Span = 10 * time.Minute
-			tr, err := trace.Generate(p, 29)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, _ := NewAgent(Config{})
-			want, err := ref.ProcessTrace(tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pc, err := tr.Aggregate(ref.Config().T0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fast, _ := NewAgent(Config{})
-			got, err := fast.ProcessCounts(pc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%d reports, want %d", len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Errorf("report %d = %+v, want %+v", i, got[i], want[i])
-				}
-			}
-			if fast.KBar() != ref.KBar() || fast.Alarmed() != ref.Alarmed() {
-				t.Errorf("final state (K=%v alarmed=%v), want (K=%v alarmed=%v)",
-					fast.KBar(), fast.Alarmed(), ref.KBar(), ref.Alarmed())
-			}
-		})
-	}
-}
-
-// TestLastMileProcessCountsMatchesProcessTrace does the same for the
-// victim-side pairing: AggregateLastMile + ProcessCounts equals a
-// record-level ProcessTrace replay.
-func TestLastMileProcessCountsMatchesProcessTrace(t *testing.T) {
-	p := trace.Auckland()
-	p.Span = 10 * time.Minute
-	bg, err := trace.Generate(p, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim := bg.Flip()
-
-	ref, err := NewLastMileAgent(Config{WarmupPeriods: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ref.ProcessTrace(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc, err := victim.AggregateLastMile(DefaultObservationPeriod)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := NewLastMileAgent(Config{WarmupPeriods: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := fast.ProcessCounts(pc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d reports, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("report %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-}
 
 // truncateCounts returns the first k periods of pc, sharing storage
 // (ProcessCounts never mutates its input).
@@ -152,8 +67,9 @@ func TestProcessCountsResumeEquivalence(t *testing.T) {
 	}
 }
 
-// TestProcessCountsMixedResume crosses the two paths mid-stream: half
-// the trace record by record, snapshot, then the rest from counts.
+// TestProcessCountsMixedResume crosses the two entry points
+// mid-stream: half the trace through ProcessTrace, snapshot, then the
+// rest from counts.
 func TestProcessCountsMixedResume(t *testing.T) {
 	p := trace.Auckland()
 	p.Span = 8 * time.Minute
@@ -319,64 +235,4 @@ func TestRestartMatchesFresh(t *testing.T) {
 			t.Errorf("restarted snapshot differs from fresh:\n%s\nvs\n%s", gotSnap.String(), wantSnap.String())
 		}
 	}
-}
-
-// FuzzProcessCountsMatchesProcessTrace hammers the equivalence with
-// arbitrary record streams: whatever trace the fuzzer builds, the
-// aggregate-then-count path must replay it identically to the
-// record-level path, including records landing exactly on period
-// boundaries.
-func FuzzProcessCountsMatchesProcessTrace(f *testing.F) {
-	f.Add(uint8(3), []byte{0x00, 0x21, 0x9f, 0x44, 0xe2})
-	f.Add(uint8(1), []byte{0xff, 0xff})
-	f.Add(uint8(12), []byte{0x10, 0x30, 0x50, 0x70, 0x90, 0xb0, 0xd0, 0xf0})
-	f.Fuzz(func(t *testing.T, nPeriods uint8, data []byte) {
-		t0 := time.Second
-		span := time.Duration(int(nPeriods%20)+1) * t0
-		kinds := [4]packet.Kind{packet.KindSYN, packet.KindSYNACK, packet.KindFIN, packet.KindOther}
-		var recs []trace.Record
-		ts := time.Duration(0)
-		for _, b := range data {
-			// Steps are multiples of t0/16, so timestamps regularly land
-			// exactly on period boundaries — the sharpest corner of the
-			// binning semantics.
-			ts += time.Duration(b&0x1f) * (t0 / 16)
-			if ts >= span {
-				break
-			}
-			dir := trace.DirOut
-			if b&0x80 != 0 {
-				dir = trace.DirIn
-			}
-			recs = append(recs, trace.Record{Ts: ts, Kind: kinds[(b>>5)&3], Dir: dir})
-		}
-		tr := &trace.Trace{Name: "fuzz", Span: span, Records: recs}
-
-		ref, _ := NewAgent(Config{T0: t0})
-		want, err := ref.ProcessTrace(tr)
-		if err != nil {
-			t.Fatalf("ProcessTrace: %v", err)
-		}
-		pc, err := tr.Aggregate(t0)
-		if err != nil {
-			t.Fatalf("Aggregate: %v", err)
-		}
-		fast, _ := NewAgent(Config{T0: t0})
-		got, err := fast.ProcessCounts(pc)
-		if err != nil {
-			t.Fatalf("ProcessCounts: %v", err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%d reports, want %d", len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("report %d = %+v, want %+v", i, got[i], want[i])
-			}
-		}
-		if fast.KBar() != ref.KBar() || fast.Alarmed() != ref.Alarmed() {
-			t.Fatalf("final state diverged: (K=%v alarmed=%v) vs (K=%v alarmed=%v)",
-				fast.KBar(), fast.Alarmed(), ref.KBar(), ref.Alarmed())
-		}
-	})
 }

@@ -1,12 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"repro/internal/netsim"
-	"repro/internal/packet"
-	"repro/internal/trace"
-)
+import "repro/internal/trace"
 
 // LastMileAgent is the victim-side counterpart of the SYN-dog agent,
 // corresponding to the "Last-mile Sniffer" of Figure 6 and the
@@ -43,84 +37,30 @@ func NewLastMileAgent(cfg Config) (*LastMileAgent, error) {
 	return &LastMileAgent{agent: a}, nil
 }
 
-// Observe counts one packet crossing the victim-side router. The
-// mapping into the underlying pair detector:
-//
-//   - inbound SYN       -> "opening" counter
-//   - outbound FIN/RST  -> "closing" counter
-//
-// The inner Agent's outbound sniffer holds openings and its inbound
-// sniffer holds closings, so Δn = openings − closings and K̄ tracks
-// the closing rate.
-func (l *LastMileAgent) Observe(dir netsim.Direction, kind packet.Kind) {
-	switch {
-	case dir == netsim.Inbound && kind == packet.KindSYN:
-		l.agent.outbound.Count(packet.KindSYN)
-	case dir == netsim.Outbound && (kind == packet.KindFIN || kind == packet.KindRST):
-		// RSTs also terminate connections; counting them prevents
-		// reset-heavy benign traffic from looking like a flood.
-		l.agent.inbound.Count(packet.KindSYNACK)
-	}
-}
-
-// Tap adapts the agent to a netsim router tap.
-func (l *LastMileAgent) Tap() netsim.Tap {
-	return func(_ time.Duration, dir netsim.Direction, seg *packet.Segment) {
-		l.Observe(dir, seg.Kind())
-	}
-}
-
-// EndPeriod closes the observation period; see Agent.EndPeriod.
-func (l *LastMileAgent) EndPeriod(now time.Duration) Report {
-	return l.agent.EndPeriod(now)
-}
-
 // ProcessTrace replays a victim-side trace: the trace's DirIn records
 // are packets arriving at the victim stub, DirOut records leaving it.
-// Like Agent.ProcessTrace it is resume-aware: periods already present
-// in the report history are skipped rather than re-appended.
+// The trace is validated, binned by trace.AggregateLastMile and folded
+// by ProcessCounts, so like Agent.ProcessTrace it is resume-aware:
+// periods already present in the report history are skipped rather
+// than re-appended.
 func (l *LastMileAgent) ProcessTrace(tr *trace.Trace) ([]Report, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
-	periods := int(tr.Span / l.agent.cfg.T0)
-	if periods == 0 {
-		return nil, errTraceTooShort(tr.Span, l.agent.cfg.T0)
+	pc, err := tr.AggregateLastMile(l.agent.cfg.T0)
+	if err != nil {
+		return nil, err
 	}
-	done := len(l.agent.reports)
-	if done >= periods {
-		return l.agent.reports, nil
-	}
-	resumed := l.agent.cfg.T0 * time.Duration(done)
-	next := resumed + l.agent.cfg.T0
-	for _, r := range tr.Records {
-		if r.Ts < resumed {
-			continue
-		}
-		for r.Ts >= next && done < periods {
-			l.EndPeriod(next)
-			next += l.agent.cfg.T0
-			done++
-		}
-		if done >= periods {
-			break
-		}
-		l.Observe(toNetsimDir(r.Dir), r.Kind)
-	}
-	for done < periods {
-		l.EndPeriod(next)
-		next += l.agent.cfg.T0
-		done++
-	}
-	return l.agent.reports, nil
+	return l.ProcessCounts(pc)
 }
 
 // ProcessCounts drives the agent from victim-side per-period counts as
 // produced by trace.AggregateLastMile: OutSYN holds the period's
 // connection openings (incoming SYNs) and InSYNACK its closings
-// (outgoing FINs/RSTs). The mapping matches Observe, so this is the
-// counts-level twin of ProcessTrace, bit-identical and resume-aware
-// like Agent.ProcessCounts.
+// (outgoing FINs/RSTs). The inner agent's outbound sniffer holds
+// openings and its inbound sniffer closings, so Δn = openings −
+// closings and K̄ tracks the closing rate. Resume-aware like
+// Agent.ProcessCounts.
 func (l *LastMileAgent) ProcessCounts(pc *trace.PeriodCounts) ([]Report, error) {
 	return l.agent.ProcessCounts(pc)
 }
@@ -139,17 +79,3 @@ func (l *LastMileAgent) Reports() []Report { return l.agent.Reports() }
 
 // KBar returns the current closing-rate estimate.
 func (l *LastMileAgent) KBar() float64 { return l.agent.KBar() }
-
-func errTraceTooShort(span, t0 time.Duration) error {
-	return &traceTooShortError{span: span, t0: t0}
-}
-
-// traceTooShortError reports a trace shorter than one observation
-// period.
-type traceTooShortError struct {
-	span, t0 time.Duration
-}
-
-func (e *traceTooShortError) Error() string {
-	return "core: trace span " + e.span.String() + " shorter than one period " + e.t0.String()
-}

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/netsim"
 	"repro/internal/packet"
 	"repro/internal/trace"
 )
@@ -50,20 +49,51 @@ func shortTrace() *trace.Trace {
 	return &trace.Trace{Name: "short", Span: time.Second}
 }
 
-// feedVictimPeriods drives the last-mile agent with per-period
-// (inboundSYN, outboundFIN) pairs.
-func feedVictimPeriods(l *LastMileAgent, pairs [][2]uint64) Report {
-	var last Report
-	for i, p := range pairs {
-		for j := uint64(0); j < p[0]; j++ {
-			l.Observe(netsim.Inbound, packet.KindSYN)
+// burst is n records of one kind crossing the victim router in dir.
+type burst struct {
+	dir  trace.Direction
+	kind packet.Kind
+	n    int
+}
+
+// openClose is one period of n opens (inbound SYNs) and m closes
+// (outbound FINs).
+func openClose(opens, closes int) []burst {
+	return []burst{{trace.DirIn, packet.KindSYN, opens}, {trace.DirOut, packet.KindFIN, closes}}
+}
+
+// feedVictimPeriods lays out one 20 s period per entry, spreading each
+// burst evenly through its period, bins the trace with
+// trace.AggregateLastMile and folds it through the agent. It returns
+// the last period's report.
+func feedVictimPeriods(t *testing.T, l *LastMileAgent, periods [][]burst) Report {
+	t.Helper()
+	const t0 = 20 * time.Second
+	tr := &trace.Trace{Name: "victim-periods", Span: time.Duration(len(periods)) * t0}
+	for i, bursts := range periods {
+		for _, b := range bursts {
+			src, dst := clientAddr, victimAddr
+			if b.dir == trace.DirOut {
+				src, dst = victimAddr, clientAddr
+			}
+			for j := 0; j < b.n; j++ {
+				tr.Records = append(tr.Records, trace.Record{
+					Ts:   time.Duration(i)*t0 + time.Duration(j)*(t0/time.Duration(b.n)),
+					Kind: b.kind, Dir: b.dir, Src: src, Dst: dst, SrcPort: 9, DstPort: 80,
+				})
+			}
 		}
-		for j := uint64(0); j < p[1]; j++ {
-			l.Observe(netsim.Outbound, packet.KindFIN)
-		}
-		last = l.EndPeriod(time.Duration(i+1) * 20 * time.Second)
 	}
-	return last
+	tr.Sort()
+	pc, err := tr.AggregateLastMile(t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports, err := l.ProcessCounts(pc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reports[len(reports)-1]
 }
 
 func TestLastMileNormalOperationQuiet(t *testing.T) {
@@ -71,11 +101,11 @@ func TestLastMileNormalOperationQuiet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs := make([][2]uint64, 40)
-	for i := range pairs {
-		pairs[i] = [2]uint64{105, 100} // opens slightly lead closes
+	periods := make([][]burst, 40)
+	for i := range periods {
+		periods[i] = openClose(105, 100) // opens slightly lead closes
 	}
-	feedVictimPeriods(l, pairs)
+	feedVictimPeriods(t, l, periods)
 	if l.Alarmed() {
 		t.Fatal("false alarm on balanced open/close traffic")
 	}
@@ -86,17 +116,15 @@ func TestLastMileNormalOperationQuiet(t *testing.T) {
 
 func TestLastMileDetectsAggregateFlood(t *testing.T) {
 	l, _ := NewLastMileAgent(Config{})
-	benign := make([][2]uint64, 10)
-	for i := range benign {
-		benign[i] = [2]uint64{100, 100}
+	periods := make([][]burst, 15)
+	for i := range periods {
+		periods[i] = openClose(100, 100)
+		if i >= 10 {
+			// Aggregate DDoS: +200 inbound SYNs per period never close.
+			periods[i] = openClose(300, 100)
+		}
 	}
-	feedVictimPeriods(l, benign)
-	// Aggregate DDoS: +200 inbound SYNs per period never close.
-	flood := make([][2]uint64, 5)
-	for i := range flood {
-		flood[i] = [2]uint64{300, 100}
-	}
-	feedVictimPeriods(l, flood)
+	feedVictimPeriods(t, l, periods)
 	if !l.Alarmed() {
 		t.Fatal("aggregate flood not detected at the last mile")
 	}
@@ -110,18 +138,11 @@ func TestLastMileCountsRSTsAsCloses(t *testing.T) {
 	// Reset-heavy benign traffic (e.g. crawlers aborting) must not
 	// accumulate: RSTs close connections too.
 	l, _ := NewLastMileAgent(Config{})
-	for i := 0; i < 30; i++ {
-		for j := 0; j < 100; j++ {
-			l.Observe(netsim.Inbound, packet.KindSYN)
-		}
-		for j := 0; j < 60; j++ {
-			l.Observe(netsim.Outbound, packet.KindFIN)
-		}
-		for j := 0; j < 40; j++ {
-			l.Observe(netsim.Outbound, packet.KindRST)
-		}
-		l.EndPeriod(time.Duration(i+1) * 20 * time.Second)
+	periods := make([][]burst, 30)
+	for i := range periods {
+		periods[i] = append(openClose(100, 60), burst{trace.DirOut, packet.KindRST, 40})
 	}
+	feedVictimPeriods(t, l, periods)
 	if l.Alarmed() {
 		t.Error("RST-closing traffic false-alarmed")
 	}
@@ -131,12 +152,11 @@ func TestLastMileIgnoresIrrelevantKinds(t *testing.T) {
 	l, _ := NewLastMileAgent(Config{})
 	// Outbound SYNs (victim's own clients) and inbound FINs must not
 	// feed the detector's counters.
-	for j := 0; j < 500; j++ {
-		l.Observe(netsim.Outbound, packet.KindSYN)
-		l.Observe(netsim.Inbound, packet.KindFIN)
-		l.Observe(netsim.Inbound, packet.KindSYNACK)
-	}
-	r := l.EndPeriod(20 * time.Second)
+	r := feedVictimPeriods(t, l, [][]burst{{
+		{trace.DirOut, packet.KindSYN, 500},
+		{trace.DirIn, packet.KindFIN, 500},
+		{trace.DirIn, packet.KindSYNACK, 500},
+	}})
 	if r.OutSYN != 0 || r.InSYNACK != 0 {
 		t.Errorf("irrelevant kinds counted: %+v", r)
 	}
@@ -166,17 +186,6 @@ func TestLastMileProcessTraceValidation(t *testing.T) {
 	l, _ := NewLastMileAgent(Config{})
 	if _, err := l.ProcessTrace(shortTrace()); err == nil {
 		t.Error("too-short trace accepted")
-	}
-}
-
-func TestLastMileTap(t *testing.T) {
-	l, _ := NewLastMileAgent(Config{})
-	tap := l.Tap()
-	seg := packet.Build(clientAddr, victimAddr, 50000, 80, 1, 0, packet.FlagSYN)
-	tap(0, netsim.Inbound, &seg)
-	r := l.EndPeriod(20 * time.Second)
-	if r.OutSYN != 1 {
-		t.Errorf("tap did not count inbound SYN as opening: %+v", r)
 	}
 }
 

@@ -117,6 +117,13 @@ type Daemon struct {
 	done         bool
 	replayErr    error
 
+	// midPeriod is set while the bounded replay has fed part of a period
+	// it has not closed yet: the replay releases mu between chunks, and
+	// the tracker's open-period counts must not reach a snapshot. State
+	// waits on boundary (whose lock is mu) until it clears.
+	midPeriod bool
+	boundary  sync.Cond
+
 	// summaries is the per-period summary store — the single code path
 	// every per-period consumer (/reports, /status, /metrics,
 	// /summaries, the uplink) reads. Resumed history is backfilled at
@@ -196,15 +203,7 @@ func NewStream(det ingest.Detector, src ingest.Source, info ingest.Info, t0 time
 		resumeOffset: resume,
 		totalPeriods: periods,
 	}
-	if ad, ok := det.(*ingest.AgentDetector); ok {
-		d.agent = ad.Agent()
-	}
-	d.summarizer = &summary.Summarizer{
-		Monitor: opts.Monitor,
-		Cfg:     opts.Summary,
-		Tracker: opts.Tracker,
-	}
-	d.summaries = d.summarizer.Backfill(det.Reports())
+	d.init()
 	return d, nil
 }
 
@@ -243,16 +242,24 @@ func NewLive(det ingest.Detector, src ingest.Source, name string, t0 time.Durati
 		live:         true,
 		resumeOffset: resume,
 	}
-	if ad, ok := det.(*ingest.AgentDetector); ok {
+	d.init()
+	return d, nil
+}
+
+// init finishes construction: the snapshot handle on the CUSUM agent,
+// the summarizer with its backfilled history, and the period-boundary
+// condition.
+func (d *Daemon) init() {
+	if ad, ok := d.det.(*ingest.AgentDetector); ok {
 		d.agent = ad.Agent()
 	}
 	d.summarizer = &summary.Summarizer{
-		Monitor: opts.Monitor,
-		Cfg:     opts.Summary,
-		Tracker: opts.Tracker,
+		Monitor: d.opts.Monitor,
+		Cfg:     d.opts.Summary,
+		Tracker: d.opts.Tracker,
 	}
-	d.summaries = d.summarizer.Backfill(det.Reports())
-	return d, nil
+	d.summaries = d.summarizer.Backfill(d.det.Reports())
+	d.boundary.L = &d.mu
 }
 
 // emitSummary appends one closed period's summary to the store and
@@ -293,6 +300,9 @@ func (d *Daemon) Replay(ctx context.Context, speed float64) error {
 	err := d.replay(ctx, speed)
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	// Whatever way the replay ended, no period is being fed any more.
+	d.midPeriod = false
+	d.boundary.Broadcast()
 	switch {
 	case err == nil:
 		d.done = true
@@ -437,6 +447,7 @@ func (d *Daemon) replay(ctx context.Context, speed float64) error {
 				cut++
 			}
 			if cut > pos {
+				d.midPeriod = true
 				if err := agg.FeedBatch(buf[pos:cut]); err != nil {
 					d.mu.Unlock()
 					return err
@@ -454,6 +465,8 @@ func (d *Daemon) replay(ctx context.Context, speed float64) error {
 		closeStart := time.Now()
 		agg.ClosePeriod()
 		d.periodLatency.observe(time.Since(closeStart).Seconds())
+		d.midPeriod = false
+		d.boundary.Broadcast()
 		d.mu.Unlock()
 	}
 	return nil

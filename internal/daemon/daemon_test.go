@@ -524,12 +524,14 @@ func TestPacedReplayProgresses(t *testing.T) {
 	t.Fatalf("paced replay stuck at %d periods", d.Status().Periods)
 }
 
+// TestLoadOrNewAgent pins the aggregate half of LoadOrNewState, with
+// source tracking off.
 func TestLoadOrNewAgent(t *testing.T) {
 	dir := t.TempDir()
 
 	// No state path and missing file both mean a fresh agent.
 	for _, path := range []string{"", dir + "/none.json"} {
-		a, resumed, err := LoadOrNewAgent(path, core.Config{})
+		a, _, resumed, err := LoadOrNewState(path, core.Config{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -543,7 +545,7 @@ func TestLoadOrNewAgent(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadOrNewAgent(bad, core.Config{}); err == nil {
+	if _, _, _, err := LoadOrNewState(bad, core.Config{}, nil); err == nil {
 		t.Error("corrupt snapshot silently ignored")
 	}
 
@@ -559,7 +561,7 @@ func TestLoadOrNewAgent(t *testing.T) {
 	if err := WriteSnapshotFile(src.Snapshot(), good); err != nil {
 		t.Fatal(err)
 	}
-	a, resumed, err := LoadOrNewAgent(good, core.Config{})
+	a, _, resumed, err := LoadOrNewState(good, core.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,14 +571,14 @@ func TestLoadOrNewAgent(t *testing.T) {
 
 	// A snapshot whose config disagrees with the flags is a hard
 	// error, never silently adopted.
-	if _, _, err := LoadOrNewAgent(good, core.Config{T0: 30 * time.Second}); !errors.Is(err, ErrConfigMismatch) {
+	if _, _, _, err := LoadOrNewState(good, core.Config{T0: 30 * time.Second}, nil); !errors.Is(err, ErrConfigMismatch) {
 		t.Errorf("t0 mismatch: err = %v, want ErrConfigMismatch", err)
 	}
-	if _, _, err := LoadOrNewAgent(good, core.Config{Threshold: 2.5}); !errors.Is(err, ErrConfigMismatch) {
+	if _, _, _, err := LoadOrNewState(good, core.Config{Threshold: 2.5}, nil); !errors.Is(err, ErrConfigMismatch) {
 		t.Errorf("threshold mismatch: err = %v, want ErrConfigMismatch", err)
 	}
 	// Equivalent-after-defaulting configs are not a mismatch.
-	if _, _, err := LoadOrNewAgent(good, core.Config{T0: 20 * time.Second, Alpha: 0.9}); err != nil {
+	if _, _, _, err := LoadOrNewState(good, core.Config{T0: 20 * time.Second, Alpha: 0.9}, nil); err != nil {
 		t.Errorf("defaulted config rejected: %v", err)
 	}
 }
@@ -600,7 +602,7 @@ func TestCheckpointDurableRoundTrip(t *testing.T) {
 	}
 
 	// The file must be a complete, loadable snapshot.
-	a, resumed, err := LoadOrNewAgent(path, core.Config{})
+	a, _, resumed, err := LoadOrNewState(path, core.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -693,7 +695,7 @@ func TestServeLifecycle(t *testing.T) {
 	}
 
 	// "Reboot": resume from the checkpoint and finish the replay.
-	resumedAgent, resumed, err := LoadOrNewAgent(statePath, core.Config{})
+	resumedAgent, _, resumed, err := LoadOrNewState(statePath, core.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

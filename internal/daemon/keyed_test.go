@@ -4,14 +4,19 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
+	"net/http"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/ingest"
 	"repro/internal/sourcetrack"
+	"repro/internal/trace"
 )
 
 // keyedTrackConfig keys the flood-bearing test trace at /8: the
@@ -396,5 +401,114 @@ func TestSourcesPagination(t *testing.T) {
 	}
 	if status, body := get(t, d, "/sources?n=2&offset=1"); status != 200 || strings.Count(body, `"key"`) != 2 {
 		t.Errorf("?n=2&offset=1: status %d body %s", status, body)
+	}
+}
+
+// haltingSource serves recs in chunks and, on reaching recs[halt],
+// closes halted and blocks until release is closed — a bounded source
+// stalled in the middle of a period.
+type haltingSource struct {
+	recs    []trace.Record
+	pos     int
+	halt    int
+	halted  chan struct{}
+	release chan struct{}
+}
+
+func (s *haltingSource) NextBatch(buf []trace.Record) (int, error) {
+	if s.pos == s.halt && s.halted != nil {
+		close(s.halted)
+		s.halted = nil
+		<-s.release
+	}
+	end := len(s.recs)
+	if s.pos < s.halt {
+		end = s.halt
+	}
+	n := copy(buf, s.recs[s.pos:end])
+	s.pos += n
+	if s.pos == len(s.recs) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+func (s *haltingSource) Close() error { return nil }
+
+// TestCheckpointWaitsForPeriodBoundary: a snapshot taken while the
+// bounded replay has fed part of a period must not carry that period's
+// keyed counts, or a restart from it feeds those records a second
+// time. The source stalls halfway through period 12. State, called
+// meanwhile, waits for the period to close while /status keeps
+// answering, and the snapshot it returns equals an uninterrupted run
+// stopped at the same period.
+func TestCheckpointWaitsForPeriodBoundary(t *testing.T) {
+	tr := testTrace(t, true)
+	t0 := core.DefaultObservationPeriod
+	src := &haltingSource{
+		recs: tr.Records,
+		halt: sort.Search(len(tr.Records), func(i int) bool {
+			return tr.Records[i].Ts >= 12*t0+t0/2
+		}),
+		halted:  make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	halted := src.halted
+	agent, tracker, _, err := LoadOrNewState("", core.Config{}, keyedTrackConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewStream(ingest.WrapAgent(agent), src,
+		ingest.Info{Name: tr.Name, Span: tr.Span, Records: len(tr.Records)}, t0, Options{Tracker: tracker})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayDone := make(chan error, 1)
+	go func() { replayDone <- d.Replay(context.Background(), 0) }()
+	<-halted
+
+	snap := make(chan State, 1)
+	go func() {
+		st, err := d.State()
+		if err != nil {
+			t.Error(err)
+		}
+		snap <- st
+	}()
+	if code, _ := get(t, d, "/status"); code != http.StatusOK {
+		t.Errorf("/status = %d while the source is blocked", code)
+	}
+	close(src.release)
+	if err := <-replayDone; err != nil {
+		t.Fatal(err)
+	}
+	got := <-snap
+
+	k := len(got.Reports)
+	refAgent, refTracker, _, err := LoadOrNewState("", core.Config{}, keyedTrackConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := New(refAgent, truncated(tr, time.Duration(k)*t0), Options{Tracker: refTracker})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Replay(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gotBytes, wantBytes bytes.Buffer
+	if err := got.Write(&gotBytes); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.Write(&wantBytes); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotBytes.Bytes(), wantBytes.Bytes()) {
+		t.Errorf("snapshot at %d periods holds %d keyed SYNs, an uninterrupted run stopped there %d",
+			k, got.Sources.Stats.SYNs, want.Sources.Stats.SYNs)
 	}
 }

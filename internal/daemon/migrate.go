@@ -85,26 +85,12 @@ func LoadOrNewStateWithPolicy(statePath string, cfg core.Config, track *sourcetr
 		return nil, nil, "", err
 	}
 
-	freshTracker := func(periods int) (*sourcetrack.Tracker, error) {
-		if track == nil {
-			return nil, nil
-		}
-		tr, err := sourcetrack.New(*track)
-		if err != nil {
-			return nil, err
-		}
-		if err := tr.FastForward(periods); err != nil {
-			return nil, err
-		}
-		return tr, nil
-	}
-
 	if policy == PolicyReset {
 		a, err := core.NewAgent(cfg)
 		if err != nil {
 			return nil, nil, "", err
 		}
-		tr, err := freshTracker(0)
+		tr, err := freshTracker(track, 0)
 		if err != nil {
 			return nil, nil, "", err
 		}
@@ -143,14 +129,8 @@ func restoreState(st State, track *sourcetrack.Config) (*core.Agent, *sourcetrac
 		}
 		return a, tr, nil
 	}
-	if track == nil {
-		return a, nil, nil
-	}
-	tr, err := sourcetrack.New(*track)
+	tr, err := freshTracker(track, len(st.Reports))
 	if err != nil {
-		return nil, nil, err
-	}
-	if err := tr.FastForward(len(st.Reports)); err != nil {
 		return nil, nil, err
 	}
 	return a, tr, nil

@@ -54,44 +54,16 @@ func ReadStateFile(path string) (State, error) {
 	return st, nil
 }
 
-// LoadOrNewAgent resumes an agent from statePath when the file exists,
-// otherwise builds a fresh agent from cfg. It returns whether the
-// agent was resumed.
+// LoadOrNewState resumes the aggregate agent from statePath when the
+// file exists, otherwise builds a fresh agent from cfg; when track is
+// non-nil it does the same for the source tracker. It returns whether
+// the state was resumed.
 //
-// Unlike a permissive loader, every failure is surfaced: an unreadable
-// state file, a corrupt snapshot, and a snapshot whose effective
-// Config differs from cfg (after defaulting) are all errors — the
-// operator must either fix the flags or move the snapshot aside, not
-// have one silently win over the other.
-func LoadOrNewAgent(statePath string, cfg core.Config) (agent *core.Agent, resumed bool, err error) {
-	if statePath == "" {
-		a, err := core.NewAgent(cfg)
-		return a, false, err
-	}
-	f, err := os.Open(statePath)
-	if errors.Is(err, fs.ErrNotExist) {
-		a, err := core.NewAgent(cfg)
-		return a, false, err
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	defer f.Close()
-	a, err := core.ReadSnapshot(f)
-	if err != nil {
-		return nil, false, fmt.Errorf("resume from %s: %w", statePath, err)
-	}
-	if got, want := a.Config(), cfg.Normalized(); got != want {
-		return nil, false, fmt.Errorf("%w: %s holds %+v, flags request %+v",
-			ErrConfigMismatch, statePath, got, want)
-	}
-	return a, true, nil
-}
-
-// LoadOrNewState is the keyed-aware twin of LoadOrNewAgent: it
-// resumes (or freshly builds) the aggregate agent and, when track is
-// non-nil, the source tracker too. The same strictness applies, plus
-// the keyed half:
+// Every failure is surfaced: an unreadable state file, a corrupt
+// snapshot, and a snapshot whose effective Config differs from cfg
+// (after defaulting) are all errors — the operator must either fix the
+// flags or move the snapshot aside, not have one silently win over the
+// other. The keyed half adds:
 //
 //   - A state file carrying keyed sources is refused when tracking is
 //     disabled — dropping accumulated per-key evidence must be an
@@ -103,25 +75,12 @@ func LoadOrNewAgent(statePath string, cfg core.Config) (agent *core.Agent, resum
 //     starts accumulating from there.
 //   - The two halves' period clocks must agree.
 func LoadOrNewState(statePath string, cfg core.Config, track *sourcetrack.Config) (agent *core.Agent, tracker *sourcetrack.Tracker, resumed bool, err error) {
-	fresh := func(periods int) (*sourcetrack.Tracker, error) {
-		if track == nil {
-			return nil, nil
-		}
-		tr, err := sourcetrack.New(*track)
-		if err != nil {
-			return nil, err
-		}
-		if err := tr.FastForward(periods); err != nil {
-			return nil, err
-		}
-		return tr, nil
-	}
 	if statePath == "" {
 		a, err := core.NewAgent(cfg)
 		if err != nil {
 			return nil, nil, false, err
 		}
-		tr, err := fresh(0)
+		tr, err := freshTracker(track, 0)
 		return a, tr, false, err
 	}
 	st, err := ReadStateFile(statePath)
@@ -130,7 +89,7 @@ func LoadOrNewState(statePath string, cfg core.Config, track *sourcetrack.Config
 		if err != nil {
 			return nil, nil, false, err
 		}
-		tr, err := fresh(0)
+		tr, err := freshTracker(track, 0)
 		return a, tr, false, err
 	}
 	if err != nil {
@@ -148,7 +107,7 @@ func LoadOrNewState(statePath string, cfg core.Config, track *sourcetrack.Config
 	case st.Sources == nil:
 		// Aggregate-only snapshot: keyed evidence (if requested)
 		// starts at the resume point.
-		if tracker, err = fresh(len(st.Reports)); err != nil {
+		if tracker, err = freshTracker(track, len(st.Reports)); err != nil {
 			return nil, nil, false, err
 		}
 	case track == nil:
@@ -165,6 +124,23 @@ func LoadOrNewState(statePath string, cfg core.Config, track *sourcetrack.Config
 		}
 	}
 	return a, tracker, true, nil
+}
+
+// freshTracker builds an empty tracker for track fast-forwarded to
+// periods, the aggregate agent's resume point; it returns nil when
+// tracking is off.
+func freshTracker(track *sourcetrack.Config, periods int) (*sourcetrack.Tracker, error) {
+	if track == nil {
+		return nil, nil
+	}
+	tr, err := sourcetrack.New(*track)
+	if err != nil {
+		return nil, err
+	}
+	if err := tr.FastForward(periods); err != nil {
+		return nil, err
+	}
+	return tr, nil
 }
 
 // WriteSnapshotFile persists an aggregate-only snapshot durably. It
@@ -227,9 +203,17 @@ func (d *Daemon) SaveState(path string) error {
 // memory. The supervisor's reload path migrates it instead of (or
 // before) persisting. Only the CUSUM agent carries snapshot state;
 // daemons running a baseline detector cannot produce one.
+//
+// The snapshot is taken at a period boundary: while the bounded replay
+// has fed part of a period, State waits for that period to close, so
+// the keyed half never persists open-period counts (which a restart
+// would count again).
 func (d *Daemon) State() (State, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	for d.midPeriod {
+		d.boundary.Wait()
+	}
 	if d.agent == nil {
 		return State{}, fmt.Errorf("daemon: detector %q has no snapshot state", d.det.Name())
 	}

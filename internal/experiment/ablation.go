@@ -277,20 +277,12 @@ func AblationH2A(opts Options) ([]Artifact, error) {
 	// back the flood-free pass and the flooded pass of all four
 	// threshold scales without touching the records again.
 	bgCache := trace.NewCache()
-	type h2aBG struct {
-		bg     *trace.Trace
-		counts *trace.PeriodCounts
-	}
-	bgs, err := collect(opts.Parallelism, opts.Runs, func(run int) (h2aBG, error) {
+	bgs, err := collect(opts.Parallelism, opts.Runs, func(run int) (*trace.PeriodCounts, error) {
 		bg, err := bgCache.Generate(p, opts.Seed+int64(run)*23)
 		if err != nil {
-			return h2aBG{}, err
+			return nil, err
 		}
-		counts, err := bg.Aggregate(core.DefaultObservationPeriod)
-		if err != nil {
-			return h2aBG{}, err
-		}
-		return h2aBG{bg: bg, counts: counts}, nil
+		return bg.Aggregate(core.DefaultObservationPeriod)
 	})
 	if err != nil {
 		return nil, err
@@ -312,7 +304,7 @@ func AblationH2A(opts Options) ([]Artifact, error) {
 			if err != nil {
 				return h2aOutcome{}, err
 			}
-			if _, err := quiet.ProcessCounts(bgs[run].counts); err != nil {
+			if _, err := quiet.ProcessCounts(bgs[run]); err != nil {
 				return h2aOutcome{}, err
 			}
 			o := h2aOutcome{quietAlarm: quiet.Alarmed()}
@@ -323,8 +315,7 @@ func AblationH2A(opts Options) ([]Artifact, error) {
 			// Flooded pass over the same background counts.
 			res, err := Run(RunConfig{
 				Profile:          p,
-				Background:       bgs[run].bg,
-				BackgroundCounts: bgs[run].counts,
+				BackgroundCounts: bgs[run],
 				Agent:            core.Config{Threshold: n},
 				Rate:             5,
 				Onset:            15 * time.Minute,

@@ -21,20 +21,15 @@ var victimAddr = netip.MustParseAddr("11.99.99.1")
 // RunConfig describes one trace-driven flooding run (Figure 6): a
 // background profile, an agent configuration, and a flood.
 type RunConfig struct {
-	// Profile generates the background traffic.
+	// Profile generates the background traffic when BackgroundCounts
+	// is nil.
 	Profile trace.Profile
-	// Background, when non-nil, is replayed as the background traffic
-	// instead of generating one from Profile+Seed. Sweeps use it to
-	// generate the per-site trace once and replay it across every
-	// Monte-Carlo repetition. The trace is treated as read-only, so one
-	// instance may back many concurrent runs.
-	Background *trace.Trace
 	// BackgroundCounts, when non-nil, is the pre-aggregated background
-	// for the counts fast path: sweeps aggregate the per-site trace
-	// once and share the read-only counts across every Monte-Carlo
-	// repetition, making each cell O(periods + flood events) instead of
-	// O(records). Ignored when RecordLevel is set. Its T0 must match
-	// the agent's observation period.
+	// used instead of generating one from Profile+Seed: callers
+	// aggregate a background once and share the read-only counts
+	// across every Monte-Carlo repetition, making each cell
+	// O(periods + flood events) instead of O(records). Its T0 must
+	// match the agent's observation period.
 	BackgroundCounts *trace.PeriodCounts
 	// Agent configures the SYN-dog under test.
 	Agent core.Config
@@ -49,14 +44,6 @@ type RunConfig struct {
 	Pattern flood.Pattern
 	// Seed drives both background and flood randomness.
 	Seed int64
-	// RecordLevel forces the record-level path: materialize the flood
-	// as spoofed-source records, merge it into the background trace and
-	// replay every record through the agent. The default counts fast
-	// path is bit-identical for trace-driven runs (pinned by the
-	// cross-path equivalence suite); record level remains for inputs
-	// that only exist as records (pcap captures, eventsim taps) and for
-	// equivalence testing itself.
-	RecordLevel bool
 }
 
 // RunResult is the outcome of one run.
@@ -82,12 +69,12 @@ type RunResult struct {
 	X []float64
 }
 
-// Run executes one trace-driven flooding experiment. By default it
-// takes the counts fast path — aggregate (or reuse pre-aggregated)
-// background period counts, bin the flood arrival process on top, and
-// drive the agent with core.Agent.ProcessCounts — which produces
-// bit-identical results to the record-level merge-and-replay path at a
-// fraction of the cost. Set RecordLevel to force the record path.
+// Run executes one trace-driven flooding experiment on the counts
+// path: aggregate (or reuse pre-aggregated) background period counts,
+// bin the flood arrival process on top, and drive the agent with
+// core.Agent.ProcessCounts. No record is materialized, merged, or
+// replayed; the tests pin the result against streaming the merged
+// records through the ingest pipeline.
 func Run(cfg RunConfig) (RunResult, error) {
 	floodCfg, err := cfg.floodConfig()
 	if err != nil {
@@ -97,20 +84,29 @@ func Run(cfg RunConfig) (RunResult, error) {
 	if err != nil {
 		return RunResult{}, err
 	}
-	if cfg.RecordLevel {
-		err = runRecordLevel(cfg, agent, floodCfg)
-	} else {
-		err = runCounts(cfg, agent, floodCfg)
+	counts := cfg.BackgroundCounts
+	if counts == nil {
+		bg, err := trace.Generate(cfg.Profile, cfg.Seed)
+		if err != nil {
+			return RunResult{}, fmt.Errorf("experiment: background: %w", err)
+		}
+		if counts, err = bg.Aggregate(agent.Config().T0); err != nil {
+			return RunResult{}, fmt.Errorf("experiment: background: %w", err)
+		}
 	}
+	floodSYN, err := flood.CountPerPeriod(floodCfg, counts.T0, counts.Periods())
 	if err != nil {
+		return RunResult{}, fmt.Errorf("experiment: flood: %w", err)
+	}
+	if _, err := agent.ProcessCounts(counts.AddFlood(floodSYN)); err != nil {
 		return RunResult{}, err
 	}
 	return resultFromAgent(agent, cfg, true), nil
 }
 
 // floodConfig validates the flood parameters and translates them into
-// the flood.Config both execution paths feed from — one derivation, so
-// the paths cannot disagree on pattern or seed.
+// the flood.Config Run and Runner.Run feed from — one derivation, so
+// they cannot disagree on pattern or seed.
 func (cfg *RunConfig) floodConfig() (flood.Config, error) {
 	if cfg.Rate <= 0 && cfg.Pattern == nil {
 		return flood.Config{}, errors.New("experiment: flood rate must be positive")
@@ -167,65 +163,6 @@ func resultFromAgent(agent *core.Agent, cfg RunConfig, series bool) RunResult {
 	return res
 }
 
-// runCounts is the fast path: per-period background counts (aggregated
-// once per sweep, or on demand) plus the binned flood arrival process,
-// fed straight to the detector. No record is materialized, merged, or
-// replayed.
-func runCounts(cfg RunConfig, agent *core.Agent, floodCfg flood.Config) error {
-	counts := cfg.BackgroundCounts
-	if counts == nil {
-		bg := cfg.Background
-		if bg == nil {
-			var err error
-			bg, err = trace.Generate(cfg.Profile, cfg.Seed)
-			if err != nil {
-				return fmt.Errorf("experiment: background: %w", err)
-			}
-		}
-		var err error
-		counts, err = bg.Aggregate(agent.Config().T0)
-		if err != nil {
-			return fmt.Errorf("experiment: background: %w", err)
-		}
-	}
-	floodSYN, err := flood.CountPerPeriod(floodCfg, counts.T0, counts.Periods())
-	if err != nil {
-		return fmt.Errorf("experiment: flood: %w", err)
-	}
-	_, err = agent.ProcessCounts(counts.AddFlood(floodSYN))
-	return err
-}
-
-// runRecordLevel materializes the flood as spoofed-source records,
-// merges them into the background trace and replays every record — the
-// Figure 6 pipeline verbatim. Retained for pcap-driven inputs and as
-// the reference the fast path is pinned against.
-func runRecordLevel(cfg RunConfig, agent *core.Agent, floodCfg flood.Config) error {
-	bg := cfg.Background
-	if bg == nil {
-		var err error
-		bg, err = trace.Generate(cfg.Profile, cfg.Seed)
-		if err != nil {
-			return fmt.Errorf("experiment: background: %w", err)
-		}
-	}
-	fl, err := flood.GenerateTrace(floodCfg)
-	if err != nil {
-		return fmt.Errorf("experiment: flood: %w", err)
-	}
-	// The mixed trace keeps the background span: the paper's attack
-	// always ends within the trace. If a caller configures a flood
-	// outlasting the background, the surplus is clipped rather than
-	// failing validation. Merge output is sorted, so the clip is a
-	// binary-search truncation, not a filtering copy.
-	mixed := trace.Merge(bg.Name+"+flood", bg, fl)
-	if mixed.Span > bg.Span {
-		mixed.ClipSpan(bg.Span)
-	}
-	_, err = agent.ProcessTrace(mixed)
-	return err
-}
-
 // Performance aggregates Monte-Carlo runs at one flood rate.
 type Performance struct {
 	// Rate is fi in SYN/s.
@@ -267,10 +204,6 @@ type SweepConfig struct {
 	// bit-identical results: every cell derives its own RNG from
 	// (Seed, site, rate, run).
 	Parallelism int
-	// RecordLevel forces every cell through the record-level
-	// merge-and-replay path instead of the counts fast path; see
-	// RunConfig.RecordLevel. Either way the artifacts are identical.
-	RecordLevel bool
 }
 
 func (c *SweepConfig) validate() error {
@@ -286,15 +219,36 @@ func (c *SweepConfig) validate() error {
 	return nil
 }
 
+// cell returns the run of the i-th (rate, run) cell, rate-major. Its
+// onset and seed come from an RNG derived from (Seed, site, rate,
+// run), so a cell's outcome does not depend on which worker runs it.
+func (c *SweepConfig) cell(i int) RunConfig {
+	rate := c.Rates[i/c.Runs]
+	run := i % c.Runs
+	rng := rand.New(rand.NewSource(seedFor(c.Seed, "sweep-cell:"+c.Profile.Name,
+		math.Float64bits(rate), uint64(run))))
+	onset := c.OnsetMin
+	if c.OnsetMax > c.OnsetMin {
+		onset += time.Duration(rng.Int63n(int64(c.OnsetMax - c.OnsetMin)))
+	}
+	return RunConfig{
+		Agent:         c.Agent,
+		Rate:          rate,
+		Onset:         onset,
+		FloodDuration: c.FloodDuration,
+		Seed:          rng.Int63(),
+	}
+}
+
 // Sweep measures detection probability and mean detection time per
 // rate, reproducing the methodology behind Tables 2 and 3. The
-// background trace is generated (or taken from cfg.Background) — and,
-// on the default fast path, aggregated into per-period counts —
-// exactly once, then shared read-only across every cell; cells run on
-// pooled Runners, so each cell costs O(periods + flood events) with
-// no per-cell allocation, rather than O(records log records). The
-// (rate, run) cells fan out over cfg.Parallelism workers, each
-// deriving its own RNG so the result is independent of scheduling.
+// background trace is generated (or taken from cfg.Background) and
+// aggregated into per-period counts exactly once, then shared
+// read-only across every cell; cells run on pooled Runners, so each
+// cell costs O(periods + flood events) with no per-cell allocation,
+// rather than O(records log records). The (rate, run) cells fan out
+// over cfg.Parallelism workers, each deriving its own RNG so the
+// result is independent of scheduling.
 func Sweep(cfg SweepConfig) ([]Performance, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -307,50 +261,20 @@ func Sweep(cfg SweepConfig) ([]Performance, error) {
 			return nil, fmt.Errorf("experiment: sweep background: %w", err)
 		}
 	}
-	var counts *trace.PeriodCounts
-	if !cfg.RecordLevel {
-		var err error
-		counts, err = bg.Aggregate(cfg.Agent.Normalized().T0)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: sweep background: %w", err)
-		}
+	counts, err := bg.Aggregate(cfg.Agent.Normalized().T0)
+	if err != nil {
+		return nil, fmt.Errorf("experiment: sweep background: %w", err)
 	}
-	// Fast-path cells run on pooled Runners: each worker grabs one,
-	// restarts its agent and bins the flood into its scratch overlay,
-	// so the per-cell loop never touches the allocator. Which runner
-	// serves which cell cannot matter — a restarted agent is
-	// indistinguishable from a fresh one — so pooling preserves the
+	// Cells run on pooled Runners: each worker grabs one, restarts its
+	// agent and bins the flood into its scratch overlay, so the
+	// per-cell loop never touches the allocator. Which runner serves
+	// which cell cannot matter — a restarted agent is indistinguishable
+	// from a fresh one — so pooling preserves the
 	// bit-identical-at-any-Parallelism guarantee.
 	var runners sync.Pool
 	cells := len(cfg.Rates) * cfg.Runs
 	results := make([]RunResult, cells)
-	err := ForEach(cfg.Parallelism, cells, func(i int) error {
-		rate := cfg.Rates[i/cfg.Runs]
-		run := i % cfg.Runs
-		rng := rand.New(rand.NewSource(seedFor(cfg.Seed, "sweep-cell:"+cfg.Profile.Name,
-			math.Float64bits(rate), uint64(run))))
-		onset := cfg.OnsetMin
-		if cfg.OnsetMax > cfg.OnsetMin {
-			onset += time.Duration(rng.Int63n(int64(cfg.OnsetMax - cfg.OnsetMin)))
-		}
-		cellCfg := RunConfig{
-			Agent:         cfg.Agent,
-			Rate:          rate,
-			Onset:         onset,
-			FloodDuration: cfg.FloodDuration,
-			Seed:          rng.Int63(),
-		}
-		if cfg.RecordLevel {
-			cellCfg.Profile = cfg.Profile
-			cellCfg.Background = bg
-			cellCfg.RecordLevel = true
-			res, err := Run(cellCfg)
-			if err != nil {
-				return err
-			}
-			results[i] = res
-			return nil
-		}
+	err = ForEach(cfg.Parallelism, cells, func(i int) error {
 		r, _ := runners.Get().(*Runner)
 		if r == nil {
 			var err error
@@ -359,7 +283,7 @@ func Sweep(cfg SweepConfig) ([]Performance, error) {
 				return err
 			}
 		}
-		res, err := r.Run(cellCfg)
+		res, err := r.Run(cfg.cell(i))
 		if err != nil {
 			return err
 		}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/packet"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -42,11 +41,6 @@ type Options struct {
 	// own RNG from a stable hash of its identity, never a shared
 	// stream.
 	Parallelism int
-	// RecordLevel routes every detection run through the record-level
-	// merge-and-replay path instead of the default counts fast path.
-	// The two produce bit-identical artifacts; record level exists for
-	// equivalence testing and for inputs that only exist as records.
-	RecordLevel bool
 }
 
 func (o *Options) applyDefaults() {
@@ -165,23 +159,24 @@ func dynamicsFigure(id string, p trace.Profile, seed int64) (*Figure, error) {
 		return nil, err
 	}
 	const bin = 20 * time.Second
-	n := int(tr.Span / bin)
-	syn := make([]float64, n)
-	ack := make([]float64, n)
-	for _, r := range tr.Records {
-		idx := int(r.Ts / bin)
-		if idx >= n {
-			continue
+	pc, err := tr.Aggregate(bin)
+	if err != nil {
+		return nil, err
+	}
+	syn, ack := pc.OutSYN, pc.InSYNACK
+	if p.Bidirectional {
+		// The flipped trace's outgoing SYNs and incoming SYN/ACKs are
+		// the other direction's halves of the pool.
+		back, err := tr.Flip().Aggregate(bin)
+		if err != nil {
+			return nil, err
 		}
-		pool := p.Bidirectional
-		switch {
-		case r.Kind == packet.KindSYN && (pool || r.Dir == trace.DirOut):
-			syn[idx]++
-		case r.Kind == packet.KindSYNACK && (pool || r.Dir == trace.DirIn):
-			ack[idx]++
+		for i := range syn {
+			syn[i] += back.OutSYN[i]
+			ack[i] += back.InSYNACK[i]
 		}
 	}
-	x := make([]float64, n)
+	x := make([]float64, len(syn))
 	for i := range x {
 		x[i] = float64(i) * bin.Minutes()
 	}
@@ -232,10 +227,8 @@ func Fig4(opts Options) ([]Artifact, error) {
 }
 
 // normalOperationFigure runs the detector over flood-free background
-// traffic and plots yn (one panel of Figure 5). The trace is reduced
-// to per-period counts first; ProcessCounts yields the same statistic
-// stream as a record-level replay.
-func normalOperationFigure(id string, p trace.Profile, seed int64, recordLevel bool) (*Figure, error) {
+// traffic and plots yn (one panel of Figure 5).
+func normalOperationFigure(id string, p trace.Profile, seed int64) (*Figure, error) {
 	tr, err := trace.Generate(p, seed)
 	if err != nil {
 		return nil, err
@@ -244,15 +237,7 @@ func normalOperationFigure(id string, p trace.Profile, seed int64, recordLevel b
 	if err != nil {
 		return nil, err
 	}
-	if recordLevel {
-		_, err = agent.ProcessTrace(tr)
-	} else {
-		var counts *trace.PeriodCounts
-		if counts, err = tr.Aggregate(agent.Config().T0); err == nil {
-			_, err = agent.ProcessCounts(counts)
-		}
-	}
-	if err != nil {
+	if _, err := agent.ProcessTrace(tr); err != nil {
 		return nil, err
 	}
 	ys := agent.Statistics()
@@ -282,7 +267,7 @@ func Fig5(opts Options) ([]Artifact, error) {
 	ids := []string{"fig5a", "fig5b", "fig5c"}
 	out := make([]Artifact, len(sites))
 	err := ForEach(opts.Parallelism, len(sites), func(i int) error {
-		fig, err := normalOperationFigure(ids[i], shrinkSpan(sites[i], opts.Fast, 5*time.Minute), opts.Seed+int64(i)*11, opts.RecordLevel)
+		fig, err := normalOperationFigure(ids[i], shrinkSpan(sites[i], opts.Fast, 5*time.Minute), opts.Seed+int64(i)*11)
 		if err != nil {
 			return err
 		}
@@ -308,7 +293,6 @@ func uncSweepConfig(opts Options) SweepConfig {
 		FloodDuration: 10 * time.Minute,
 		Seed:          opts.Seed,
 		Parallelism:   opts.Parallelism,
-		RecordLevel:   opts.RecordLevel,
 	}
 }
 
@@ -331,7 +315,7 @@ func Table2(opts Options) ([]Artifact, error) {
 
 // sensitivityFigure plots yn for one run per rate (Figures 7 and 8),
 // one worker per rate.
-func sensitivityFigure(id, site string, p trace.Profile, agentCfg core.Config, rates []float64, onset time.Duration, seed int64, parallelism int, recordLevel bool) (*Figure, error) {
+func sensitivityFigure(id, site string, p trace.Profile, agentCfg core.Config, rates []float64, onset time.Duration, seed int64, parallelism int) (*Figure, error) {
 	series, err := collect(parallelism, len(rates), func(i int) (Series, error) {
 		res, err := Run(RunConfig{
 			Profile:       p,
@@ -340,7 +324,6 @@ func sensitivityFigure(id, site string, p trace.Profile, agentCfg core.Config, r
 			Onset:         onset,
 			FloodDuration: 10 * time.Minute,
 			Seed:          seed + int64(i)*101,
-			RecordLevel:   recordLevel,
 		})
 		if err != nil {
 			return Series{}, err
@@ -379,7 +362,7 @@ func Fig7(opts Options) ([]Artifact, error) {
 		p.Span = 15 * time.Minute
 	}
 	fig, err := sensitivityFigure("fig7", "UNC",
-		p, core.Config{}, []float64{45, 60, 80}, 5*time.Minute, opts.Seed, opts.Parallelism, opts.RecordLevel)
+		p, core.Config{}, []float64{45, 60, 80}, 5*time.Minute, opts.Seed, opts.Parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -399,7 +382,6 @@ func aucklandSweepConfig(opts Options) SweepConfig {
 		FloodDuration: 10 * time.Minute,
 		Seed:          opts.Seed,
 		Parallelism:   opts.Parallelism,
-		RecordLevel:   opts.RecordLevel,
 	}
 }
 
@@ -427,7 +409,7 @@ func Fig8(opts Options) ([]Artifact, error) {
 		p.Span = 40 * time.Minute
 	}
 	fig, err := sensitivityFigure("fig8", "Auckland",
-		p, core.Config{}, []float64{2, 5, 10}, 20*time.Minute, opts.Seed, opts.Parallelism, opts.RecordLevel)
+		p, core.Config{}, []float64{2, 5, 10}, 20*time.Minute, opts.Seed, opts.Parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -445,7 +427,7 @@ func Fig9(opts Options) ([]Artifact, error) {
 	}
 	tuned := core.Config{Offset: 0.2, Threshold: 0.6}
 	fig, err := sensitivityFigure("fig9", "UNC (tuned: a=0.2, N=0.6)",
-		p, tuned, []float64{15}, 5*time.Minute, opts.Seed, opts.Parallelism, opts.RecordLevel)
+		p, tuned, []float64{15}, 5*time.Minute, opts.Seed, opts.Parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -459,7 +441,6 @@ func Fig9(opts Options) ([]Artifact, error) {
 		Onset:         5 * time.Minute,
 		FloodDuration: 10 * time.Minute,
 		Seed:          opts.Seed,
-		RecordLevel:   opts.RecordLevel,
 	})
 	if err != nil {
 		return nil, err

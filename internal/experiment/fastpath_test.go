@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -9,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/flood"
+	"repro/internal/ingest"
 	"repro/internal/trace"
 )
 
@@ -37,11 +37,45 @@ func equalRunResults(t *testing.T, got, want RunResult) {
 	}
 }
 
+// streamRun is the record-level reference the counts path is pinned
+// against: the flood materialized as spoofed-source records
+// (flood.GenerateTrace), merged into the background, clipped to the
+// background span — a flood outlasting the background is cut, not an
+// error — and streamed through the production ingest pipeline.
+func streamRun(t *testing.T, cfg RunConfig, bg *trace.Trace) RunResult {
+	t.Helper()
+	floodCfg, err := cfg.floodConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl, err := flood.GenerateTrace(floodCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed := trace.Merge(bg.Name+"+flood", bg, fl)
+	if mixed.Span > bg.Span {
+		mixed.ClipSpan(bg.Span)
+	}
+	det, err := ingest.NewAgentDetector(cfg.Agent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := ingest.Pipeline{
+		Source:   ingest.NewTraceSource(mixed),
+		Detector: det,
+		T0:       det.Agent().Config().T0,
+	}
+	if err := p.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return resultFromAgent(det.Agent(), cfg, true)
+}
+
 // TestRunCrossPathIdentical is the Run-level equivalence matrix: every
 // site profile, two rates, random onsets and two seeds, the counts
-// fast path against the record-level replay. Floods regularly outlast
-// the 12-minute background, so the span-clip semantics are covered
-// too.
+// path against the streamed record-level reference. Floods regularly
+// outlast the 12-minute background, so the span-clip semantics are
+// covered too.
 func TestRunCrossPathIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for _, p := range trace.Profiles() {
@@ -63,12 +97,11 @@ func TestRunCrossPathIdentical(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					cfg.RecordLevel = true
-					rec, err := Run(cfg)
+					bg, err := trace.Generate(cfg.Profile, cfg.Seed)
 					if err != nil {
 						t.Fatal(err)
 					}
-					equalRunResults(t, fast, rec)
+					equalRunResults(t, fast, streamRun(t, cfg, bg))
 				})
 			}
 		}
@@ -81,6 +114,10 @@ func TestRunCrossPathIdentical(t *testing.T) {
 func TestRunCrossPathPatterns(t *testing.T) {
 	p := trace.Auckland()
 	p.Span = 15 * time.Minute
+	bg, err := trace.Generate(p, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
 	patterns := map[string]flood.Pattern{
 		"bursty":  flood.Bursty{PeakRate: 16, On: 30 * time.Second, Off: 30 * time.Second},
 		"pulsing": flood.Pulsing{PeakRate: 24, On: 10 * time.Second, Off: 30 * time.Second},
@@ -101,19 +138,15 @@ func TestRunCrossPathPatterns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.RecordLevel = true
-			rec, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			equalRunResults(t, fast, rec)
+			equalRunResults(t, fast, streamRun(t, cfg, bg))
 		})
 	}
 }
 
-// TestSweepCrossPathSharedCounts pins that the shared-counts sweep (one
-// Aggregate, AddFlood overlays per cell) equals a record-level sweep
-// cell for cell.
+// TestSweepCrossPathSharedCounts pins the shared-counts sweep (one
+// Aggregate, AddFlood overlays per cell) cell by cell: every cell Sweep
+// would run, run on one pooled Runner, equals the streamed record-level
+// reference over the same background.
 func TestSweepCrossPathSharedCounts(t *testing.T) {
 	p := trace.UNC()
 	p.Span = 15 * time.Minute
@@ -126,42 +159,27 @@ func TestSweepCrossPathSharedCounts(t *testing.T) {
 		OnsetMax:      4 * time.Minute,
 		FloodDuration: 8 * time.Minute,
 		Seed:          5,
-		Parallelism:   4,
 	}
-	fast, err := Sweep(cfg)
+	bg, err := trace.Generate(p, seedFor(cfg.Seed, "sweep-background:"+p.Name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.RecordLevel = true
-	rec, err := Sweep(cfg)
+	counts, err := bg.Aggregate(core.DefaultObservationPeriod)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fast) != len(rec) {
-		t.Fatalf("%d rates vs %d", len(fast), len(rec))
+	r, err := NewRunner(cfg.Agent, counts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range fast {
-		if fast[i] != rec[i] {
-			t.Errorf("rate %v: counts %+v vs record %+v", cfg.Rates[i], fast[i], rec[i])
+	for i := 0; i < len(cfg.Rates)*cfg.Runs; i++ {
+		cell := cfg.cell(i)
+		got, err := r.Run(cell)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestArtifactsCrossPathIdentical is the artifact-level pin: the
-// Monte-Carlo tables and sensitivity figures render byte-identically
-// (text and CSV) whether produced by the counts fast path or the
-// record-level path.
-func TestArtifactsCrossPathIdentical(t *testing.T) {
-	for _, id := range []string{"table2", "table3", "fig7", "fig8"} {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			opts := Options{Seed: 5, Runs: 2, Fast: true, Parallelism: 4}
-			fast := renderAll(t, id, opts)
-			opts.RecordLevel = true
-			rec := renderAll(t, id, opts)
-			if !bytes.Equal(fast, rec) {
-				t.Errorf("artifacts diverge across paths:\n--- counts ---\n%s\n--- record ---\n%s", fast, rec)
-			}
-		})
+		want := streamRun(t, cell, bg)
+		want.Statistic, want.X = nil, nil
+		equalRunResults(t, got, want)
 	}
 }

@@ -136,22 +136,33 @@ func TestGoldenPerformanceTable(t *testing.T) {
 	checkGolden(t, "performance-table", buf.Bytes())
 }
 
-// TestGoldenExperimentArtifact pins a real end-to-end artifact: fig5's
-// fast-mode render at a fixed seed. Any unintended change to trace
-// generation, the agent, or the renderer shows up as a diff here.
+// TestGoldenExperimentArtifact pins real end-to-end artifacts at a
+// fixed seed in fast mode: fig5's render, and the Monte-Carlo tables
+// and sensitivity figures (text and CSV). Any unintended change to
+// trace generation, flood synthesis, the counts path, the agent, or
+// the renderer shows up as a diff here.
 func TestGoldenExperimentArtifact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates traces")
 	}
-	arts, err := Fig5(Options{Seed: 5, Runs: 2, Fast: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	for _, a := range arts {
-		if err := a.Render(&buf); err != nil {
+	t.Run("fig5", func(t *testing.T) {
+		arts, err := Fig5(Options{Seed: 5, Runs: 2, Fast: true})
+		if err != nil {
 			t.Fatal(err)
 		}
+		var buf bytes.Buffer
+		for _, a := range arts {
+			if err := a.Render(&buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkGolden(t, "fig5-fast-seed5", buf.Bytes())
+	})
+	for _, id := range []string{"table2", "table3", "fig7", "fig8"} {
+		id := id
+		t.Run(id, func(t *testing.T) {
+			got := renderAll(t, id, Options{Seed: 5, Runs: 2, Fast: true, Parallelism: 4})
+			checkGolden(t, id+"-fast-seed5", got)
+		})
 	}
-	checkGolden(t, "fig5-fast-seed5", buf.Bytes())
 }

@@ -57,8 +57,7 @@ func NewRunner(agentCfg core.Config, counts *trace.PeriodCounts) (*Runner, error
 // Statistic and X series are left nil, since materializing them would
 // put two allocations back into the per-cell loop. Use the
 // package-level Run when the series are needed. cfg's background
-// fields (Profile, Background, BackgroundCounts) and RecordLevel are
-// ignored.
+// fields (Profile, BackgroundCounts) are ignored.
 func (r *Runner) Run(cfg RunConfig) (RunResult, error) {
 	floodCfg, err := cfg.floodConfig()
 	if err != nil {

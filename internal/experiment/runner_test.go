@@ -9,7 +9,7 @@ import (
 	"repro/internal/trace"
 )
 
-func runnerFixture(t testing.TB) (*trace.Trace, *trace.PeriodCounts) {
+func runnerFixture(t testing.TB) *trace.PeriodCounts {
 	t.Helper()
 	p := trace.UNC()
 	p.Span = 12 * time.Minute
@@ -21,7 +21,7 @@ func runnerFixture(t testing.TB) (*trace.Trace, *trace.PeriodCounts) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return bg, counts
+	return counts
 }
 
 // TestRunnerMatchesRun pins the pooling contract behind Sweep: one
@@ -29,7 +29,7 @@ func runnerFixture(t testing.TB) (*trace.Trace, *trace.PeriodCounts) {
 // with the same shared counts produces, scalars and all. The series
 // are intentionally nil — that is the Runner's documented trade.
 func TestRunnerMatchesRun(t *testing.T) {
-	_, counts := runnerFixture(t)
+	counts := runnerFixture(t)
 	r, err := NewRunner(core.Config{}, counts)
 	if err != nil {
 		t.Fatal(err)
@@ -65,9 +65,9 @@ func TestRunnerMatchesRun(t *testing.T) {
 
 // TestRunnerAllocs is the per-cell loop allocation pin: a cell on a
 // reused Runner stays within a couple of small allocations (pattern
-// boxing, the alarm copy) — against ~30 for a record-level cell.
+// boxing, the alarm copy).
 func TestRunnerAllocs(t *testing.T) {
-	_, counts := runnerFixture(t)
+	counts := runnerFixture(t)
 	r, err := NewRunner(core.Config{}, counts)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestRunnerValidation(t *testing.T) {
 	}); err == nil {
 		t.Error("counts with mismatched T0 accepted")
 	}
-	_, counts := runnerFixture(t)
+	counts := runnerFixture(t)
 	r, err := NewRunner(core.Config{}, counts)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestRunnerValidation(t *testing.T) {
 }
 
 // TestSweepPresetBackground: handing Sweep the very trace it would
-// have generated changes nothing, on either path.
+// have generated changes nothing.
 func TestSweepPresetBackground(t *testing.T) {
 	p := trace.UNC()
 	p.Span = 12 * time.Minute
@@ -121,24 +121,20 @@ func TestSweepPresetBackground(t *testing.T) {
 		Seed:          5,
 		Parallelism:   2,
 	}
-	for _, recordLevel := range []bool{false, true} {
-		cfg.RecordLevel = recordLevel
-		cfg.Background = nil
-		want, err := Sweep(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bg, err := trace.Generate(p, seedFor(cfg.Seed, "sweep-background:"+p.Name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Background = bg
-		got, err := Sweep(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) || got[0] != want[0] {
-			t.Errorf("recordLevel=%v: preset background diverged: %+v vs %+v", recordLevel, got, want)
-		}
+	want, err := Sweep(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bg, err := trace.Generate(p, seedFor(cfg.Seed, "sweep-background:"+p.Name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Background = bg
+	got, err := Sweep(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) || got[0] != want[0] {
+		t.Errorf("preset background diverged: %+v vs %+v", got, want)
 	}
 }

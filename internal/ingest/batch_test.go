@@ -168,9 +168,11 @@ func newFuzzTracker(t *testing.T) *sourcetrack.Tracker {
 // same period reports and the same keyed tracker state as the
 // per-record reference: one FeedBatch call per record, so every record
 // meets every check itself. On streams trace.Validate accepts, the
-// reports must also equal core.Agent.ProcessTrace and the keyed view
-// sourcetrack.Tracker.ProcessTrace, references that share no code with
-// the aggregator.
+// reports must also equal core.Agent.ProcessTrace (trace.Aggregate's
+// binning) and the keyed view sourcetrack.Tracker.ProcessTrace (its
+// own per-period slicing): references whose period walks share no code
+// with the aggregator's. The 100 ms steps at t0 = 1 s put records
+// exactly on period boundaries.
 func FuzzBatchMatchesRecordPath(f *testing.F) {
 	f.Add([]byte{}, uint8(1))
 	f.Add([]byte{10, 1, 0, 1, 10, 2, 1, 1, 10, 1, 0, 2}, uint8(1))

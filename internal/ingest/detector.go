@@ -10,9 +10,9 @@ import (
 )
 
 // AgentDetector adapts core.Agent — the paper's CUSUM decision rule —
-// to the Detector interface. Each closed period goes through the same
-// EndPeriod the record-level path uses, so pipeline output is
-// bit-identical to Agent.ProcessTrace (the ProcessCounts equivalence).
+// to the Detector interface. Each closed period is loaded into the
+// agent and folded through core.Fold, as Agent.ProcessCounts does, so
+// pipeline output is bit-identical to Agent.ProcessTrace.
 type AgentDetector struct {
 	agent *core.Agent
 }

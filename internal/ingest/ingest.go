@@ -15,10 +15,12 @@
 // retained, which is what lets the daemon ingest captures larger than
 // memory.
 //
-// The pipeline is bit-identical to core.Agent.ProcessTrace: the
-// Aggregator mirrors its skip/boundary/tail logic exactly, and the
-// CUSUM detector folds periods through the same EndPeriod the record
-// path uses (see the ProcessCounts equivalence note in internal/core).
+// The Aggregator is the only code that walks a record stream into
+// periods; an in-memory trace is binned by trace.Aggregate instead, and
+// every closed period becomes a decision through core.Fold. For any
+// valid trace the two agree: streaming it through the pipeline yields
+// the reports core.Agent.ProcessTrace (trace.Aggregate in front of
+// ProcessCounts) yields, which the package's tests pin.
 package ingest
 
 import (
@@ -110,11 +112,13 @@ type RecordTap interface {
 	ClosePeriod(index int, end time.Duration)
 }
 
-// Aggregator is the push-side period folder: feed it time-ordered
-// chunks of records and it counts them into the current period,
-// closing each period boundary through the Detector. Its
-// skip/boundary/tail behavior mirrors core.Agent.ProcessTrace exactly,
-// so the two paths produce bit-identical reports.
+// Aggregator is the push-side period folder and the one record→period
+// walk in the program: feed it time-ordered chunks of records and it
+// counts them into the current period, closing each period boundary
+// through the Detector. It skips records in periods the detector
+// already holds (resume), closes a period every t0, and discards the
+// trailing partial period — the same binning trace.Aggregate applies
+// to an in-memory trace, so both produce bit-identical reports.
 type Aggregator struct {
 	t0   time.Duration
 	det  Detector

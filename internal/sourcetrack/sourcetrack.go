@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -153,31 +154,15 @@ type keyState struct {
 	alarm    *core.Alarm
 }
 
-// endPeriod mirrors core.Agent.EndPeriod bit-exactly (EWMA update,
-// MinK floor, warm-up gating, alarm latch) over this key's counters.
+// endPeriod folds this key's period counters through core.Fold — the
+// same fold the aggregate agent runs — and latches the key's alarm.
 // It returns the period report and whether a new alarm latched.
 func (st *keyState) endPeriod(end time.Duration, cfg *core.Config) (core.Report, bool) {
-	k := st.kBar.Update(float64(st.inSYNACK))
-	norm := k
-	if norm < cfg.MinK {
-		norm = cfg.MinK
-	}
-	x := (float64(st.outSYN) - float64(st.inSYNACK)) / norm
-
-	r := core.Report{
-		Index: st.periods, End: end,
-		OutSYN: st.outSYN, InSYNACK: st.inSYNACK,
-		K: k, X: x,
-	}
+	r := core.Fold(cfg, st.kBar, st.det, st.periods, end, st.outSYN, st.inSYNACK)
 	newAlarm := false
-	if st.periods >= cfg.WarmupPeriods {
-		alarmed := st.det.Observe(x)
-		r.Y = st.det.Statistic()
-		r.Alarmed = alarmed
-		if alarmed && st.alarm == nil {
-			st.alarm = &core.Alarm{Period: r.Index, At: end, Y: r.Y}
-			newAlarm = true
-		}
+	if r.Alarmed && st.alarm == nil {
+		st.alarm = &core.Alarm{Period: r.Index, At: end, Y: r.Y}
+		newAlarm = true
 	}
 	st.periods++
 	st.outSYN, st.inSYNACK = 0, 0
@@ -322,14 +307,8 @@ func (s *shard) admit(key netip.Prefix, done int, cfg *Config) *keyState {
 	return st
 }
 
-func (s *shard) observeSYN(key netip.Prefix, done int, cfg *Config) {
-	s.mu.Lock()
-	s.observeSYNLocked(key, done, cfg)
-	s.mu.Unlock()
-}
-
-// observeSYNLocked is observeSYN under an already-held shard lock —
-// the batch paths take the lock once per chunk instead of per record.
+// observeSYNLocked counts one keyed SYN, admitting the key if it holds
+// no state. Callers hold the shard lock.
 func (s *shard) observeSYNLocked(key netip.Prefix, done int, cfg *Config) {
 	s.syns++
 	st := s.states[key]
@@ -339,12 +318,6 @@ func (s *shard) observeSYNLocked(key netip.Prefix, done int, cfg *Config) {
 	st.count++
 	st.outSYN++
 	s.siftDown(st.idx)
-}
-
-func (s *shard) observeSYNACK(key netip.Prefix) {
-	s.mu.Lock()
-	s.observeSYNACKLocked(key)
-	s.mu.Unlock()
 }
 
 func (s *shard) observeSYNACKLocked(key netip.Prefix) {
@@ -485,27 +458,19 @@ func (t *Tracker) shardFor(key netip.Prefix) *shard {
 }
 
 // Observe routes one record. Only the pair the paper's detector pairs
-// is keyed: outgoing SYNs by source, incoming SYN/ACKs by
-// destination — both name the inside host behind the connection.
+// is keyed: outgoing SYNs by source, incoming SYN/ACKs by destination
+// — both name the inside host behind the connection (see keyRecord).
 // SYN/ACKs never admit a key (only SYN pressure does); a SYN/ACK for
 // an untracked key is tallied in TrackerStats.UntrackedSYNACKs.
 func (t *Tracker) Observe(r trace.Record) {
-	switch {
-	case r.Dir == trace.DirOut && r.Kind == packet.KindSYN:
-		key, ok := t.keyOf(r.Src)
-		if !ok {
-			t.unkeyed.Add(1)
-			return
-		}
-		t.shardFor(key).observeSYN(key, int(t.periods.Load()), &t.cfg)
-	case r.Dir == trace.DirIn && r.Kind == packet.KindSYNACK:
-		key, ok := t.keyOf(r.Dst)
-		if !ok {
-			t.unkeyed.Add(1)
-			return
-		}
-		t.shardFor(key).observeSYNACK(key)
+	op, ok := t.keyRecord(&r)
+	if !ok {
+		return
 	}
+	s := t.shardFor(op.key)
+	s.mu.Lock()
+	s.applyLocked(op, int(t.periods.Load()), &t.cfg)
+	s.mu.Unlock()
 }
 
 // Record observes one record. The ingest pipeline delivers records
@@ -723,10 +688,13 @@ func compareSourceReports(a, b SourceReport) int {
 	return a.Key.Bits() - b.Key.Bits()
 }
 
-// ProcessTrace replays a recorded trace through the tracker with the
-// same skip/boundary/tail mechanics as core.Agent.ProcessTrace (and
-// the ingest.Aggregator): resume-aware leading-period skip, a period
-// boundary every Agent.T0, trailing partial period discarded.
+// ProcessTrace replays a recorded trace through the tracker: each
+// remaining complete period's run of records goes through ObserveBatch
+// and the period closes, a boundary every Agent.T0. It is
+// resume-aware (periods the tracker already closed are skipped) and
+// discards the trailing partial period, matching trace.Aggregate.
+// Records are assumed time-ordered and are not validated; records at
+// or past the last complete period's end are ignored.
 func (t *Tracker) ProcessTrace(tr *trace.Trace) error {
 	t0 := t.cfg.Agent.T0
 	if tr.Span <= 0 {
@@ -737,29 +705,18 @@ func (t *Tracker) ProcessTrace(tr *trace.Trace) error {
 		return fmt.Errorf("sourcetrack: trace span %v shorter than one period %v", tr.Span, t0)
 	}
 	done := t.Periods()
-	if done >= periods {
-		return nil
-	}
+	recs := tr.Records
 	resumed := t0 * time.Duration(done)
-	next := resumed + t0
-	for _, r := range tr.Records {
-		if r.Ts < resumed {
-			continue // counted before the snapshot
+	i := sort.Search(len(recs), func(i int) bool { return recs[i].Ts >= resumed })
+	for ; done < periods; done++ {
+		end := t0 * time.Duration(done+1)
+		j := i
+		for j < len(recs) && recs[j].Ts < end {
+			j++
 		}
-		for r.Ts >= next && done < periods {
-			t.ClosePeriod(done, next)
-			next += t0
-			done++
-		}
-		if done >= periods {
-			break
-		}
-		t.Observe(r)
-	}
-	for done < periods {
-		t.ClosePeriod(done, next)
-		next += t0
-		done++
+		t.ObserveBatch(recs[i:j])
+		t.ClosePeriod(done, end)
+		i = j
 	}
 	return nil
 }

@@ -275,10 +275,13 @@ func (t *Trace) Aggregate(t0 time.Duration) (*PeriodCounts, error) {
 	return pc, nil
 }
 
-// AggregateLastMile bins the trace into the victim-side pairing the
-// last-mile agent consumes: OutSYN[i] holds the period's connection
+// AggregateLastMile bins the trace into the victim-side pairing
+// core.LastMileAgent consumes: OutSYN[i] holds the period's connection
 // openings (incoming SYNs) and InSYNACK[i] its closings (outgoing FINs
-// and RSTs), matching core.LastMileAgent.Observe's counter mapping.
+// and RSTs). RSTs count as closes because they also terminate
+// connections; counting them keeps reset-heavy benign traffic from
+// looking like a flood. It is the only place the last-mile SYN-FIN
+// pairing is computed.
 func (t *Trace) AggregateLastMile(t0 time.Duration) (*PeriodCounts, error) {
 	if t0 <= 0 {
 		return nil, errors.New("trace: non-positive observation period")
