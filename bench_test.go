@@ -12,6 +12,7 @@ package repro
 import (
 	"fmt"
 	"io"
+	"math/rand"
 	"net/netip"
 	"os"
 	"sync"
@@ -258,6 +259,101 @@ func BenchmarkSourceTrack(b *testing.B) {
 				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "records/s")
 			})
 		}
+	}
+}
+
+// sourceTrackStream is the live-keyed record mix: every other record a
+// SYN spoofed across 240.0.0.0/4 (a fresh /24 almost every time, but
+// one in sixteen from eight /24s of 240.9.0.0/16 that stay heavy and
+// alarm), the rest a stub network's answered connections, SYN then
+// SYN/ACK, from hosts skewed toward the low /24s of 152.2.0.0/16 so a
+// few hundred keys stay heavy while the rest churn.
+func sourceTrackStream(n int) []trace.Record {
+	rng := rand.New(rand.NewSource(1))
+	victim := netip.MustParseAddr("11.99.99.1")
+	recs := make([]trace.Record, n)
+	var host netip.Addr
+	for i := range recs {
+		switch i % 4 {
+		case 0, 2:
+			a := 0xf0000000 | rng.Uint32()&0x0fffffff
+			if rng.Intn(16) == 0 {
+				a = 0xf0090000 | uint32(rng.Intn(8))<<8 | uint32(rng.Intn(256))
+			}
+			recs[i] = trace.Record{Kind: packet.KindSYN, Dir: trace.DirOut, Dst: victim,
+				Src: netip.AddrFrom4([4]byte{byte(a >> 24), byte(a >> 16), byte(a >> 8), byte(a)})}
+		case 1:
+			host = netip.AddrFrom4([4]byte{152, 2, byte(rng.Intn(rng.Intn(256) + 1)), byte(rng.Intn(256))})
+			recs[i] = trace.Record{Kind: packet.KindSYN, Dir: trace.DirOut, Src: host, Dst: victim}
+		case 3:
+			recs[i] = trace.Record{Kind: packet.KindSYNACK, Dir: trace.DirIn, Src: victim, Dst: host}
+		}
+	}
+	return recs
+}
+
+// liveKeyedTracker is the live-keyed workload's tracker: /24 keys,
+// 1024 states over 2 shards.
+func liveKeyedTracker(b *testing.B) *sourcetrack.Tracker {
+	b.Helper()
+	tk, err := sourcetrack.New(sourcetrack.Config{KeyBits: 24, MaxSources: 1024, Shards: 2,
+		Agent: core.Config{T0: 20 * time.Second}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tk
+}
+
+// BenchmarkSourceTrackBatch measures the keyed tap the way the
+// live-keyed workload drives it: ObserveBatch over 1024-record chunks
+// of sourceTrackStream, in the eviction regime (the evictions/syn
+// metric reports how many SYNs recycle a state). ns/op is per chunk.
+func BenchmarkSourceTrackBatch(b *testing.B) {
+	const chunk = 1024
+	recs := sourceTrackStream(1 << 16)
+	tk := liveKeyedTracker(b)
+	for off := 0; off < len(recs); off += chunk {
+		tk.ObserveBatch(recs[off : off+chunk])
+	}
+	warm := tk.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := i * chunk % len(recs)
+		tk.ObserveBatch(recs[off : off+chunk])
+	}
+	b.StopTimer()
+	st := tk.Stats()
+	b.ReportMetric(float64(b.N*chunk)/b.Elapsed().Seconds(), "records/s")
+	b.ReportMetric(float64(st.Evicted-warm.Evicted)/float64(st.SYNs-warm.SYNs), "evictions/syn")
+}
+
+// BenchmarkSourceTrackView measures the /sources read (limit=0, every
+// key ranked) and the summarizer's top-8 digest read (limit=8) over a
+// full live-keyed tracker after ten closed periods of
+// sourceTrackStream, so the ranking sees alarmed keys and a spread of
+// CUSUM statistics.
+func BenchmarkSourceTrackView(b *testing.B) {
+	const periods = 10
+	recs := sourceTrackStream(1 << 16)
+	tk := liveKeyedTracker(b)
+	per := len(recs) / periods
+	for p := 0; p < periods; p++ {
+		tk.ObserveBatch(recs[p*per : (p+1)*per])
+		tk.ClosePeriod(p, time.Duration(p+1)*20*time.Second)
+	}
+	if st := tk.Stats(); st.Tracked != 1024 || st.Alarmed == 0 {
+		b.Fatalf("tracker not full or never alarmed: %+v", st)
+	}
+	for _, limit := range []int{0, 8} {
+		b.Run(fmt.Sprintf("limit=%d", limit), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if v := tk.View(limit); len(v.Sources) == 0 {
+					b.Fatal("empty view")
+				}
+			}
+		})
 	}
 }
 

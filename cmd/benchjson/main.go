@@ -12,7 +12,10 @@
 // all. -hot restricts the gate to benchmarks matching a regexp (the
 // hot-path set); everything else is reported but never fails the gate.
 // Benchmarks missing from either side are reported and skipped — a new
-// benchmark must not fail CI for existing without history.
+// benchmark must not fail CI for existing without history. A baseline
+// benchmark counts as GONE only if -hot matches it (the gate runs the
+// same pattern), so a deleted benchmark stands out from the ones the
+// run never asked for.
 //
 // Usage:
 //
@@ -206,10 +209,17 @@ func compare(in io.Reader, out io.Writer, baseline map[string]Stats, tolerance f
 		fmt.Fprintf(out, "%s %-40s %12.0f -> %12.0f ns/op (%+6.1f%%)  %6.0f -> %6.0f allocs/op\n",
 			verdict, name, base.NsPerOp, cur.NsPerOp, delta*100, base.AllocsPerOp, cur.AllocsPerOp)
 	}
+	// Only a benchmark the gate ran can be gone: a baseline name outside
+	// hot was never asked for.
+	var gone []string
 	for name := range baseline {
-		if _, ok := fresh[name]; !ok {
-			fmt.Fprintf(out, "GONE  %-40s (in baseline, not in this run)\n", name)
+		if _, ok := fresh[name]; !ok && (hot == nil || hot.MatchString(name)) {
+			gone = append(gone, name)
 		}
+	}
+	sort.Strings(gone)
+	for _, name := range gone {
+		fmt.Fprintf(out, "GONE  %-40s (in baseline, not in this run)\n", name)
 	}
 	if failed {
 		return errRegression

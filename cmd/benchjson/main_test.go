@@ -161,3 +161,25 @@ func TestCompareNewBenchmarkPasses(t *testing.T) {
 		t.Errorf("new benchmark not reported:\n%s", buf.String())
 	}
 }
+
+// TestCompareGoneOnlyForHotBenchmarks pins which baseline entries a
+// gated run reports as GONE: a missing benchmark the -hot pattern
+// covers is gone, a missing one outside it was simply not run.
+func TestCompareGoneOnlyForHotBenchmarks(t *testing.T) {
+	base := gateBaseline(t)
+	base["BenchmarkStreamingIngestRetired"] = Stats{NsPerOp: 1}
+	base["BenchmarkBatchIngestRetired"] = Stats{NsPerOp: 1}
+	var buf bytes.Buffer
+	if err := compare(strings.NewReader(sample), &buf, base, 0.10, regexp.MustCompile(`Ingest`)); err != nil {
+		t.Fatalf("gate failed: %v\n%s", err, buf.String())
+	}
+	out := buf.String()
+	first := strings.Index(out, "GONE  BenchmarkBatchIngestRetired")
+	second := strings.Index(out, "GONE  BenchmarkStreamingIngestRetired")
+	if first < 0 || second < first {
+		t.Errorf("missing hot benchmarks not reported GONE in name order:\n%s", out)
+	}
+	if strings.Contains(out, "BenchmarkRetired") {
+		t.Errorf("benchmark outside -hot reported although the gate never ran it:\n%s", out)
+	}
+}

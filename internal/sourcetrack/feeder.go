@@ -1,7 +1,6 @@
 package sourcetrack
 
 import (
-	"net/netip"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -24,10 +23,10 @@ import (
 // the records that preceded it in the stream, and the per-key reports
 // are bit-identical to feeding the tracker directly.
 
-// feedOp is one pre-keyed observation: a SYN for key (synAck=false)
-// or a SYN/ACK toward key (synAck=true).
+// feedOp is one pre-keyed observation: a SYN for k (synAck=false)
+// or a SYN/ACK toward k (synAck=true).
 type feedOp struct {
-	key    netip.Prefix
+	k      key
 	synAck bool
 }
 
@@ -160,7 +159,7 @@ func (f *Feeder) apply(si int, ops []feedOp) {
 	done := int(f.t.periods.Load())
 	s.mu.Lock()
 	for _, op := range ops {
-		s.applyLocked(op, done, &f.t.cfg)
+		s.applyLocked(op, done)
 	}
 	s.mu.Unlock()
 	f.applied[si].Add(uint64(len(ops)))
@@ -171,7 +170,7 @@ func (f *Feeder) apply(si int, ops []feedOp) {
 // enqueue appends one op to its shard's pending chunk, handing the
 // chunk to the ring when full.
 func (f *Feeder) enqueue(op feedOp) {
-	si := f.t.shardIndex(op.key)
+	si := f.t.shardIndex(op.k)
 	ops := f.pending[si]
 	if ops == nil {
 		ops = (*f.pool.Get().(*[]feedOp))[:0]

@@ -8,7 +8,6 @@ import (
 	"slices"
 
 	"repro/internal/core"
-	"repro/internal/cusum"
 )
 
 // snapshotVersion guards the keyed wire format independently of the
@@ -76,16 +75,17 @@ func (t *Tracker) Snapshot() Snapshot {
 	}
 	for _, sh := range t.shards {
 		sh.mu.Lock()
-		for _, st := range sh.heap {
+		for _, e := range sh.heap {
+			st := &sh.slab[e.slot]
 			ks := KeySnapshot{
-				Key: st.key, Count: st.count, Err: st.errc,
+				Key: e.k.prefix(t.cfg.KeyBits), Count: e.count, Err: st.errc,
 				KBar: st.kBar.Value(), KBarPrimed: st.kBar.Primed(),
 				Y: st.det.Statistic(), AlarmLatched: st.det.Alarmed(),
 				Observations: st.det.Observations(), OnsetIndex: st.det.OnsetIndex(),
 				Periods: st.periods, Last: st.last,
 			}
-			if st.alarm != nil {
-				al := *st.alarm
+			if st.alarmed {
+				al := st.alarm
 				ks.Alarm = &al
 			}
 			s.Keys = append(s.Keys, ks)
@@ -134,8 +134,8 @@ func Restore(s Snapshot, cfg Config) (*Tracker, error) {
 	t.shards[0].untracked = s.Stats.UntrackedSYNACKs
 	t.shards[0].evicted = s.Stats.Evicted
 	for i, ks := range s.Keys {
-		want, ok := t.keyOf(ks.Key.Addr())
-		if !ok || want != ks.Key {
+		k, ok := t.keyOf(ks.Key.Addr())
+		if !ok || k.prefix(cfg.KeyBits) != ks.Key {
 			return nil, fmt.Errorf("%w: key %v is not a /%d key", ErrBadSnapshot, ks.Key, cfg.KeyBits)
 		}
 		if ks.Periods < 0 || ks.Periods > s.Periods {
@@ -149,31 +149,23 @@ func Restore(s Snapshot, cfg Config) (*Tracker, error) {
 		if ks.KBar < 0 {
 			return nil, fmt.Errorf("%w: key %v negative kBar %g", ErrBadSnapshot, ks.Key, ks.KBar)
 		}
-		kb, _ := cusum.NewEWMA(cfg.Agent.Alpha)
-		dt, _ := cusum.New(cfg.Agent.Offset, cfg.Agent.Threshold)
-		if err := kb.Restore(ks.KBar, ks.KBarPrimed); err != nil {
+		sh := t.shards[t.shardIndex(k)]
+		st := sh.fresh
+		st.errc, st.periods, st.last = ks.Err, ks.Periods, ks.Last
+		if err := st.kBar.Restore(ks.KBar, ks.KBarPrimed); err != nil {
 			return nil, fmt.Errorf("%w: key %v kBar: %v", ErrBadSnapshot, ks.Key, err)
 		}
-		if err := dt.Restore(ks.Y, ks.AlarmLatched, ks.Observations, ks.OnsetIndex); err != nil {
+		if err := st.det.Restore(ks.Y, ks.AlarmLatched, ks.Observations, ks.OnsetIndex); err != nil {
 			return nil, fmt.Errorf("%w: key %v detector: %v", ErrBadSnapshot, ks.Key, err)
 		}
-		st := &keyState{
-			key: ks.Key, count: ks.Count, errc: ks.Err,
-			kBar: kb, det: dt,
-			periods: ks.Periods, last: ks.Last,
-		}
 		if ks.Alarm != nil {
-			al := *ks.Alarm
-			st.alarm = &al
-		}
-		sh := t.shardFor(ks.Key)
-		if _, dup := sh.states[ks.Key]; dup {
-			return nil, fmt.Errorf("%w: duplicate key %v (entry %d)", ErrBadSnapshot, ks.Key, i)
-		}
-		sh.insert(st)
-		if st.alarm != nil {
+			st.alarm, st.alarmed = *ks.Alarm, true
 			sh.alarmed++
 		}
+		if sh.index.find(k) >= 0 {
+			return nil, fmt.Errorf("%w: duplicate key %v (entry %d)", ErrBadSnapshot, ks.Key, i)
+		}
+		sh.insert(k, ks.Count, &st)
 	}
 	return t, nil
 }

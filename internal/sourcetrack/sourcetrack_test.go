@@ -3,6 +3,7 @@ package sourcetrack
 import (
 	"net/netip"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -47,11 +48,11 @@ func filterForKey(tr *trace.Trace, tk *Tracker, key netip.Prefix) *trace.Trace {
 	for _, r := range tr.Records {
 		switch {
 		case r.Dir == trace.DirOut && r.Kind == packet.KindSYN:
-			if k, ok := tk.keyOf(r.Src); ok && k == key {
+			if k, ok := tk.keyOf(r.Src); ok && k.prefix(tk.cfg.KeyBits) == key {
 				out.Records = append(out.Records, r)
 			}
 		case r.Dir == trace.DirIn && r.Kind == packet.KindSYNACK:
-			if k, ok := tk.keyOf(r.Dst); ok && k == key {
+			if k, ok := tk.keyOf(r.Dst); ok && k.prefix(tk.cfg.KeyBits) == key {
 				out.Records = append(out.Records, r)
 			}
 		}
@@ -206,8 +207,8 @@ func TestBoundedMemoryMillionSources(t *testing.T) {
 		t.Fatalf("Evicted = %d, want %d — truncation must be fully accounted", st.Evicted, n-256)
 	}
 	for i, sh := range tk.shards {
-		if len(sh.heap) != sh.cap || len(sh.states) != len(sh.heap) {
-			t.Fatalf("shard %d: %d heap / %d states, cap %d", i, len(sh.heap), len(sh.states), sh.cap)
+		if len(sh.heap) != sh.cap || len(sh.slab) != len(sh.heap) || sh.index.n != len(sh.heap) {
+			t.Fatalf("shard %d: %d heap / %d states / %d indexed, cap %d", i, len(sh.heap), len(sh.slab), sh.index.n, sh.cap)
 		}
 	}
 	if got := len(tk.Sources(10)); got != 10 {
@@ -540,5 +541,130 @@ func TestViewMatchesSeparateCalls(t *testing.T) {
 		if !reflect.DeepEqual(v.Sources, tk.Sources(limit)) {
 			t.Errorf("limit=%d: View sources differ from Sources(%d)", limit, limit)
 		}
+	}
+}
+
+// TestIPv6AndMixedFamilyKeying pins how addresses of both families
+// become keys: v4-mapped addresses key as v4, v6 addresses keep the
+// same host-part width (/24 keying masks them to /120), zones drop,
+// the zero address is unkeyed, v4 keys rank before v6 keys at equal
+// count, and a snapshot of a mixed population round-trips while a
+// mapped key dressed as v6 is rejected.
+func TestIPv6AndMixedFamilyKeying(t *testing.T) {
+	tk, err := New(Config{KeyBits: 24, MaxSources: 16, Agent: core.Config{T0: time.Second}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := netip.MustParseAddr("11.9.9.9")
+	syn := func(src string) trace.Record {
+		r := trace.Record{Kind: packet.KindSYN, Dir: trace.DirOut, Dst: victim}
+		if src != "" {
+			r.Src = netip.MustParseAddr(src)
+		}
+		return r
+	}
+	tk.ObserveBatch([]trace.Record{
+		syn("::ffff:10.1.2.9"),
+		syn("10.1.2.200"),
+		syn("2001:db8::1234"),
+		syn("2001:db8::12ff"),
+		syn("fe80::1%eth0"),
+		syn(""),
+		{Kind: packet.KindSYNACK, Dir: trace.DirIn, Src: victim, Dst: netip.MustParseAddr("2001:db8::12aa")},
+	})
+	tk.ClosePeriod(0, time.Second)
+
+	st := tk.Stats()
+	if st.Unkeyed != 1 || st.SYNs != 5 || st.SYNACKs != 1 || st.Tracked != 3 {
+		t.Fatalf("stats %+v, want 1 unkeyed, 5 SYNs, 1 SYN/ACK, 3 keys", st)
+	}
+	want := []struct {
+		key           string
+		count, synAck uint64
+	}{
+		// 10.1.2.0/24 and 2001:db8::1200/120 tie at two SYNs: the v4
+		// key ranks first.
+		{"10.1.2.0/24", 2, 0},
+		{"2001:db8::1200/120", 2, 1},
+		{"fe80::/120", 1, 0},
+	}
+	got := tk.Sources(0)
+	if len(got) != len(want) {
+		t.Fatalf("%d sources, want %d: %+v", len(got), len(want), got)
+	}
+	for i, w := range want {
+		if got[i].Key != netip.MustParsePrefix(w.key) || got[i].Count != w.count || got[i].InSYNACK != w.synAck {
+			t.Errorf("source %d = %v count %d synAck %d, want %s count %d synAck %d",
+				i, got[i].Key, got[i].Count, got[i].InSYNACK, w.key, w.count, w.synAck)
+		}
+	}
+
+	snap := tk.Snapshot()
+	data, err := snap.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := DecodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2, 3} {
+		cfg := tk.Config()
+		cfg.Shards = shards
+		restored, err := Restore(decoded, cfg)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if !reflect.DeepEqual(restored.Snapshot(), snap) {
+			t.Fatalf("shards=%d: restored mixed-family snapshot differs", shards)
+		}
+		if !reflect.DeepEqual(restored.Sources(0), got) {
+			t.Fatalf("shards=%d: restored ranking differs", shards)
+		}
+	}
+
+	decoded.Keys[0].Key = netip.MustParsePrefix("::ffff:10.9.9.0/120")
+	if _, err := Restore(decoded, tk.Config()); err == nil || !strings.Contains(err.Error(), "not a /24 key") {
+		t.Fatalf("mapped key dressed as v6: Restore error %v, want a not-a-/24-key rejection", err)
+	}
+}
+
+// TestIndexProbeRunsStayShort pins the seeded index hash against keys
+// chosen to collide under the identity: /24 keys spaced by the size
+// the index reaches (two buckets per key), so their low bits all
+// agree and an unmixed hash would start every probe at one bucket.
+// After three times as many keys churn through by eviction, every key
+// is found at its slot and the longest displacement from a key's home
+// bucket stays short.
+func TestIndexProbeRunsStayShort(t *testing.T) {
+	const keys, size = 512, 1024
+	tk, err := New(Config{KeyBits: 24, MaxSources: keys, Agent: core.Config{T0: time.Second}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := tk.shards[0]
+	for i := 0; i < 4*keys; i++ {
+		a := uint32(i*size) << 8
+		tk.Observe(trace.Record{Kind: packet.KindSYN, Dir: trace.DirOut,
+			Src: netip.AddrFrom4([4]byte{byte(a >> 24), byte(a >> 16), byte(a >> 8), 1}),
+			Dst: netip.MustParseAddr("11.9.9.9")})
+	}
+	if st := tk.Stats(); st.Tracked != keys || st.Evicted != 3*keys || sh.index.n != keys || len(sh.index.ents) != size {
+		t.Fatalf("stats %+v, %d of %d buckets used; want %d tracked and indexed, %d evicted, %d buckets",
+			st, sh.index.n, len(sh.index.ents), keys, 3*keys, size)
+	}
+	for _, e := range sh.heap {
+		if got := sh.index.find(e.k); got != e.slot {
+			t.Fatalf("key %v indexed at slot %d, heap says %d", e.k.prefix(24), got, e.slot)
+		}
+	}
+	longest := 0
+	for j, e := range sh.index.ents {
+		if e.slot >= 0 {
+			longest = max(longest, (j-sh.index.home(e.k))&(size-1))
+		}
+	}
+	if longest > 64 {
+		t.Fatalf("longest probe displacement %d over %d keys in %d buckets", longest, keys, size)
 	}
 }
