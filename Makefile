@@ -135,6 +135,7 @@ fuzz:
 	$(GO) test ./internal/sourcetrack -fuzz '^FuzzKeyedSnapshotRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/flood -fuzz '^FuzzPulsingCountsMatchRecords$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ingest -fuzz '^FuzzBatchMatchesRecordPath$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ingest -fuzz '^FuzzScanMatchesValidate$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -fuzz '^FuzzFrameParse$$' -fuzztime $(FUZZTIME)
 
 clean:

@@ -568,13 +568,7 @@ func streamBenchFile(b *testing.B, ext string) (string, int) {
 		}
 		// Prescan for the classified record count — the same O(1) pass
 		// syndogd runs before streaming a capture.
-		pf, err := os.Open(streamBench.paths[".pcap"])
-		if err != nil {
-			streamBench.err = err
-			return
-		}
-		info, err := ingest.PcapInfo(pf)
-		pf.Close()
+		info, err := ingest.Scan(streamBench.paths[".pcap"], netip.MustParsePrefix("130.216.0.0/16"))
 		if err != nil {
 			streamBench.err = err
 			return

@@ -55,9 +55,14 @@
 // processes the whole trace instantly and then just serves the final
 // state (useful for post-mortems).
 //
-// A .pcap input streams: the file is prescanned once in O(1) memory to
-// learn its span and record count, then replayed without ever holding
-// the capture in memory. Direction inference needs -prefix.
+// Every file input streams — binary .trace/.bin, .csv, .pcap, iptrace
+// .ipt and tcpdump .txt/.dump, each optionally gzipped: the file is
+// read once in O(1) memory to learn its span and record count and to
+// refuse it, before the listener binds, if its records are out of
+// timestamp order or outside the span; then it is replayed without
+// ever holding the capture in memory (tcpdump text alone is sorted in
+// memory as it is parsed). Direction inference for pcap and tcpdump
+// text needs -prefix.
 //
 // A live: input watches a wire instead of replaying a file, through
 // the internal/capture subsystem:
@@ -123,9 +128,9 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("syndogd", flag.ContinueOnError)
 	var agents []daemon.AgentSpec
 	var (
-		in         = fs.String("in", "", "input capture: .trace/.bin (binary), .csv, or .pcap (streamed); shorthand for one -agent")
+		in         = fs.String("in", "", "input capture, streamed: .trace/.bin (binary), .csv, .pcap, .ipt, .txt/.dump (tcpdump text), optionally .gz; shorthand for one -agent")
 		configPath = fs.String("config", "", "JSON agent spec file ({\"agents\":[...]}); re-read on SIGHUP or empty POST /reload")
-		prefixStr  = fs.String("prefix", "", "stub prefix for pcap direction inference (e.g. 152.2.0.0/16)")
+		prefixStr  = fs.String("prefix", "", "stub prefix for pcap, tcpdump-text and live direction inference (e.g. 152.2.0.0/16)")
 		detector   = fs.String("detector", "", "decision rule: "+strings.Join(ingest.DetectorNames(), ", ")+" (default syndog-cusum)")
 		listen     = fs.String("listen", "127.0.0.1:8080", "HTTP listen address")
 		speed      = fs.Float64("speed", 0, "trace seconds replayed per wall second (0 = instant)")

@@ -7,7 +7,9 @@ package main
 // a snapshot whose config disagrees with the flags.
 
 import (
+	"errors"
 	"io"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,6 +18,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/daemon"
+	"repro/internal/packet"
 	"repro/internal/trace"
 )
 
@@ -60,15 +63,19 @@ func TestRunRejectsInvalidTrace(t *testing.T) {
 
 	// Structurally valid file whose records are unsorted: replay would
 	// mis-bucket periods, so load-time validation must reject it.
+	host := netip.MustParseAddr("10.0.0.1")
+	syn := trace.Record{Kind: packet.KindSYN, Dir: trace.DirOut, Src: host, Dst: host}
+	early, late := syn, syn
+	early.Ts, late.Ts = time.Second, 2*time.Second
 	unsorted := filepath.Join(dir, "unsorted.csv")
 	if err := trace.Save(unsorted, &trace.Trace{
 		Name: "unsorted", Span: time.Hour,
-		Records: []trace.Record{{Ts: 2 * time.Second}, {Ts: time.Second}},
+		Records: []trace.Record{late, early},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-in", unsorted}); err == nil {
-		t.Error("unsorted trace accepted")
+	if err := run([]string{"-in", unsorted}); !errors.Is(err, trace.ErrUnsorted) {
+		t.Errorf("unsorted trace: err = %v, want ErrUnsorted", err)
 	}
 
 	// A trace shorter than one observation period cannot produce a
@@ -202,7 +209,7 @@ func TestRunMismatchPolicyFlag(t *testing.T) {
 	// Default: the mismatch is fatal (pinned above); with migrate the
 	// same spec builds.
 	spec := daemon.AgentSpec{Name: "a", Input: tr, State: state, Threshold: 9.9, OnMismatch: daemon.PolicyMigrate}
-	d, action, err := daemon.BuildAgent(spec, "syndogd", io.Discard)
+	d, action, err := daemon.BuildAgent(spec, daemon.BuildEnv{ProcName: "syndogd", Log: io.Discard})
 	if err != nil {
 		t.Fatal(err)
 	}

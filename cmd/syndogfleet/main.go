@@ -217,7 +217,6 @@ func runCampaign(cfg campaignConfig, w io.Writer) error {
 	master := flood.NewMaster()
 	reports := make([]*stubReport, cfg.stubs)
 	sources := make([]*ingest.ChanSource, cfg.stubs)
-	feeders := make([]*sourcetrack.Feeder, cfg.stubs)
 	pipeErrs := make([]error, cfg.stubs)
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.stubs; i++ {
@@ -256,25 +255,22 @@ func runCampaign(cfg campaignConfig, w io.Writer) error {
 				tap(now, dir, seg)
 			}
 		})
-		// The keyed bank rides behind a ring feeder: the pipeline
-		// goroutine keys each record and hands shard work to the
-		// feeder's worker, so attribution never stalls the live feed.
-		// The feeder's period barrier keeps the reports bit-identical
-		// to tapping the tracker directly.
-		feeders[i] = sourcetrack.NewFeeder(sr.tracker)
+		// The keyed bank taps the pipeline directly: the pipeline
+		// goroutine folds each counted chunk into the one-shard
+		// tracker, so period closes see exactly the records before them.
 		p := &ingest.Pipeline{
 			Source:   live,
 			Detector: ingest.WrapAgent(sr.agent),
 			T0:       cfg.t0,
 			Span:     horizon,
-			Tap:      feeders[i],
+			Tap:      sr.tracker,
 		}
 		if up != nil {
 			st := summary.NewTap(&summary.Summarizer{
 				Monitor: fmt.Sprintf("stub%02d", i),
 				Cfg:     cfg.uplinkCfg,
 				Tracker: sr.tracker,
-			}, feeders[i], up.Send)
+			}, sr.tracker, up.Send)
 			p.Sink = st.Sink
 			p.Tap = st
 		}
@@ -343,9 +339,6 @@ func runCampaign(cfg campaignConfig, w io.Writer) error {
 		src.CloseSend()
 	}
 	wg.Wait()
-	for _, f := range feeders {
-		f.Close()
-	}
 	if up != nil {
 		// Flush the trailing summaries so the coordinator holds the
 		// complete campaign before the report prints its counters.

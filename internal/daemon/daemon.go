@@ -15,17 +15,19 @@
 //     scheduler latency inside a period does not accumulate into the
 //     next (no chained time.After drift).
 //   - Replay failures are daemon state, surfaced via /status and
-//     /healthz (503) and returned from Serve so the process exits
+//     /healthz (503) and returned from Run so the process exits
 //     non-zero — never discarded.
 //   - Snapshots are durable (fsync before rename, directory fsync) and
 //     can be written periodically on a checkpoint interval, so a crash
 //     loses at most one interval of evidence.
 //
-// Replay runs on the ingest pipeline: any ingest.Source (in-memory
-// trace, streaming binary/CSV/pcap/iptrace file) feeds any
+// Replay runs on the ingest pipeline: any ingest.Source feeds any
 // ingest.Detector (the paper's CUSUM agent or a baseline) through an
-// ingest.Aggregator, so a daemon over a multi-gigabyte pcap holds one
-// chunk of records and four counters in memory, never the capture.
+// ingest.Aggregator. Every capture file streams — ingest.Scan
+// validates and sizes it in one pass, then ingest.Open replays it —
+// so a daemon over a multi-gigabyte capture holds one chunk of records
+// and four counters in memory, never the capture (tcpdump text, which
+// ingest.Open sorts in memory, aside).
 package daemon
 
 import (
@@ -33,8 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"sync"
 	"time"
@@ -43,7 +43,6 @@ import (
 	"repro/internal/ingest"
 	"repro/internal/sourcetrack"
 	"repro/internal/summary"
-	"repro/internal/trace"
 )
 
 // Options configures a Daemon beyond its detector and source.
@@ -51,13 +50,13 @@ type Options struct {
 	// Name prefixes log lines (default "daemon"; cmd/syndogd passes
 	// its own name so operator-facing output is unchanged).
 	Name string
-	// Log receives the startup banner and checkpoint notices (default
-	// os.Stderr; tests redirect it).
+	// Log receives checkpoint failure notices (default os.Stderr;
+	// tests redirect it). The banner is the supervisor's.
 	Log io.Writer
 	// StatePath, when non-empty, is where Checkpoint and SaveState
 	// persist the agent snapshot.
 	StatePath string
-	// CheckpointInterval enables periodic snapshots during Serve when
+	// CheckpointInterval enables periodic snapshots during Run when
 	// positive and StatePath is set. Zero disables checkpointing; the
 	// final snapshot on shutdown is written regardless.
 	CheckpointInterval time.Duration
@@ -141,36 +140,20 @@ type Daemon struct {
 	lastCheckpointErr  error
 }
 
-// New validates the trace once at the door and builds a daemon around
-// agent. If the agent was resumed from a snapshot, its existing report
+// NewStream builds a daemon that replays src through det. info must
+// carry the capture span (ingest.Scan learns it, and validates the
+// file, in one pass before the replay opens it); info.Records may be
+// -1 when the count is unknown up front. t0 is the observation period
+// — detectors other than the CUSUM agent carry no period of their own.
+// If the detector was resumed from a snapshot, its existing report
 // history becomes the resume offset: replay will skip that many
-// leading periods. New fails on an invalid or too-short trace, or when
-// the agent's history claims more periods than the trace holds (the
-// snapshot cannot have come from this trace/config pairing).
+// leading periods. NewStream fails on a span shorter than one period,
+// or when the detector's history claims more periods than the span
+// holds (the snapshot cannot have come from this capture).
 //
-// New is the materialized-trace convenience over NewStream: the trace
-// becomes an ingest.TraceSource and the agent an ingest.AgentDetector.
-func New(agent *core.Agent, tr *trace.Trace, opts Options) (*Daemon, error) {
-	if tr.Span <= 0 {
-		return nil, fmt.Errorf("daemon: trace %q has no span", tr.Name)
-	}
-	if err := tr.Validate(); err != nil {
-		return nil, fmt.Errorf("daemon: trace %q: %w", tr.Name, err)
-	}
-	return NewStream(ingest.WrapAgent(agent), ingest.NewTraceSource(tr),
-		ingest.Info{Name: tr.Name, Span: tr.Span, Records: len(tr.Records)},
-		agent.Config().T0, opts)
-}
-
-// NewStream builds a daemon that replays src through det — the fully
-// streaming constructor. info must carry the capture span (prescan a
-// pcap with ingest.PcapInfo first); info.Records may be -1 when the
-// count is unknown up front. t0 is the observation period — detectors
-// other than the CUSUM agent carry no period of their own.
-//
-// Unlike New, the source's records are validated as they stream:
-// unordered or out-of-span records fail the replay (surfacing via
-// /healthz and Serve's error) rather than failing construction.
+// The aggregator still checks order as records stream: a source that
+// turns out unordered or out of span fails the replay (surfacing via
+// /healthz and Run's error) rather than mis-bucketing periods.
 func NewStream(det ingest.Detector, src ingest.Source, info ingest.Info, t0 time.Duration, opts Options) (*Daemon, error) {
 	opts.applyDefaults()
 	if t0 <= 0 {
@@ -547,69 +530,18 @@ func (d *Daemon) replayLive(ctx context.Context) error {
 }
 
 // failReplay records err as the replay failure. It exists so tests can
-// exercise the error-surfacing machinery (healthz 503, status field,
-// Serve's non-zero return) without constructing a failing source.
+// exercise the error-surfacing machinery (healthz 503, status field)
+// without constructing a failing source.
 func (d *Daemon) failReplay(err error) {
 	d.mu.Lock()
 	d.replayErr = err
 	d.mu.Unlock()
 }
 
-// Serve starts the replay, the HTTP server, and (when configured) the
-// checkpoint loop, returning when ctx is cancelled, the listener
-// fails, or the replay fails. A replay failure shuts the server down
-// and is returned — the caller's process should exit non-zero.
-func (d *Daemon) Serve(ctx context.Context, listen string, speed float64) error {
-	ln, err := net.Listen("tcp", listen)
-	if err != nil {
-		return err
-	}
-	if d.srcRecords >= 0 {
-		fmt.Fprintf(d.opts.Log, "%s: serving on http://%s (trace %q, %d records, %d/%d periods done)\n",
-			d.opts.Name, ln.Addr(), d.srcName, d.srcRecords, d.resumeOffset, d.totalPeriods)
-	} else {
-		fmt.Fprintf(d.opts.Log, "%s: serving on http://%s (trace %q, streaming, %d/%d periods done)\n",
-			d.opts.Name, ln.Addr(), d.srcName, d.resumeOffset, d.totalPeriods)
-	}
-
-	srv := &http.Server{Handler: d.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-
-	replayDone := make(chan error, 1)
-	go func() { replayDone <- d.Replay(ctx, speed) }()
-
-	if d.opts.StatePath != "" && d.opts.CheckpointInterval > 0 {
-		go d.checkpointLoop(ctx)
-	}
-
-	shutdown := func() {
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(shutdownCtx)
-	}
-	for {
-		select {
-		case <-ctx.Done():
-			shutdown()
-			return ctx.Err()
-		case err := <-serveErr:
-			return err
-		case err := <-replayDone:
-			if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-				shutdown()
-				return fmt.Errorf("replay: %w", err)
-			}
-			// Replay finished (or was cancelled with the context, which
-			// the ctx.Done arm reports): keep serving the final state.
-			replayDone = nil
-		}
-	}
-}
-
-// Run executes the replay and, when configured, the checkpoint loop —
-// Serve without the HTTP plane. The multi-agent supervisor serves many
-// daemons behind one shared listener and drives each with Run.
+// Run executes the replay and, when configured, the checkpoint loop.
+// The daemon has no listener of its own: the supervisor serves every
+// daemon's handler behind one shared listener and drives each with
+// Run.
 func (d *Daemon) Run(ctx context.Context, speed float64) error {
 	if d.opts.StatePath != "" && d.opts.CheckpointInterval > 0 {
 		cctx, cancel := context.WithCancel(ctx)

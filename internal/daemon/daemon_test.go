@@ -60,11 +60,19 @@ func newTestDaemon(t *testing.T, withFlood bool, opts Options) *Daemon {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := New(agent, testTrace(t, withFlood), opts)
+	d, err := traceDaemon(agent, testTrace(t, withFlood), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// traceDaemon builds a daemon replaying an in-memory trace through
+// agent: the fixture for every test that is not about the file door
+// (BuildAgent's Scan and Open), which TestNewValidates covers.
+func traceDaemon(agent *core.Agent, tr *trace.Trace, opts Options) (*Daemon, error) {
+	return NewStream(ingest.WrapAgent(agent), ingest.NewTraceSource(tr),
+		ingest.Info{Name: tr.Name, Span: tr.Span, Records: len(tr.Records)}, agent.Config().T0, opts)
 }
 
 // truncated returns the prefix of tr that a daemon would have seen if
@@ -96,21 +104,35 @@ func get(t *testing.T, d *Daemon, path string) (int, string) {
 	return resp.StatusCode, string(b)
 }
 
+// TestNewValidates drives the file door — BuildAgent's Scan, Open and
+// NewStream — over traces written with trace.Save: a file without a
+// span, one shorter than a period, an unsorted one, and a snapshot
+// whose history outruns the file are all refused before any replay.
 func TestNewValidates(t *testing.T) {
-	agent, err := core.NewAgent(core.Config{})
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	build := func(tr *trace.Trace, state string) error {
+		t.Helper()
+		path := filepath.Join(dir, tr.Name+".trace")
+		if err := trace.Save(path, tr); err != nil {
+			t.Fatal(err)
+		}
+		d, _, err := BuildAgent(AgentSpec{Name: "agent", Input: path, State: state}, BuildEnv{})
+		if err == nil {
+			d.Close()
+		}
+		return err
 	}
-	if _, err := New(agent, &trace.Trace{Name: "empty"}, Options{}); err == nil {
+	if err := build(&trace.Trace{Name: "empty"}, ""); err == nil {
 		t.Error("no-span trace accepted")
 	}
-	if _, err := New(agent, &trace.Trace{Name: "short", Span: time.Second}, Options{}); err == nil {
+	if err := build(&trace.Trace{Name: "short", Span: time.Second}, ""); err == nil {
 		t.Error("sub-period trace accepted")
 	}
+	host := netip.MustParseAddr("10.0.0.1")
 	unsorted := &trace.Trace{Name: "unsorted", Span: time.Hour, Records: []trace.Record{
-		{Ts: 2 * time.Second}, {Ts: time.Second},
+		{Ts: 2 * time.Second, Src: host, Dst: host}, {Ts: time.Second, Src: host, Dst: host},
 	}}
-	if _, err := New(agent, unsorted, Options{}); !errors.Is(err, trace.ErrUnsorted) {
+	if err := build(unsorted, ""); !errors.Is(err, trace.ErrUnsorted) {
 		t.Errorf("unsorted trace: err = %v, want ErrUnsorted", err)
 	}
 
@@ -124,8 +146,13 @@ func TestNewValidates(t *testing.T) {
 	if _, err := long.ProcessTrace(tr); err != nil {
 		t.Fatal(err)
 	}
+	state := filepath.Join(dir, "long.json")
+	if err := WriteSnapshotFile(long.Snapshot(), state); err != nil {
+		t.Fatal(err)
+	}
 	shortTr := truncated(tr, 2*time.Minute)
-	if _, err := New(long, shortTr, Options{}); err == nil {
+	shortTr.Name = "truncated"
+	if err := build(shortTr, state); err == nil {
 		t.Error("agent with more periods than the trace accepted")
 	}
 }
@@ -277,7 +304,7 @@ func TestResumeEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d0, err := New(ref, tr, Options{})
+	d0, err := traceDaemon(ref, tr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +335,7 @@ func TestResumeEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d1, err := New(a2, tr, Options{})
+		d1, err := traceDaemon(a2, tr, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,16 +378,10 @@ func TestResumeEquivalence(t *testing.T) {
 	if err := pf.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rf, err := os.Open(pcapPath)
+	info, err := ingest.Scan(pcapPath, prefix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := ingest.PcapInfo(rf)
-	rf.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	info.Name = "resume.pcap"
 
 	runStream := func(agent *core.Agent, inf ingest.Info) *Daemon {
 		t.Helper()
@@ -465,7 +486,7 @@ func TestPacedResumeMatchesInstant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := New(a2, tr, Options{})
+	d, err := traceDaemon(a2, tr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -620,24 +641,29 @@ func TestCheckpointDurableRoundTrip(t *testing.T) {
 	}
 }
 
-// TestServeLifecycle drives the full Serve loop: banner, live
-// endpoints, periodic checkpointing during a paced replay, clean
-// shutdown on cancellation, and a resume that completes the run with
-// the same reports as an uninterrupted one.
+// TestServeLifecycle drives the full serve loop — a one-agent
+// Supervisor.Run: banner, live endpoints, periodic checkpointing
+// during a paced replay, clean shutdown on cancellation with the final
+// snapshot, and a resume that completes the run with the same reports
+// as an uninterrupted one.
 func TestServeLifecycle(t *testing.T) {
 	tr := testTrace(t, true)
-	statePath := filepath.Join(t.TempDir(), "state.json")
-
-	agent, err := core.NewAgent(core.Config{})
-	if err != nil {
+	dir := t.TempDir()
+	input := filepath.Join(dir, "mixed.trace")
+	if err := trace.Save(input, tr); err != nil {
 		t.Fatal(err)
 	}
+	statePath := filepath.Join(dir, "state.json")
+
 	pr, pw := io.Pipe()
-	d, err := New(agent, tr, Options{
-		Log:                pw,
-		StatePath:          statePath,
-		CheckpointInterval: 10 * time.Millisecond,
-	})
+	// Speed 400: one 20 s period per 50 ms; the full trace would take
+	// 1.5 s, and we cancel after a few periods.
+	s, err := NewSupervisor([]AgentSpec{{
+		Name:       "agent",
+		Input:      input,
+		State:      statePath,
+		Checkpoint: Duration(10 * time.Millisecond),
+	}}, SupervisorOptions{Log: pw, Speed: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -645,9 +671,7 @@ func TestServeLifecycle(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	serveDone := make(chan error, 1)
-	// Speed 400: one 20 s period per 50 ms; the full trace would take
-	// 1.5 s, and we cancel after a few periods.
-	go func() { serveDone <- d.Serve(ctx, "127.0.0.1:0", 400) }()
+	go func() { serveDone <- s.Run(ctx, "127.0.0.1:0") }()
 
 	sc := bufio.NewScanner(pr)
 	if !sc.Scan() {
@@ -685,16 +709,14 @@ func TestServeLifecycle(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	// Mid-replay shutdown: Run writes the final snapshot, as
+	// cmd/syndogd relies on.
 	cancel()
 	if err := <-serveDone; !errors.Is(err, context.Canceled) {
-		t.Fatalf("Serve = %v, want context.Canceled", err)
-	}
-	// Mid-replay shutdown: persist the final state like cmd/syndogd.
-	if err := d.SaveState(statePath); err != nil {
-		t.Fatal(err)
+		t.Fatalf("Run = %v, want context.Canceled", err)
 	}
 
-	// "Reboot": resume from the checkpoint and finish the replay.
+	// "Reboot": resume from the final snapshot and finish the replay.
 	resumedAgent, _, resumed, err := LoadOrNewState(statePath, core.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -702,7 +724,7 @@ func TestServeLifecycle(t *testing.T) {
 	if !resumed {
 		t.Fatal("state file not resumed")
 	}
-	d2, err := New(resumedAgent, tr, Options{})
+	d2, err := traceDaemon(resumedAgent, tr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

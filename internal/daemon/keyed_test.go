@@ -47,7 +47,7 @@ func TestKeyedResumeEquivalence(t *testing.T) {
 		if !full {
 			replay = truncated(tr, time.Duration(k)*t0)
 		}
-		d, err := New(agent, replay, Options{Tracker: tracker})
+		d, err := traceDaemon(agent, replay, Options{Tracker: tracker})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestLoadOrNewState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := New(agent3, tr, Options{Tracker: tracker3})
+	d, err := traceDaemon(agent3, tr, Options{Tracker: tracker3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestSourcesEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := New(agent, testTrace(t, true), Options{Tracker: tracker})
+	d, err := traceDaemon(agent, testTrace(t, true), Options{Tracker: tracker})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestNewStreamRejectsMisalignedTracker(t *testing.T) {
 	if err := tracker.FastForward(3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(agent, testTrace(t, false), Options{Tracker: tracker}); err == nil {
+	if _, err := traceDaemon(agent, testTrace(t, false), Options{Tracker: tracker}); err == nil {
 		t.Error("misaligned tracker accepted")
 	}
 }
@@ -340,7 +340,7 @@ func TestSourcesPagination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := New(agent, testTrace(t, true), Options{Tracker: tracker})
+	d, err := traceDaemon(agent, testTrace(t, true), Options{Tracker: tracker})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +489,7 @@ func TestCheckpointWaitsForPeriodBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := New(refAgent, truncated(tr, time.Duration(k)*t0), Options{Tracker: refTracker})
+	ref, err := traceDaemon(refAgent, truncated(tr, time.Duration(k)*t0), Options{Tracker: refTracker})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -223,7 +223,7 @@ func TestLiveAgentMatchesFileAgent(t *testing.T) {
 	const prefix = "130.216.0.0/16"
 
 	build := func(input string) *Daemon {
-		d, action, err := BuildAgent(AgentSpec{Name: "agent", Input: input, Prefix: prefix}, "test", io.Discard)
+		d, action, err := BuildAgent(AgentSpec{Name: "agent", Input: input, Prefix: prefix}, BuildEnv{ProcName: "test", Log: io.Discard})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,7 +321,7 @@ func TestBuildAgentLiveMissingFile(t *testing.T) {
 	_, _, err := BuildAgent(AgentSpec{
 		Name: "a", Input: "live:pcap:" + filepath.Join(t.TempDir(), "missing.pcap"),
 		Prefix: "10.0.0.0/8",
-	}, "test", io.Discard)
+	}, BuildEnv{ProcName: "test", Log: io.Discard})
 	if err == nil {
 		t.Fatal("missing pcap accepted")
 	}

@@ -3,6 +3,7 @@ package daemon
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 
 	"repro/internal/core"
 	"repro/internal/sourcetrack"
@@ -65,73 +66,63 @@ func MigrateState(st State, cfg core.Config, track *sourcetrack.Config) State {
 
 // LoadOrNewStateWithPolicy is LoadOrNewState with a mismatch policy:
 // under PolicyError it is exactly LoadOrNewState; under PolicyMigrate
-// a configuration mismatch re-reads the state file, rewrites it via
-// MigrateState and restores the result; under PolicyReset the
-// snapshot is discarded and the agent starts fresh. Corrupt snapshots
-// (core.ErrBadSnapshot, sourcetrack.ErrBadSnapshot) and I/O failures
-// stay fatal under every policy — a policy decides what to do with a
-// readable snapshot that asks for different parameters, never papers
-// over a broken one.
+// a configuration mismatch rewrites the snapshot via MigrateState and
+// restores the result; under PolicyReset the snapshot is discarded and
+// the agent starts fresh. Corrupt snapshots (core.ErrBadSnapshot,
+// sourcetrack.ErrBadSnapshot) and I/O failures stay fatal under every
+// policy — a policy decides what to do with a readable snapshot that
+// asks for different parameters, never papers over a broken one.
 func LoadOrNewStateWithPolicy(statePath string, cfg core.Config, track *sourcetrack.Config, policy Policy) (*core.Agent, *sourcetrack.Tracker, StateAction, error) {
-	agent, tracker, resumed, err := LoadOrNewState(statePath, cfg, track)
-	if err == nil {
-		if resumed {
-			return agent, tracker, ActionResumed, nil
-		}
-		return agent, tracker, ActionFresh, nil
-	}
-	mismatch := errors.Is(err, ErrConfigMismatch) || errors.Is(err, sourcetrack.ErrConfigMismatch)
-	if !mismatch || policy == PolicyError {
+	var (
+		agent   *core.Agent
+		tracker *sourcetrack.Tracker
+	)
+	action, err := startState(statePath, cfg, track, policy, func(st *State) (err error) {
+		agent, tracker, err = restoreState(st, cfg, track)
+		return err
+	})
+	if err != nil {
 		return nil, nil, "", err
 	}
-
-	if policy == PolicyReset {
-		a, err := core.NewAgent(cfg)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		tr, err := freshTracker(track, 0)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		return a, tr, ActionReset, nil
-	}
-
-	// PolicyMigrate: rewrite the snapshot for the new configuration and
-	// restore the result through the same strict path.
-	st, err := ReadStateFile(statePath)
-	if err != nil {
-		return nil, nil, "", fmt.Errorf("migrate %s: %w", statePath, err)
-	}
-	a, tr, err := restoreState(MigrateState(st, cfg, track), track)
-	if err != nil {
-		return nil, nil, "", fmt.Errorf("migrate %s: %w", statePath, err)
-	}
-	return a, tr, ActionMigrated, nil
+	return agent, tracker, action, nil
 }
 
-// restoreState rebuilds the live halves of a State: the aggregate
-// agent, and either the restored keyed tracker (state present and
-// tracking requested) or a fresh one fast-forwarded to the aggregate's
-// resume point (tracking requested over an aggregate-only state). It
-// is the in-memory twin of LoadOrNewState's restore path, used by the
-// supervisor's reload to rebuild an agent from captured live state
-// without a disk round-trip.
-func restoreState(st State, track *sourcetrack.Config) (*core.Agent, *sourcetrack.Tracker, error) {
-	a, err := core.RestoreAgent(st.Snapshot)
+// startState reads statePath and hands restore the state an agent
+// under cfg/track starts from, settling a configuration mismatch by
+// policy. restore gets nil to start fresh — there is no snapshot
+// (ActionFresh), or PolicyReset discards a mismatched one
+// (ActionReset) — and otherwise the snapshot as it stands
+// (ActionResumed) or, when that restore fails on a mismatch under
+// PolicyMigrate, MigrateState's rewrite of it (ActionMigrated).
+// restore is the caller's strict restore through restoreState; taking
+// it as a callback keeps the snapshot to one restore when it matches.
+func startState(statePath string, cfg core.Config, track *sourcetrack.Config, policy Policy, restore func(*State) error) (StateAction, error) {
+	if statePath == "" {
+		return ActionFresh, restore(nil)
+	}
+	st, err := ReadStateFile(statePath)
+	if errors.Is(err, fs.ErrNotExist) {
+		return ActionFresh, restore(nil)
+	}
 	if err != nil {
-		return nil, nil, err
+		return "", fmt.Errorf("resume from %s: %w", statePath, err)
 	}
-	if st.Sources != nil && track != nil {
-		tr, err := sourcetrack.Restore(*st.Sources, *track)
-		if err != nil {
-			return nil, nil, err
-		}
-		return a, tr, nil
+	err = restore(&st)
+	if err == nil {
+		return ActionResumed, nil
 	}
-	tr, err := freshTracker(track, len(st.Reports))
-	if err != nil {
-		return nil, nil, err
+	mismatch := errors.Is(err, ErrConfigMismatch) || errors.Is(err, sourcetrack.ErrConfigMismatch)
+	switch {
+	case !mismatch || policy == PolicyError:
+		return "", fmt.Errorf("resume from %s: %w", statePath, err)
+	case policy == PolicyReset:
+		return ActionReset, restore(nil)
 	}
-	return a, tr, nil
+	// PolicyMigrate: rewrite the snapshot for the new configuration and
+	// restore the result through the same strict path.
+	migrated := MigrateState(st, cfg, track)
+	if err := restore(&migrated); err != nil {
+		return "", fmt.Errorf("migrate %s: %w", statePath, err)
+	}
+	return ActionMigrated, nil
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"time"
@@ -75,72 +74,58 @@ func ReadStateFile(path string) (State, error) {
 //     starts accumulating from there.
 //   - The two halves' period clocks must agree.
 func LoadOrNewState(statePath string, cfg core.Config, track *sourcetrack.Config) (agent *core.Agent, tracker *sourcetrack.Tracker, resumed bool, err error) {
-	if statePath == "" {
-		a, err := core.NewAgent(cfg)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		tr, err := freshTracker(track, 0)
-		return a, tr, false, err
-	}
-	st, err := ReadStateFile(statePath)
-	if errors.Is(err, fs.ErrNotExist) {
-		a, err := core.NewAgent(cfg)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		tr, err := freshTracker(track, 0)
-		return a, tr, false, err
-	}
-	if err != nil {
-		return nil, nil, false, fmt.Errorf("resume from %s: %w", statePath, err)
-	}
-	a, err := core.RestoreAgent(st.Snapshot)
-	if err != nil {
-		return nil, nil, false, fmt.Errorf("resume from %s: %w", statePath, err)
-	}
-	if got, want := a.Config(), cfg.Normalized(); got != want {
-		return nil, nil, false, fmt.Errorf("%w: %s holds %+v, flags request %+v",
-			ErrConfigMismatch, statePath, got, want)
-	}
-	switch {
-	case st.Sources == nil:
-		// Aggregate-only snapshot: keyed evidence (if requested)
-		// starts at the resume point.
-		if tracker, err = freshTracker(track, len(st.Reports)); err != nil {
-			return nil, nil, false, err
-		}
-	case track == nil:
-		return nil, nil, false, fmt.Errorf("%w: %s carries keyed source state; resume with -track-sources or move the snapshot aside",
-			ErrConfigMismatch, statePath)
-	default:
-		tracker, err = sourcetrack.Restore(*st.Sources, *track)
-		if err != nil {
-			return nil, nil, false, fmt.Errorf("resume from %s: %w", statePath, err)
-		}
-		if tracker.Periods() != len(st.Reports) {
-			return nil, nil, false, fmt.Errorf("%w: %s keyed half holds %d periods but aggregate holds %d",
-				core.ErrBadSnapshot, statePath, tracker.Periods(), len(st.Reports))
-		}
-	}
-	return a, tracker, true, nil
+	agent, tracker, action, err := LoadOrNewStateWithPolicy(statePath, cfg, track, PolicyError)
+	return agent, tracker, action == ActionResumed, err
 }
 
-// freshTracker builds an empty tracker for track fast-forwarded to
-// periods, the aggregate agent's resume point; it returns nil when
-// tracking is off.
-func freshTracker(track *sourcetrack.Config, periods int) (*sourcetrack.Tracker, error) {
-	if track == nil {
-		return nil, nil
+// restoreState builds an agent and its keyed tracker under cfg and
+// track: fresh when st is nil, otherwise restored from st. It is the
+// one strict restore behind every resume, migration and reload, and
+// refuses, in this order, a corrupt aggregate half, an aggregate half
+// whose configuration is not cfg (after defaulting), a keyed half with
+// tracking off, and a keyed half that does not restore under track or
+// whose period clock disagrees with the aggregate's. Tracking over an
+// aggregate-only state gets an empty tracker fast-forwarded to the
+// aggregate's resume point.
+func restoreState(st *State, cfg core.Config, track *sourcetrack.Config) (*core.Agent, *sourcetrack.Tracker, error) {
+	var (
+		a   *core.Agent
+		err error
+	)
+	if st == nil {
+		a, err = core.NewAgent(cfg)
+	} else if a, err = core.RestoreAgent(st.Snapshot); err == nil && a.Config() != cfg.Normalized() {
+		err = fmt.Errorf("%w: snapshot holds %+v, flags request %+v", ErrConfigMismatch, a.Config(), cfg.Normalized())
 	}
-	tr, err := sourcetrack.New(*track)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if err := tr.FastForward(periods); err != nil {
-		return nil, err
+	if st == nil || st.Sources == nil {
+		if track == nil {
+			return a, nil, nil
+		}
+		tr, err := sourcetrack.New(*track)
+		if err == nil {
+			err = tr.FastForward(len(a.Reports()))
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		return a, tr, nil
 	}
-	return tr, nil
+	if track == nil {
+		return nil, nil, fmt.Errorf("%w: snapshot carries keyed source state; resume with -track-sources or move the snapshot aside",
+			ErrConfigMismatch)
+	}
+	tr, err := sourcetrack.Restore(*st.Sources, *track)
+	if err != nil {
+		return nil, nil, err
+	}
+	if tr.Periods() != len(st.Reports) {
+		return nil, nil, fmt.Errorf("%w: keyed half holds %d periods but aggregate holds %d",
+			core.ErrBadSnapshot, tr.Periods(), len(st.Reports))
+	}
+	return a, tr, nil
 }
 
 // WriteSnapshotFile persists an aggregate-only snapshot durably. It

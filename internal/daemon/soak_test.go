@@ -47,7 +47,7 @@ func TestSoakChurn(t *testing.T) {
 		}
 	}
 	ctrlPath := filepath.Join(dir, "ctrl.json")
-	ctrl, _, err := BuildAgent(steadySpec(ctrlPath), "soak", os.Stderr)
+	ctrl, _, err := BuildAgent(steadySpec(ctrlPath), BuildEnv{ProcName: "soak", Log: os.Stderr})
 	if err != nil {
 		t.Fatal(err)
 	}

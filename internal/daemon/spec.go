@@ -18,7 +18,6 @@ import (
 	"repro/internal/ingest"
 	"repro/internal/sourcetrack"
 	"repro/internal/summary"
-	"repro/internal/trace"
 )
 
 // Policy says what to do when an agent's on-disk snapshot disagrees
@@ -107,10 +106,11 @@ type AgentSpec struct {
 	// Name routes the agent's HTTP endpoints (/agents/{name}/...) and
 	// labels its metrics. Letters, digits, '.', '_' and '-' only.
 	Name string `json:"name"`
-	// Input is the capture to replay — .trace/.bin, .csv, or .pcap —
-	// or a live source: "live:IFACE" (AF_PACKET on linux with the
-	// 'live' build tag) or "live:pcap:PATH" (portable pcap byte-stream,
-	// file or FIFO).
+	// Input is the capture to replay — any format ingest.Open reads
+	// (.trace/.bin, .csv, .pcap, .ipt, tcpdump .txt/.dump, each
+	// optionally .gz), streamed — or a live source: "live:IFACE"
+	// (AF_PACKET on linux with the 'live' build tag) or
+	// "live:pcap:PATH" (portable pcap byte-stream, file or FIFO).
 	Input string `json:"input"`
 	// Prefix is the stub prefix for pcap and live direction inference.
 	Prefix string `json:"prefix,omitempty"`
@@ -327,64 +327,49 @@ type BuildEnv struct {
 	Uplink *summary.Uplink
 }
 
-// BuildAgent constructs the daemon an AgentSpec describes: state is
-// loaded (or migrated/reset per the spec's policy), the detector and
-// tracker assembled, and the input opened as a streaming source. The
-// daemon owns the source; Close releases it. procName prefixes log
-// lines ("syndogd"); resume and migration notices go to logw in the
-// same format the single-agent daemon has always printed.
-//
-// BuildAgent is BuildAgentEnv without an uplink — the historical
-// signature, kept for callers that never export summaries.
-func BuildAgent(spec AgentSpec, procName string, logw io.Writer) (*Daemon, StateAction, error) {
-	return BuildAgentEnv(spec, BuildEnv{ProcName: procName, Log: logw})
-}
-
-// BuildAgentEnv is BuildAgent within an explicit process environment:
-// the built daemon exports summaries shaped by env.Summary and, when
-// env.Uplink is set, streams them to the fusion coordinator under the
-// spec's name.
-func BuildAgentEnv(spec AgentSpec, env BuildEnv) (*Daemon, StateAction, error) {
+// BuildAgent constructs the daemon an AgentSpec describes within env:
+// state is loaded (or migrated/reset per the spec's policy), the
+// detector and tracker built by newDetector, and the input opened as a
+// streaming source. The daemon owns the source; Close releases it.
+// Resume and migration notices go to env.Log, prefixed with
+// env.ProcName, in the format the single-agent daemon has always
+// printed. The daemon exports summaries shaped by env.Summary and,
+// when env.Uplink is set, streams them to the fusion coordinator under
+// the spec's name.
+func BuildAgent(spec AgentSpec, env BuildEnv) (*Daemon, StateAction, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, "", err
 	}
 	if env.Log == nil {
 		env.Log = io.Discard
 	}
+	var (
+		det     ingest.Detector
+		tracker *sourcetrack.Tracker
+	)
+	action, err := startState(spec.State, spec.coreConfig(), spec.trackConfig(), spec.policy(), func(st *State) (err error) {
+		det, tracker, err = newDetector(spec, st)
+		return err
+	})
+	if err != nil {
+		return nil, "", err
+	}
 	procName, logw := env.ProcName, env.Log
-
-	cfg := spec.coreConfig()
-	action := ActionFresh
-	var det ingest.Detector
-	var tracker *sourcetrack.Tracker
-	if spec.cusum() {
-		agent, tr, act, err := LoadOrNewStateWithPolicy(spec.State, cfg, spec.trackConfig(), spec.policy())
-		if err != nil {
-			return nil, "", err
+	switch action {
+	case ActionResumed:
+		fmt.Fprintf(logw, "%s: resumed from %s (%d periods, K-bar %.1f)\n",
+			procName, spec.State, det.Periods(), det.KBar())
+		if tracker != nil {
+			st := tracker.Stats()
+			fmt.Fprintf(logw, "%s: keyed state: %d sources tracked, %d evicted\n",
+				procName, st.Tracked, st.Evicted)
 		}
-		action, tracker = act, tr
-		switch action {
-		case ActionResumed:
-			fmt.Fprintf(logw, "%s: resumed from %s (%d periods, K-bar %.1f)\n",
-				procName, spec.State, len(agent.Reports()), agent.KBar())
-			if tracker != nil {
-				st := tracker.Stats()
-				fmt.Fprintf(logw, "%s: keyed state: %d sources tracked, %d evicted\n",
-					procName, st.Tracked, st.Evicted)
-			}
-		case ActionMigrated:
-			fmt.Fprintf(logw, "%s: migrated %s to new parameters (%d periods, K-bar %.1f carried)\n",
-				procName, spec.State, len(agent.Reports()), agent.KBar())
-		case ActionReset:
-			fmt.Fprintf(logw, "%s: reset: snapshot %s discarded (config mismatch, on-mismatch=reset)\n",
-				procName, spec.State)
-		}
-		det = ingest.WrapAgent(agent)
-	} else {
-		var err error
-		if det, err = ingest.NewDetector(spec.Detector, ingest.DetectorConfig{Agent: cfg}); err != nil {
-			return nil, "", err
-		}
+	case ActionMigrated:
+		fmt.Fprintf(logw, "%s: migrated %s to new parameters (%d periods, K-bar %.1f carried)\n",
+			procName, spec.State, det.Periods(), det.KBar())
+	case ActionReset:
+		fmt.Fprintf(logw, "%s: reset: snapshot %s discarded (config mismatch, on-mismatch=reset)\n",
+			procName, spec.State)
 	}
 
 	d, err := assemble(spec, det, tracker, env)
@@ -394,10 +379,32 @@ func BuildAgentEnv(spec AgentSpec, env BuildEnv) (*Daemon, StateAction, error) {
 	return d, action, nil
 }
 
+// newDetector builds the detector spec runs and its keyed tracker —
+// the one place that choice is made: a baseline through
+// ingest.NewDetector, or the CUSUM agent that restoreState restores
+// from st (fresh when st is nil). Baselines keep no state, so they
+// ignore st.
+func newDetector(spec AgentSpec, st *State) (ingest.Detector, *sourcetrack.Tracker, error) {
+	if !spec.cusum() {
+		det, err := ingest.NewDetector(spec.Detector, ingest.DetectorConfig{Agent: spec.coreConfig()})
+		return det, nil, err
+	}
+	a, tracker, err := restoreState(st, spec.coreConfig(), spec.trackConfig())
+	if err != nil {
+		return nil, nil, err
+	}
+	return ingest.WrapAgent(a), tracker, nil
+}
+
 // assemble opens the spec's input as a streaming source and wires it
 // to an already-built detector/tracker pair — the half of BuildAgent
 // that touches the filesystem. The reload path calls it directly with
 // a detector rebuilt from captured in-memory state.
+//
+// Every file input takes the same road: ingest.Scan reads it once to
+// learn its span and record count and to refuse an unsorted or
+// out-of-span file before anything binds, then ingest.Open re-opens it
+// for the replay. Neither pass holds more than one chunk of records.
 func assemble(spec AgentSpec, det ingest.Detector, tracker *sourcetrack.Tracker, env BuildEnv) (*Daemon, error) {
 	opts := Options{
 		Name:               env.ProcName,
@@ -418,42 +425,20 @@ func assemble(spec AgentSpec, det ingest.Detector, tracker *sourcetrack.Tracker,
 	if rest, ok := strings.CutPrefix(spec.Input, "live:"); ok {
 		return assembleLive(spec, rest, det, prefix, effT0, opts)
 	}
-	if strings.HasSuffix(spec.Input, ".pcap") {
-		// Streaming pcap: prescan for span and record count, then
-		// replay from a fresh stream — the capture never materializes.
-		f, err := os.Open(spec.Input)
-		if err != nil {
-			return nil, err
-		}
-		info, err := ingest.PcapInfo(f)
-		f.Close()
-		if err != nil {
-			return nil, err
-		}
-		info.Name = spec.Input
-		src, _, err := ingest.Open(spec.Input, prefix)
-		if err != nil {
-			return nil, err
-		}
-		d, err := NewStream(det, src, info, effT0, opts)
-		if err != nil {
-			src.Close()
-			return nil, err
-		}
-		return d, nil
-	}
-	// Validate once at the door; the replay path then trusts the
-	// trace's invariants.
-	tr, err := trace.LoadValidated(spec.Input, prefix)
+	info, err := ingest.Scan(spec.Input, prefix)
 	if err != nil {
 		return nil, err
 	}
-	if tr.Span <= 0 {
-		return nil, fmt.Errorf("daemon: trace %q has no span", tr.Name)
+	src, _, err := ingest.Open(spec.Input, prefix)
+	if err != nil {
+		return nil, err
 	}
-	src := ingest.NewTraceSource(tr)
-	info := ingest.Info{Name: tr.Name, Span: tr.Span, Records: len(tr.Records)}
-	return NewStream(det, src, info, effT0, opts)
+	d, err := NewStream(det, src, info, effT0, opts)
+	if err != nil {
+		src.Close()
+		return nil, err
+	}
+	return d, nil
 }
 
 // assembleLive opens a live: input. Two forms:

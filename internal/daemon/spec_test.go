@@ -5,13 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net/netip"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/packet"
 	"repro/internal/sourcetrack"
 	"repro/internal/trace"
 )
@@ -158,7 +161,7 @@ func keyedRunState(t *testing.T) State {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := New(agent, testTrace(t, true), Options{Tracker: tracker})
+	d, err := traceDaemon(agent, testTrace(t, true), Options{Tracker: tracker})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +365,7 @@ func TestBuildAgent(t *testing.T) {
 	}
 
 	var log bytes.Buffer
-	d, act, err := BuildAgent(spec, "syndogd", &log)
+	d, act, err := BuildAgent(spec, BuildEnv{ProcName: "syndogd", Log: &log})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +383,7 @@ func TestBuildAgent(t *testing.T) {
 	}
 
 	log.Reset()
-	d2, act, err := BuildAgent(spec, "syndogd", &log)
+	d2, act, err := BuildAgent(spec, BuildEnv{ProcName: "syndogd", Log: &log})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,12 +401,12 @@ func TestBuildAgent(t *testing.T) {
 	// Parameter change: refused by default, carried under migrate.
 	hot := spec
 	hot.Threshold = 9
-	if _, _, err := BuildAgent(hot, "syndogd", &log); !errors.Is(err, ErrConfigMismatch) {
+	if _, _, err := BuildAgent(hot, BuildEnv{ProcName: "syndogd", Log: &log}); !errors.Is(err, ErrConfigMismatch) {
 		t.Fatalf("default policy: %v", err)
 	}
 	hot.OnMismatch = PolicyMigrate
 	log.Reset()
-	d3, act, err := BuildAgent(hot, "syndogd", &log)
+	d3, act, err := BuildAgent(hot, BuildEnv{ProcName: "syndogd", Log: &log})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,10 +419,56 @@ func TestBuildAgent(t *testing.T) {
 	}
 
 	// Invalid specs and missing inputs fail cleanly.
-	if _, _, err := BuildAgent(AgentSpec{Name: "x"}, "syndogd", nil); err == nil {
+	if _, _, err := BuildAgent(AgentSpec{Name: "x"}, BuildEnv{ProcName: "syndogd"}); err == nil {
 		t.Fatal("invalid spec built")
 	}
-	if _, _, err := BuildAgent(AgentSpec{Name: "x", Input: filepath.Join(dir, "no.trace")}, "syndogd", nil); err == nil {
+	if _, _, err := BuildAgent(AgentSpec{Name: "x", Input: filepath.Join(dir, "no.trace")}, BuildEnv{ProcName: "syndogd"}); err == nil {
 		t.Fatal("missing input built")
+	}
+}
+
+// TestFileAgentStreams: a .trace agent replays in memory bounded by
+// its chunks, not its capture. BuildAgent's Scan and the speed-0 replay
+// over a 200k-record file must allocate a small fraction of the 72
+// bytes per record that materializing the capture alone would take.
+func TestFileAgentStreams(t *testing.T) {
+	const records = 200_000
+	in := filepath.Join(t.TempDir(), "big.trace")
+	func() {
+		tr := &trace.Trace{Name: "big", Span: 10 * time.Minute, Records: make([]trace.Record, records)}
+		host, peer := netip.MustParseAddr("152.2.0.1"), netip.MustParseAddr("11.0.0.1")
+		for i := range tr.Records {
+			r := trace.Record{Ts: time.Duration(i) * (tr.Span / records), Kind: packet.KindSYN,
+				Dir: trace.DirOut, Src: host, Dst: peer, SrcPort: uint16(i), DstPort: 80}
+			if i%2 == 1 {
+				r.Kind, r.Dir, r.Src, r.Dst = packet.KindSYNACK, trace.DirIn, peer, host
+			}
+			tr.Records[i] = r
+		}
+		if err := trace.Save(in, tr); err != nil {
+			t.Fatal(err)
+		}
+	}()
+
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d, _, err := BuildAgent(AgentSpec{Name: "big", Input: in}, BuildEnv{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if err := d.Replay(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+
+	if got := d.Status().RecordsProcessed; got != records {
+		t.Fatalf("replayed %d records, want %d", got, records)
+	}
+	const bound = records * 72 / 16
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > bound {
+		t.Errorf("build + replay allocated %d bytes, want at most %d (the capture is %d bytes in memory)",
+			alloc, bound, records*72)
 	}
 }

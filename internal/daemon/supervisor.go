@@ -15,9 +15,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/ingest"
-	"repro/internal/sourcetrack"
 	"repro/internal/summary"
 )
 
@@ -135,7 +132,7 @@ func NewSupervisor(specs []AgentSpec, opts SupervisorOptions) (*Supervisor, erro
 		exitCh: make(chan struct{}, 1),
 	}
 	for _, sp := range specs {
-		d, act, err := BuildAgentEnv(sp, s.env())
+		d, act, err := BuildAgent(sp, s.env())
 		if err != nil {
 			s.closeAll()
 			return nil, err
@@ -315,10 +312,9 @@ func (s *Supervisor) Run(ctx context.Context, listen string) error {
 			return err
 		case <-s.exitCh:
 			// An agent's replay exited. If every agent has now settled
-			// and any failed, shut the process down non-zero — one
-			// failed agent in a one-agent daemon is the historical
-			// Serve behavior. While any agent still runs (or all
-			// succeeded), keep serving.
+			// and any failed, shut the process down non-zero — so a
+			// one-agent daemon exits on its agent's failure. While any
+			// agent still runs (or all succeeded), keep serving.
 			var failed error
 			alive := false
 			for _, ma := range s.snapshot() {
@@ -524,7 +520,7 @@ func (s *Supervisor) Reload(specs []AgentSpec) ([]ReloadResult, error) {
 
 // reloadAdd starts a brand-new agent from sp.
 func (s *Supervisor) reloadAdd(sp AgentSpec) ReloadResult {
-	d, act, err := BuildAgentEnv(sp, s.env())
+	d, act, err := BuildAgent(sp, s.env())
 	if err != nil {
 		return ReloadResult{Name: sp.Name, Action: "error", Detail: err.Error()}
 	}
@@ -606,49 +602,26 @@ func (s *Supervisor) reloadApply(ma *managedAgent, sp AgentSpec) ReloadResult {
 // starts the detector fresh — deliberately without consulting the
 // on-disk snapshot, which the reset just invalidated.
 func (s *Supervisor) rebuild(sp AgentSpec, st *State, compatible bool) (*Daemon, error) {
-	cfg := sp.coreConfig()
-	track := sp.trackConfig()
-	if st != nil && sp.cusum() && (compatible || sp.policy() == PolicyMigrate) {
-		agent, tracker, err := restoreState(MigrateState(*st, cfg, track), track)
-		if err != nil {
-			return nil, err
-		}
-		return assemble(sp, ingest.WrapAgent(agent), tracker, s.env())
-	}
-	var det ingest.Detector
-	var tracker *sourcetrack.Tracker
-	if sp.cusum() {
-		agent, err := core.NewAgent(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if track != nil {
-			if tracker, err = sourcetrack.New(*track); err != nil {
-				return nil, err
-			}
-		}
-		det = ingest.WrapAgent(agent)
+	if st != nil && (compatible || sp.policy() == PolicyMigrate) {
+		migrated := MigrateState(*st, sp.coreConfig(), sp.trackConfig())
+		st = &migrated
 	} else {
-		var err error
-		if det, err = ingest.NewDetector(sp.Detector, ingest.DetectorConfig{Agent: cfg}); err != nil {
-			return nil, err
-		}
+		st = nil
+	}
+	det, tracker, err := newDetector(sp, st)
+	if err != nil {
+		return nil, err
 	}
 	return assemble(sp, det, tracker, s.env())
 }
 
-// revive restarts ma under its old spec after a failed rebuild.
+// revive restarts ma under its old spec after a failed rebuild, from
+// the state captured before the attempt.
 func (s *Supervisor) revive(ma *managedAgent, st *State) error {
+	det, tracker, err := newDetector(ma.spec, st)
 	var d *Daemon
-	var err error
-	if st != nil {
-		a, tr, rerr := restoreState(*st, ma.spec.trackConfig())
-		if rerr != nil {
-			return rerr
-		}
-		d, err = assemble(ma.spec, ingest.WrapAgent(a), tr, s.env())
-	} else {
-		d, _, err = BuildAgentEnv(ma.spec, s.env())
+	if err == nil {
+		d, err = assemble(ma.spec, det, tracker, s.env())
 	}
 	if err != nil {
 		s.mu.Lock()

@@ -300,7 +300,7 @@ func TestReloadCompatibleLive(t *testing.T) {
 
 	// Control: an uninterrupted single run of agent "a"'s spec.
 	ctrlState := filepath.Join(dir, "ctrl.json")
-	ctrl, _, err := BuildAgent(AgentSpec{Name: "ctrl", Input: fullPath, State: ctrlState}, "syndogd", io.Discard)
+	ctrl, _, err := BuildAgent(AgentSpec{Name: "ctrl", Input: fullPath, State: ctrlState}, BuildEnv{ProcName: "syndogd", Log: io.Discard})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -272,13 +272,13 @@ func AblationH2A(opts Options) ([]Artifact, error) {
 		Title:   "Threshold scaling around the h=2a rule (a=0.35), 5 SYN/s flood",
 		Columns: []string{"N", "designed delay (t0)", "Detection Prob.", "Mean Detection Time (t0)", "False alarms", "max benign yn"},
 	}
-	// One background per run, generated through the singleflight cache
-	// and aggregated to per-period counts exactly once; the counts then
-	// back the flood-free pass and the flooded pass of all four
-	// threshold scales without touching the records again.
-	bgCache := trace.NewCache()
+	// One background per run, generated and aggregated to per-period
+	// counts exactly once; the counts then back the flood-free pass and
+	// the flooded pass of all four threshold scales without touching
+	// the records again, so each run's records are garbage as soon as
+	// they are binned.
 	bgs, err := collect(opts.Parallelism, opts.Runs, func(run int) (*trace.PeriodCounts, error) {
-		bg, err := bgCache.Generate(p, opts.Seed+int64(run)*23)
+		bg, err := trace.Generate(p, opts.Seed+int64(run)*23)
 		if err != nil {
 			return nil, err
 		}

@@ -158,15 +158,14 @@ func TestPipelineAlarms(t *testing.T) {
 		t.Fatal("flooded trace did not alarm")
 	}
 
-	quiet, err := NewSyntheticSource(func() trace.Profile {
-		p := trace.Auckland()
-		p.Span = 10 * time.Minute
-		p.OutagesPerHour = 0
-		return p
-	}(), 7)
+	qp := trace.Auckland()
+	qp.Span = 10 * time.Minute
+	qp.OutagesPerHour = 0
+	quietTr, err := trace.Generate(qp, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
+	quiet := NewTraceSource(quietTr)
 	det2, err := NewAgentDetector(core.Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/flood"
 	"repro/internal/iptrace"
 	"repro/internal/netsim"
 	"repro/internal/packet"
@@ -30,7 +29,7 @@ type Info struct {
 }
 
 // TraceSource streams an in-memory trace — the adapter that keeps
-// trace.Load-based callers (tcpdump import, generated traces) on the
+// materialized traces (tcpdump import, generated traces) on the
 // pipeline path.
 type TraceSource struct {
 	tr  *trace.Trace
@@ -65,25 +64,6 @@ func (s *TraceSource) Name() string { return s.tr.Name }
 
 // Close implements Source.
 func (s *TraceSource) Close() error { return nil }
-
-// NewSyntheticSource generates a site profile trace and streams it —
-// synthetic background traffic on the pipeline path.
-func NewSyntheticSource(p trace.Profile, seed int64) (*TraceSource, error) {
-	tr, err := trace.Generate(p, seed)
-	if err != nil {
-		return nil, err
-	}
-	return NewTraceSource(tr), nil
-}
-
-// NewFloodSource renders a flood as a stream of outbound spoofed SYNs.
-func NewFloodSource(cfg flood.Config) (*TraceSource, error) {
-	tr, err := flood.GenerateTrace(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return NewTraceSource(tr), nil
-}
 
 // ChanSource is the live source: a bounded single-producer/
 // single-consumer record ring between one goroutine that Sends records
@@ -380,8 +360,8 @@ type pcapSource struct {
 func (s *pcapSource) Close() error { return closeAll(s.c) }
 
 // Open opens a capture file as a streaming Source, picking the codec
-// from the extension with the same rules as trace.Load plus the
-// iptrace capture format:
+// from the extension (the rules trace.Save writes by, plus the iptrace
+// capture format):
 //
 //	.trace/.bin  binary (streamed)
 //	.csv         text (streamed)
@@ -462,28 +442,65 @@ func openReader(r io.Reader, c io.Closer, path string, stubPrefix netip.Prefix) 
 	}
 }
 
-// PcapInfo prescans a pcap stream in O(1) memory, returning its
-// classified-record count and span — how the daemon sizes a pcap
-// replay (total periods, progress denominators) before re-opening the
-// file for the paced run.
-func PcapInfo(r io.Reader) (Info, error) {
-	s, err := trace.NewPcapStream(r, netip.Prefix{})
+// Scan reads path once through Open, in O(1) memory, and returns its
+// name, span and record count — how the daemon sizes a replay (total
+// periods, progress denominators) and refuses a bad file before it
+// re-opens the file for the run. The name is the container's
+// (NamedSource, read at EOF) or else the path; the span is the
+// source's at EOF.
+//
+// Scan refuses exactly what trace.Validate refuses of the whole trace:
+// records out of timestamp order (trace.ErrUnsorted) or outside
+// [0, span). Each chunk goes through Validate behind the previous
+// chunk's last record, so order holds across chunk boundaries too.
+// The span is final only at EOF (a CSV header may come late; pcap and
+// iptrace learn it from the last record), so it is checked then, on
+// the last record: in a sorted stream, a record past the span puts the
+// last one past it as well.
+func Scan(path string, stubPrefix netip.Prefix) (Info, error) {
+	src, info, err := Open(path, stubPrefix)
 	if err != nil {
 		return Info{}, err
 	}
-	buf := make([]trace.Record, DefaultChunk)
+	defer src.Close()
+	// Chunks decode into buf[1:]; buf[0] keeps the previous chunk's
+	// last record in front of the next one.
+	buf := make([]trace.Record, 1+DefaultChunk)
 	n := 0
 	for {
-		k, err := s.NextBatch(buf)
-		n += k
+		k, err := src.NextBatch(buf[1:])
+		if err != nil && err != io.EOF {
+			return Info{}, err
+		}
+		if k > 0 {
+			win, first := buf[1:1+k], n
+			if n > 0 {
+				win, first = buf[:1+k], n-1
+			}
+			if verr := (&trace.Trace{Records: win}).Validate(); verr != nil {
+				return Info{}, fmt.Errorf("trace: %s: records from #%d: %w", path, first, verr)
+			}
+			buf[0] = buf[k]
+			n += k
+		}
 		if err == io.EOF {
 			break
 		}
-		if err != nil {
-			return Info{}, err
+	}
+	if ss, ok := src.(SpanSource); ok {
+		info.Span = ss.Span()
+	}
+	if n > 0 {
+		if verr := (&trace.Trace{Span: info.Span, Records: buf[:1]}).Validate(); verr != nil {
+			return Info{}, fmt.Errorf("trace: %s: last record #%d: %w", path, n-1, verr)
 		}
 	}
-	return Info{Span: s.Span(), Records: n}, nil
+	info.Name = path
+	if ns, ok := src.(NamedSource); ok {
+		info.Name = ns.Name()
+	}
+	info.Records = n
+	return info, nil
 }
 
 // multiCloser closes a chain of wrapped readers in order.

@@ -697,6 +697,13 @@ func (s *shard) applyLocked(op feedOp, done int) {
 	}
 }
 
+// feedOp is one pre-keyed observation: a SYN for k (synAck=false)
+// or a SYN/ACK toward k (synAck=true).
+type feedOp struct {
+	k      key
+	synAck bool
+}
+
 // ObserveBatch routes a chunk of records, grouping ops per shard so
 // each shard lock is taken once per chunk instead of once per record.
 // Per-shard op order preserves record order, so the resulting state is

@@ -210,12 +210,12 @@ type RecordTap interface {
 // Tap glues a Summarizer into an ingest pipeline: install it as both
 // the aggregator's Sink (via the Sink method) and its RecordTap, and
 // Emit receives one summary per closed period — built after the inner
-// tap (the tracker or its feeder) has folded the period, so the
+// tap (the keyed tracker) has folded the period, so the
 // digests describe the closed period, not the one before it.
 type Tap struct {
 	S *Summarizer
-	// Inner is the keyed demux the tap wraps (a *sourcetrack.Tracker
-	// or *sourcetrack.Feeder); nil for untracked pipelines.
+	// Inner is the keyed demux the tap wraps (a *sourcetrack.Tracker);
+	// nil for untracked pipelines.
 	Inner RecordTap
 	// Emit receives each period's summary.
 	Emit func(PeriodSummary)
@@ -240,9 +240,9 @@ func (t *Tap) RecordBatch(recs []trace.Record) {
 	}
 }
 
-// ClosePeriod closes the inner tap's period first (the tracker's fold
-// and, for a feeder, its flush barrier), then emits the summary — the
-// digests are guaranteed to include the period just closed.
+// ClosePeriod closes the inner tap's period first (the tracker's
+// fold), then emits the summary — the digests are guaranteed to
+// include the period just closed.
 func (t *Tap) ClosePeriod(index int, end time.Duration) {
 	if t.Inner != nil {
 		t.Inner.ClosePeriod(index, end)

@@ -4,78 +4,19 @@ import (
 	"compress/gzip"
 	"fmt"
 	"io"
-	"net/netip"
 	"os"
 	"strings"
 )
 
-// Load reads a trace file, picking the codec from the extension:
+// Save writes a trace file, picking the codec from the extension:
 //
-//	.trace/.bin  binary
 //	.csv         text
-//	.pcap        libpcap (needs stubPrefix for direction inference)
-//	.txt/.dump   tcpdump text (needs stubPrefix)
+//	.pcap        libpcap (direction is implicit in the addresses)
+//	.txt/.dump   refused: tcpdump text is an import-only format
+//	other        binary (.trace, .bin)
 //	any + .gz    gzip-wrapped version of the inner extension
 //
-// Unknown extensions fall back to the binary codec.
-func Load(path string, stubPrefix netip.Prefix) (*Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-
-	var r io.Reader = f
-	name := path
-	if strings.HasSuffix(path, ".gz") {
-		gz, err := gzip.NewReader(f)
-		if err != nil {
-			return nil, fmt.Errorf("trace: gzip %s: %w", path, err)
-		}
-		defer gz.Close()
-		r = gz
-		name = strings.TrimSuffix(path, ".gz")
-	}
-
-	switch {
-	case strings.HasSuffix(name, ".csv"):
-		return ReadCSV(r)
-	case strings.HasSuffix(name, ".pcap"):
-		if !stubPrefix.IsValid() {
-			return nil, fmt.Errorf("trace: %s needs a stub prefix for direction inference", path)
-		}
-		return ReadPcap(r, path, stubPrefix)
-	case strings.HasSuffix(name, ".txt"), strings.HasSuffix(name, ".dump"):
-		if !stubPrefix.IsValid() {
-			return nil, fmt.Errorf("trace: %s needs a stub prefix for direction inference", path)
-		}
-		return ReadTcpdump(r, path, stubPrefix)
-	default:
-		return ReadBinary(r)
-	}
-}
-
-// LoadValidated loads a trace and enforces its invariants (sorted
-// timestamps within [0, Span)) once at the door, so downstream
-// consumers — instant and paced replay alike — can assume a
-// well-formed trace instead of each deciding whether to re-check.
-// An unsorted trace mis-buckets observation periods silently, which is
-// exactly the class of divergence a long-running daemon cannot afford.
-func LoadValidated(path string, stubPrefix netip.Prefix) (*Trace, error) {
-	tr, err := Load(path, stubPrefix)
-	if err != nil {
-		return nil, err
-	}
-	if err := tr.Validate(); err != nil {
-		return nil, fmt.Errorf("trace: %s: %w", path, err)
-	}
-	return tr, nil
-}
-
-// Save writes a trace file, picking the codec from the extension (same
-// rules as Load; pcap and tcpdump-text direction metadata is implicit
-// in addresses, so all formats are writable except tcpdump text, which
-// is an import-only format).
+// ingest.Open reads every file Save writes back as a stream.
 func Save(path string, tr *Trace) error {
 	f, err := os.Create(path)
 	if err != nil {

@@ -1,92 +1,15 @@
 package trace
 
 import (
-	"net/netip"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 )
 
-func TestLoadSaveByExtension(t *testing.T) {
-	want := sampleTrace()
-	prefix := netip.MustParsePrefix("152.2.0.0/16")
-	dir := t.TempDir()
-	cases := []struct {
-		name        string
-		needsPrefix bool
-		exact       bool // record-for-record equality expected
-	}{
-		{"x.trace", false, true},
-		{"x.bin", false, true},
-		{"x.csv", false, true},
-		{"x.pcap", true, false}, // direction re-inferred; kinds preserved
-		{"x.trace.gz", false, true},
-		{"x.csv.gz", false, true},
-		{"x.pcap.gz", true, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			path := filepath.Join(dir, tc.name)
-			if err := Save(path, want); err != nil {
-				t.Fatal(err)
-			}
-			got, err := Load(path, prefix)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got.Records) != len(want.Records) {
-				t.Fatalf("records = %d, want %d", len(got.Records), len(want.Records))
-			}
-			if tc.exact {
-				for i := range want.Records {
-					if got.Records[i] != want.Records[i] {
-						t.Fatalf("record %d = %+v, want %+v", i, got.Records[i], want.Records[i])
-					}
-				}
-			}
-		})
-	}
-}
-
-func TestLoadRequiresPrefixForPcapAndTcpdump(t *testing.T) {
-	dir := t.TempDir()
-	pcap := filepath.Join(dir, "x.pcap")
-	if err := Save(pcap, sampleTrace()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(pcap, netip.Prefix{}); err == nil {
-		t.Error("pcap without prefix accepted")
-	}
-	txt := filepath.Join(dir, "x.txt")
-	if err := os.WriteFile(txt, []byte(tcpdumpSample), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(txt, netip.Prefix{}); err == nil {
-		t.Error("tcpdump without prefix accepted")
-	}
-	if _, err := Load(txt, netip.MustParsePrefix("10.1.0.0/16")); err != nil {
-		t.Errorf("tcpdump with prefix failed: %v", err)
-	}
-}
-
 func TestSaveRejectsTcpdump(t *testing.T) {
 	if err := Save(filepath.Join(t.TempDir(), "x.txt"), sampleTrace()); err == nil {
 		t.Error("tcpdump text should be import-only")
-	}
-}
-
-func TestLoadErrors(t *testing.T) {
-	if _, err := Load("/nonexistent/x.trace", netip.Prefix{}); err == nil {
-		t.Error("missing file accepted")
-	}
-	// A .gz file that is not gzip.
-	path := filepath.Join(t.TempDir(), "x.trace.gz")
-	if err := os.WriteFile(path, []byte("not gzip"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path, netip.Prefix{}); err == nil {
-		t.Error("non-gzip .gz accepted")
 	}
 }
 
