@@ -1,17 +1,18 @@
 # SYN-dog reproduction — convenience targets.
 GO ?= go
 
-.PHONY: all build build-live vet test race perfbench check bench bench-gate examples experiments fast-experiments ablations evasion distributed victim fuzz soak soak-short clean
+.PHONY: all build build-live fmt vet vet-live test race perfbench check bench bench-gate examples experiments fast-experiments ablations evasion distributed victim fuzz soak soak-short clean
 
 all: build vet test
 
-# The full pre-merge gate: static checks, the test suite, the race
+# The full pre-merge gate: static checks (gofmt, vet, and vet of the
+# "live"-tagged files, as CI runs them), the test suite, the race
 # detector, the benchmark harness's own checks, the seeded adversarial
 # evasion matrix, the distributed detection smoke, the victim
 # two-queue race, a short-budget soak of the multi-agent daemon, the
 # runnable examples, and the hot-path bench-regression gate in one
 # target.
-check: vet test race perfbench evasion distributed victim soak-short examples bench-gate
+check: fmt vet vet-live test race perfbench evasion distributed victim soak-short examples bench-gate
 
 build:
 	$(GO) build ./...
@@ -21,8 +22,16 @@ build:
 build-live:
 	$(GO) build -tags live ./...
 
+# Formatting gate: fails listing every file gofmt would rewrite.
+fmt:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
+
 vet:
 	$(GO) vet ./...
+
+# Vet with the "live" build tag, so the AF_PACKET files are checked too.
+vet-live:
+	$(GO) vet -tags live ./...
 
 test:
 	$(GO) test ./...

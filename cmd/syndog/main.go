@@ -3,8 +3,9 @@
 // offline equivalent of the leaf-router agent.
 //
 // Input flows through the streaming ingest pipeline (Source →
-// Aggregate → Detect), so captures larger than memory replay in O(1)
-// space; only the tcpdump text importer materializes (it must sort).
+// Aggregate → Detect), so captures larger than memory — tcpdump text
+// included — replay in O(1) space. Records must be in timestamp order;
+// an out-of-order file is refused.
 //
 // Usage:
 //
@@ -93,7 +94,6 @@ func run(args []string, stdout io.Writer) (int, error) {
 	}
 	defer src.Close()
 
-	cusum := *detector == "" || *detector == "syndog-cusum"
 	if !*track && (*keyBits != sourcetrack.DefaultKeyBits || *maxSources != sourcetrack.DefaultMaxSources) {
 		return 1, fmt.Errorf("-key-bits/-max-sources need -track-sources")
 	}
@@ -117,13 +117,11 @@ func run(args []string, stdout io.Writer) (int, error) {
 		}
 	}
 
-	det, err := ingest.NewDetector(*detector, ingest.DetectorConfig{
-		Agent: core.Config{
-			T0:        *t0,
-			Alpha:     *alpha,
-			Offset:    *offset,
-			Threshold: *threshold,
-		},
+	det, err := ingest.NewDetector(*detector, core.Config{
+		T0:        *t0,
+		Alpha:     *alpha,
+		Offset:    *offset,
+		Threshold: *threshold,
 	})
 	if err != nil {
 		return 1, err
@@ -159,6 +157,7 @@ func run(args []string, stdout io.Writer) (int, error) {
 
 	// The yn/N/K-bar summary only means something for the CUSUM rule;
 	// baselines report their name instead of another rule's statistic.
+	_, cusum := det.(*core.Agent)
 	if cusum {
 		fmt.Fprintf(stdout, "trace %q: %d periods of %v, K-bar %.1f\n",
 			name, det.Periods(), *t0, det.KBar())
@@ -192,38 +191,24 @@ func run(args []string, stdout io.Writer) (int, error) {
 	return code, nil
 }
 
-// openInput opens the -in argument: live:pcap:PATH goes through the
-// capture frame parser (bit-identical to the plain .pcap path — the
-// equivalence the daemon suite pins), everything else through
-// ingest.Open. live:IFACE is refused: an interface never reaches EOF,
-// and endless capture belongs to syndogd.
+// openInput opens the -in argument: live:pcap:PATH goes through
+// capture.Open and the capture frame parser (bit-identical to the
+// plain .pcap path — the equivalence the daemon suite pins),
+// everything else through ingest.Open. live:IFACE is refused: an
+// interface never reaches EOF, and endless capture belongs to syndogd.
 func openInput(in string, prefix netip.Prefix) (ingest.Source, ingest.Info, error) {
 	rest, ok := strings.CutPrefix(in, "live:")
 	if !ok {
 		return ingest.Open(in, prefix)
 	}
-	path, isPcap := strings.CutPrefix(rest, "pcap:")
-	if !isPcap {
+	if !strings.HasPrefix(rest, "pcap:") {
 		return nil, ingest.Info{}, fmt.Errorf("live:%s: interface capture never ends — run it under syndogd; syndog replays finite streams (live:pcap:PATH)", rest)
-	}
-	if path == "" {
-		return nil, ingest.Info{}, fmt.Errorf("live:pcap: needs a path (file or FIFO)")
 	}
 	if !prefix.IsValid() {
 		return nil, ingest.Info{}, fmt.Errorf("live input %s needs -prefix for direction inference", in)
 	}
-	f, err := os.Open(path)
+	src, err := capture.Open(in, prefix)
 	if err != nil {
-		return nil, ingest.Info{}, err
-	}
-	fr, err := capture.NewPcapReader(f, f)
-	if err != nil {
-		f.Close()
-		return nil, ingest.Info{}, err
-	}
-	src, err := capture.NewSource(fr, capture.Config{StubPrefix: prefix, Name: in})
-	if err != nil {
-		fr.Close()
 		return nil, ingest.Info{}, err
 	}
 	return src, ingest.Info{Name: in}, nil

@@ -60,9 +60,8 @@
 // read once in O(1) memory to learn its span and record count and to
 // refuse it, before the listener binds, if its records are out of
 // timestamp order or outside the span; then it is replayed without
-// ever holding the capture in memory (tcpdump text alone is sorted in
-// memory as it is parsed). Direction inference for pcap and tcpdump
-// text needs -prefix.
+// ever holding the capture in memory. Direction inference for pcap and
+// tcpdump text needs -prefix.
 //
 // A live: input watches a wire instead of replaying a file, through
 // the internal/capture subsystem:

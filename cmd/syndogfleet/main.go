@@ -260,7 +260,7 @@ func runCampaign(cfg campaignConfig, w io.Writer) error {
 		// tracker, so period closes see exactly the records before them.
 		p := &ingest.Pipeline{
 			Source:   live,
-			Detector: ingest.WrapAgent(sr.agent),
+			Detector: sr.agent,
 			T0:       cfg.t0,
 			Span:     horizon,
 			Tap:      sr.tracker,

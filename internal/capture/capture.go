@@ -30,8 +30,11 @@ package capture
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net/netip"
+	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -221,6 +224,52 @@ func NewSource(fr FrameReader, cfg Config) (*Source, error) {
 	s.wg.Add(1)
 	go s.produce()
 	return s, nil
+}
+
+// Open opens a live input as a Source named after it — the one opener
+// syndog and syndogd share. Two forms:
+//
+//	live:pcap:PATH — PATH is a classic pcap byte-stream (a capture file
+//	    or a FIFO fed by `tcpdump -w -`) read in blocking mode, which
+//	    keeps the path lossless — a pipe backpressures naturally — and
+//	    so makes replaying a capture file through it bit-identical to
+//	    the offline .pcap path.
+//	live:IFACE — an AF_PACKET socket on IFACE (linux, build tag
+//	    "live", CAP_NET_RAW), in drop mode with rebased timestamps: a
+//	    NIC cannot be paused, so a full ring sheds records and counts
+//	    them rather than pushing the loss into the kernel.
+func Open(input string, prefix netip.Prefix) (*Source, error) {
+	rest, ok := strings.CutPrefix(input, "live:")
+	if !ok {
+		return nil, fmt.Errorf("capture: %q is not a live: input", input)
+	}
+	cfg := Config{StubPrefix: prefix, Name: input}
+	var fr FrameReader
+	if path, isPcap := strings.CutPrefix(rest, "pcap:"); isPcap {
+		if path == "" {
+			return nil, errors.New("capture: live:pcap: needs a path (file or FIFO)")
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		if fr, err = NewPcapReader(f, f); err != nil {
+			f.Close()
+			return nil, err
+		}
+	} else {
+		var err error
+		if fr, err = NewAFPacketReader(rest, 0); err != nil {
+			return nil, err
+		}
+		cfg.Drop, cfg.Rebase = true, true
+	}
+	src, err := NewSource(fr, cfg)
+	if err != nil {
+		fr.Close()
+		return nil, err
+	}
+	return src, nil
 }
 
 // produce is the capture loop: read, parse, publish. It is the ring's

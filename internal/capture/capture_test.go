@@ -275,7 +275,7 @@ func TestPipelineOverFilledRing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := &ingest.Pipeline{Source: src, Detector: ingest.WrapAgent(agent), T0: core.DefaultObservationPeriod}
+		p := &ingest.Pipeline{Source: src, Detector: agent, T0: core.DefaultObservationPeriod}
 		if err := p.Run(); err != nil {
 			t.Fatal(err)
 		}

@@ -308,17 +308,63 @@ func Fold(cfg *Config, kBar *cusum.EWMA, det *cusum.Detector, index int, end tim
 	return r
 }
 
-// LoadPeriod closes one observation period from pre-aggregated counts:
+// Period is one closed observation period: per-kind packet counts for
+// each direction plus the period's index and end time.
+type Period struct {
+	Index int
+	End   time.Duration
+	Out   PeriodCounts
+	In    PeriodCounts
+}
+
+// Detector folds closed periods into a detection decision. The Agent
+// is the paper's rule (Eqs. 1-4); internal/ingest adapts the
+// internal/detect baselines to the same contract, so every consumer —
+// the streaming pipeline, the counts replay, the daemon — drives any
+// rule the same way.
+//
+// Periods is the resume offset: a detector restored from a snapshot
+// already holds that many closed periods, and the ingest Aggregator
+// and ReplayCounts skip the matching leading input — this is what
+// preserves the daemon's byte-identical restart guarantee.
+type Detector interface {
+	// Period folds one closed observation period and returns its
+	// report. Implementations latch their alarm internally.
+	Period(p Period) Report
+	// Periods returns how many periods have been folded so far.
+	Periods() int
+	// Reports returns all period reports so far (the implementation's
+	// backing store; callers must not modify it).
+	Reports() []Report
+	// Alarmed reports whether the latched alarm has fired.
+	Alarmed() bool
+	// FirstAlarm returns the first alarm, or nil if none fired.
+	FirstAlarm() *Alarm
+	// KBar returns the current traffic baseline, 0 for detectors that
+	// keep none.
+	KBar() float64
+	// Name identifies the decision rule.
+	Name() string
+}
+
+// Period closes one observation period from pre-aggregated counts:
 // both sniffers are loaded with the period's per-kind totals and
 // EndPeriod runs as usual. Because EndPeriod consumes only the drained
-// totals, this is bit-identical to Observing each record individually
-// (the ProcessCounts equivalence); the streaming ingest pipeline is
-// built on it.
-func (a *Agent) LoadPeriod(out, in PeriodCounts, end time.Duration) Report {
-	a.outbound.Load(out)
-	a.inbound.Load(in)
-	return a.EndPeriod(end)
+// totals, this is bit-identical to Observing each record individually;
+// the streaming ingest pipeline and ReplayCounts are built on it. The
+// report's index is the agent's own period count, not p.Index.
+func (a *Agent) Period(p Period) Report {
+	a.outbound.Load(p.Out)
+	a.inbound.Load(p.In)
+	return a.EndPeriod(p.End)
 }
+
+// Periods returns how many periods the agent has closed — its resume
+// offset.
+func (a *Agent) Periods() int { return len(a.reports) }
+
+// Name identifies the paper's decision rule.
+func (a *Agent) Name() string { return "syndog-cusum" }
 
 // Reports returns all period reports so far. The returned slice is the
 // agent's own backing store; callers must not modify it.
@@ -404,47 +450,62 @@ func (a *Agent) ProcessTrace(tr *trace.Trace) ([]Report, error) {
 	return a.ProcessCounts(pc)
 }
 
-// ProcessCounts drives the agent directly from per-period counts: for
-// each complete period it loads the sniffers with that period's
-// outgoing-SYN and incoming-SYN/ACK totals and closes the period.
-// Detection is non-parametric (Eqs. 1-4 see only per-period counts),
-// so every in-memory replay runs here at O(periods); ProcessTrace is
-// trace.Aggregate in front of it.
-//
-// It is resume-aware: an agent restored from a snapshot already holds
-// len(Reports()) completed periods, and replay skips that many leading
-// periods of the counts.
+// ProcessCounts drives the agent directly from per-period counts
+// through ReplayCounts, after checking that the counts were binned at
+// the agent's period. Detection is non-parametric (Eqs. 1-4 see only
+// per-period counts), so every in-memory replay runs here at
+// O(periods); ProcessTrace is trace.Aggregate in front of it. Like
+// ReplayCounts it is resume-aware.
 func (a *Agent) ProcessCounts(pc *trace.PeriodCounts) ([]Report, error) {
-	if pc == nil || pc.Periods() == 0 {
-		return nil, errors.New("core: no complete periods in counts")
-	}
-	if pc.T0 != a.cfg.T0 {
+	if pc != nil && pc.T0 != a.cfg.T0 {
 		return nil, fmt.Errorf("core: counts period %v does not match agent period %v", pc.T0, a.cfg.T0)
 	}
-	if len(pc.InSYNACK) != len(pc.OutSYN) {
-		return nil, fmt.Errorf("core: period counts misaligned (%d SYN vs %d SYN/ACK periods)",
-			len(pc.OutSYN), len(pc.InSYNACK))
+	// Size the report store once rather than by append doublings: a
+	// fresh agent then costs one allocation per replay (sweeps pool
+	// agents, and BenchmarkSweepFastPath counts them).
+	if pc != nil && pc.Periods() > len(a.reports) {
+		a.reports = slices.Grow(a.reports, pc.Periods()-len(a.reports))
 	}
-	periods := pc.Periods()
-	done := len(a.reports) // resume offset: periods already reported
-	if done >= periods {
-		return a.reports, nil
-	}
-	a.reports = slices.Grow(a.reports, periods-done)
-	for ; done < periods; done++ {
-		out, err := CountAsUint(pc.OutSYN[done])
-		if err != nil {
-			return nil, fmt.Errorf("core: OutSYN[%d]: %w", done, err)
-		}
-		in, err := CountAsUint(pc.InSYNACK[done])
-		if err != nil {
-			return nil, fmt.Errorf("core: InSYNACK[%d]: %w", done, err)
-		}
-		a.outbound.Load(PeriodCounts{SYN: out})
-		a.inbound.Load(PeriodCounts{SYNACK: in})
-		a.EndPeriod(a.cfg.T0 * time.Duration(done+1))
+	if err := ReplayCounts(a, pc); err != nil {
+		return nil, err
 	}
 	return a.reports, nil
+}
+
+// ReplayCounts drives a detector from aggregated per-period counts —
+// the one validated walk over trace.PeriodCounts. Each complete period
+// is checked to hold integer counts and folded through det.Period with
+// its outgoing-SYN and incoming-SYN/ACK totals, ending at T0·(i+1).
+//
+// It is resume-aware: a detector restored from a snapshot already
+// holds det.Periods() completed periods, and replay skips that many
+// leading periods of the counts. A bad count stops the replay with the
+// periods before it folded.
+func ReplayCounts(det Detector, pc *trace.PeriodCounts) error {
+	if pc == nil || pc.Periods() == 0 {
+		return errors.New("core: no complete periods in counts")
+	}
+	if len(pc.InSYNACK) != len(pc.OutSYN) {
+		return fmt.Errorf("core: period counts misaligned (%d SYN vs %d SYN/ACK periods)",
+			len(pc.OutSYN), len(pc.InSYNACK))
+	}
+	for i := det.Periods(); i < pc.Periods(); i++ {
+		out, err := CountAsUint(pc.OutSYN[i])
+		if err != nil {
+			return fmt.Errorf("core: OutSYN[%d]: %w", i, err)
+		}
+		in, err := CountAsUint(pc.InSYNACK[i])
+		if err != nil {
+			return fmt.Errorf("core: InSYNACK[%d]: %w", i, err)
+		}
+		det.Period(Period{
+			Index: i,
+			End:   pc.T0 * time.Duration(i+1),
+			Out:   PeriodCounts{SYN: out},
+			In:    PeriodCounts{SYNACK: in},
+		})
+	}
+	return nil
 }
 
 // CountAsUint converts an aggregated packet count to the sniffer's

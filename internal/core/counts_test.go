@@ -166,6 +166,55 @@ func TestProcessCountsValidation(t *testing.T) {
 	}
 }
 
+// periodLog is a Detector that records the periods it is handed.
+type periodLog struct{ got []Period }
+
+func (l *periodLog) Period(p Period) Report {
+	l.got = append(l.got, p)
+	return Report{Index: p.Index, End: p.End}
+}
+func (l *periodLog) Periods() int       { return len(l.got) }
+func (l *periodLog) Reports() []Report  { return nil }
+func (l *periodLog) Alarmed() bool      { return false }
+func (l *periodLog) FirstAlarm() *Alarm { return nil }
+func (l *periodLog) KBar() float64      { return 0 }
+func (l *periodLog) Name() string       { return "log" }
+
+// TestReplayCountsFeedsAnyDetector pins the counts walk on the
+// Detector contract itself, the way the baselines see it: each period
+// arrives once with its index, its end T0·(i+1) and its two totals; a
+// detector already holding periods is resumed after them; a bad count
+// stops the walk with the periods before it folded.
+func TestReplayCountsFeedsAnyDetector(t *testing.T) {
+	pc := &trace.PeriodCounts{T0: 5 * time.Second, OutSYN: []float64{3, 1, 4, 1}, InSYNACK: []float64{2, 7, 1, 8}}
+	l := &periodLog{got: []Period{{}}} // resumed: one period already held
+	if err := ReplayCounts(l, pc); err != nil {
+		t.Fatal(err)
+	}
+	if len(l.got) != 4 {
+		t.Fatalf("detector holds %d periods, want 4", len(l.got))
+	}
+	for i := 1; i < 4; i++ {
+		want := Period{
+			Index: i, End: 5 * time.Second * time.Duration(i+1),
+			Out: PeriodCounts{SYN: uint64(pc.OutSYN[i])},
+			In:  PeriodCounts{SYNACK: uint64(pc.InSYNACK[i])},
+		}
+		if l.got[i] != want {
+			t.Errorf("period %d = %+v, want %+v", i, l.got[i], want)
+		}
+	}
+
+	bad := &trace.PeriodCounts{T0: time.Second, OutSYN: []float64{1, 2, -1}, InSYNACK: []float64{0, 0, 0}}
+	l = &periodLog{}
+	if err := ReplayCounts(l, bad); err == nil {
+		t.Error("negative count accepted")
+	}
+	if len(l.got) != 2 {
+		t.Errorf("%d periods folded before the bad count, want 2", len(l.got))
+	}
+}
+
 // TestRestartMatchesFresh pins the sweep-pooling contract: an agent
 // Restarted after a full (alarming) run is indistinguishable from a
 // freshly constructed one — reports, final state and serialized

@@ -22,12 +22,11 @@
 //     loses at most one interval of evidence.
 //
 // Replay runs on the ingest pipeline: any ingest.Source feeds any
-// ingest.Detector (the paper's CUSUM agent or a baseline) through an
+// core.Detector (the paper's CUSUM agent or a baseline) through an
 // ingest.Aggregator. Every capture file streams — ingest.Scan
 // validates and sizes it in one pass, then ingest.Open replays it —
 // so a daemon over a multi-gigabyte capture holds one chunk of records
-// and four counters in memory, never the capture (tcpdump text, which
-// ingest.Open sorts in memory, aside).
+// and four counters in memory, never the capture, whatever its format.
 package daemon
 
 import (
@@ -99,7 +98,7 @@ type Daemon struct {
 	opts Options
 
 	mu    sync.Mutex
-	det   ingest.Detector
+	det   core.Detector
 	agent *core.Agent // non-nil only for the CUSUM detector; snapshots need it
 	src   ingest.Source
 
@@ -154,7 +153,7 @@ type Daemon struct {
 // The aggregator still checks order as records stream: a source that
 // turns out unordered or out of span fails the replay (surfacing via
 // /healthz and Run's error) rather than mis-bucketing periods.
-func NewStream(det ingest.Detector, src ingest.Source, info ingest.Info, t0 time.Duration, opts Options) (*Daemon, error) {
+func NewStream(det core.Detector, src ingest.Source, info ingest.Info, t0 time.Duration, opts Options) (*Daemon, error) {
 	opts.applyDefaults()
 	if t0 <= 0 {
 		return nil, fmt.Errorf("daemon: non-positive observation period %v", t0)
@@ -205,7 +204,7 @@ func NewStream(det ingest.Detector, src ingest.Source, info ingest.Info, t0 time
 // right for replaying a capture file through the live path and
 // meaningless-but-harmless for a freshly-rebased interface feed (whose
 // operator should start with fresh state).
-func NewLive(det ingest.Detector, src ingest.Source, name string, t0 time.Duration, opts Options) (*Daemon, error) {
+func NewLive(det core.Detector, src ingest.Source, name string, t0 time.Duration, opts Options) (*Daemon, error) {
 	opts.applyDefaults()
 	if t0 <= 0 {
 		return nil, fmt.Errorf("daemon: non-positive observation period %v", t0)
@@ -233,9 +232,7 @@ func NewLive(det ingest.Detector, src ingest.Source, name string, t0 time.Durati
 // the summarizer with its backfilled history, and the period-boundary
 // condition.
 func (d *Daemon) init() {
-	if ad, ok := d.det.(*ingest.AgentDetector); ok {
-		d.agent = ad.Agent()
-	}
+	d.agent, _ = d.det.(*core.Agent)
 	d.summarizer = &summary.Summarizer{
 		Monitor: d.opts.Monitor,
 		Cfg:     d.opts.Summary,

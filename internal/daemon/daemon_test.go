@@ -71,7 +71,7 @@ func newTestDaemon(t *testing.T, withFlood bool, opts Options) *Daemon {
 // agent: the fixture for every test that is not about the file door
 // (BuildAgent's Scan and Open), which TestNewValidates covers.
 func traceDaemon(agent *core.Agent, tr *trace.Trace, opts Options) (*Daemon, error) {
-	return NewStream(ingest.WrapAgent(agent), ingest.NewTraceSource(tr),
+	return NewStream(agent, ingest.NewTraceSource(tr),
 		ingest.Info{Name: tr.Name, Span: tr.Span, Records: len(tr.Records)}, agent.Config().T0, opts)
 }
 
@@ -390,7 +390,7 @@ func TestResumeEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer src.Close()
-		d, err := NewStream(ingest.WrapAgent(agent), src, inf, t0, Options{})
+		d, err := NewStream(agent, src, inf, t0, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -434,7 +434,7 @@ func TestResumeEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d1, err := NewStream(ingest.WrapAgent(a2), src, info, t0, Options{})
+		d1, err := NewStream(a2, src, info, t0, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -790,7 +790,7 @@ func TestReplayDrainRespectsContext(t *testing.T) {
 	// Second boot resumes over the full stream — and is killed before
 	// the drain of the k skipped periods can finish.
 	src := &countingSource{src: ingest.NewTraceSource(tr)}
-	d, err := NewStream(ingest.WrapAgent(a2), src,
+	d, err := NewStream(a2, src,
 		ingest.Info{Name: tr.Name, Span: tr.Span, Records: len(tr.Records)}, t0, Options{})
 	if err != nil {
 		t.Fatal(err)

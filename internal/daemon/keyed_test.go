@@ -458,7 +458,7 @@ func TestCheckpointWaitsForPeriodBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewStream(ingest.WrapAgent(agent), src,
+	d, err := NewStream(agent, src,
 		ingest.Info{Name: tr.Name, Span: tr.Span, Records: len(tr.Records)}, t0, Options{Tracker: tracker})
 	if err != nil {
 		t.Fatal(err)

@@ -75,7 +75,7 @@ func drainThrough(t *testing.T, src ingest.Source) drainResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := ingest.NewAggregator(core.Config{}.Normalized().T0, 0, ingest.WrapAgent(agent), nil)
+	agg, err := ingest.NewAggregator(core.Config{}.Normalized().T0, 0, agent, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

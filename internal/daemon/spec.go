@@ -344,7 +344,7 @@ func BuildAgent(spec AgentSpec, env BuildEnv) (*Daemon, StateAction, error) {
 		env.Log = io.Discard
 	}
 	var (
-		det     ingest.Detector
+		det     core.Detector
 		tracker *sourcetrack.Tracker
 	)
 	action, err := startState(spec.State, spec.coreConfig(), spec.trackConfig(), spec.policy(), func(st *State) (err error) {
@@ -384,16 +384,16 @@ func BuildAgent(spec AgentSpec, env BuildEnv) (*Daemon, StateAction, error) {
 // ingest.NewDetector, or the CUSUM agent that restoreState restores
 // from st (fresh when st is nil). Baselines keep no state, so they
 // ignore st.
-func newDetector(spec AgentSpec, st *State) (ingest.Detector, *sourcetrack.Tracker, error) {
+func newDetector(spec AgentSpec, st *State) (core.Detector, *sourcetrack.Tracker, error) {
 	if !spec.cusum() {
-		det, err := ingest.NewDetector(spec.Detector, ingest.DetectorConfig{Agent: spec.coreConfig()})
+		det, err := ingest.NewDetector(spec.Detector, spec.coreConfig())
 		return det, nil, err
 	}
 	a, tracker, err := restoreState(st, spec.coreConfig(), spec.trackConfig())
 	if err != nil {
 		return nil, nil, err
 	}
-	return ingest.WrapAgent(a), tracker, nil
+	return a, tracker, nil
 }
 
 // assemble opens the spec's input as a streaming source and wires it
@@ -401,11 +401,12 @@ func newDetector(spec AgentSpec, st *State) (ingest.Detector, *sourcetrack.Track
 // that touches the filesystem. The reload path calls it directly with
 // a detector rebuilt from captured in-memory state.
 //
-// Every file input takes the same road: ingest.Scan reads it once to
-// learn its span and record count and to refuse an unsorted or
+// A live: input opens through capture.Open (see there for its two
+// forms). Every file input takes the same road: ingest.Scan reads it
+// once to learn its span and record count and to refuse an unsorted or
 // out-of-span file before anything binds, then ingest.Open re-opens it
 // for the replay. Neither pass holds more than one chunk of records.
-func assemble(spec AgentSpec, det ingest.Detector, tracker *sourcetrack.Tracker, env BuildEnv) (*Daemon, error) {
+func assemble(spec AgentSpec, det core.Detector, tracker *sourcetrack.Tracker, env BuildEnv) (*Daemon, error) {
 	opts := Options{
 		Name:               env.ProcName,
 		Log:                env.Log,
@@ -422,8 +423,17 @@ func assemble(spec AgentSpec, det ingest.Detector, tracker *sourcetrack.Tracker,
 	if spec.Prefix != "" {
 		prefix = netip.MustParsePrefix(spec.Prefix) // Validate parsed it
 	}
-	if rest, ok := strings.CutPrefix(spec.Input, "live:"); ok {
-		return assembleLive(spec, rest, det, prefix, effT0, opts)
+	if strings.HasPrefix(spec.Input, "live:") {
+		src, err := capture.Open(spec.Input, prefix)
+		if err != nil {
+			return nil, err
+		}
+		d, err := NewLive(det, src, spec.Input, effT0, opts)
+		if err != nil {
+			src.Close()
+			return nil, err
+		}
+		return d, nil
 	}
 	info, err := ingest.Scan(spec.Input, prefix)
 	if err != nil {
@@ -434,55 +444,6 @@ func assemble(spec AgentSpec, det ingest.Detector, tracker *sourcetrack.Tracker,
 		return nil, err
 	}
 	d, err := NewStream(det, src, info, effT0, opts)
-	if err != nil {
-		src.Close()
-		return nil, err
-	}
-	return d, nil
-}
-
-// assembleLive opens a live: input. Two forms:
-//
-//	live:pcap:PATH — portable: PATH is a classic pcap byte-stream (a
-//	    capture file or a FIFO fed by `tcpdump -w -`), read through the
-//	    capture frame parser in blocking mode. Blocking keeps the path
-//	    lossless — a pipe backpressures naturally — which is what makes
-//	    replaying a capture file through it bit-identical to the
-//	    offline .pcap path.
-//	live:IFACE — an AF_PACKET socket on IFACE (linux, build tag
-//	    "live", CAP_NET_RAW), in drop mode with rebased timestamps: a
-//	    NIC cannot be paused, so a full ring sheds records and counts
-//	    them rather than pushing the loss into the kernel.
-func assembleLive(spec AgentSpec, rest string, det ingest.Detector, prefix netip.Prefix, t0 time.Duration, opts Options) (*Daemon, error) {
-	var (
-		fr  capture.FrameReader
-		cfg capture.Config
-	)
-	if path, ok := strings.CutPrefix(rest, "pcap:"); ok {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		fr, err = capture.NewPcapReader(f, f)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		cfg = capture.Config{StubPrefix: prefix, Name: spec.Input}
-	} else {
-		var err error
-		fr, err = capture.NewAFPacketReader(rest, 0)
-		if err != nil {
-			return nil, err
-		}
-		cfg = capture.Config{StubPrefix: prefix, Name: spec.Input, Drop: true, Rebase: true}
-	}
-	src, err := capture.NewSource(fr, cfg)
-	if err != nil {
-		fr.Close()
-		return nil, err
-	}
-	d, err := NewLive(det, src, spec.Input, t0, opts)
 	if err != nil {
 		src.Close()
 		return nil, err

@@ -17,6 +17,12 @@
 // All detectors consume the same per-period observations SYN-dog sees
 // (outgoing SYNs, incoming SYN/ACKs), so differences in detection
 // delay and false alarms are attributable to the decision rule alone.
+//
+// SYN-dog's own rule is not here: it is core.Agent, whose periods fold
+// through core.Fold. ingest.NewDetector builds the agent or one of
+// these baselines behind the one per-period core.Detector contract, so
+// the ablation table, syndog -detector and the daemon run every rule
+// the same way.
 package detect
 
 import (
@@ -180,57 +186,11 @@ func (d *AdaptiveEWMA) Reset() { d.alarmed = false }
 // Name implements Detector.
 func (d *AdaptiveEWMA) Name() string { return "adaptive-ewma" }
 
-// CusumDetector adapts the SYN-dog decision rule (normalize by an
-// EWMA K̄, then non-parametric CUSUM) to the Detector interface so it
-// can run head-to-head with the baselines.
-type CusumDetector struct {
-	det  *cusum.Detector
-	kBar *cusum.EWMA
-	minK float64
-}
-
-// NewCusumDetector builds the SYN-dog rule with the given parameters
-// (use cusum.DefaultOffset / cusum.DefaultThreshold / 0.9 to match the
-// paper).
-func NewCusumDetector(offset, threshold, alpha float64) (*CusumDetector, error) {
-	det, err := cusum.New(offset, threshold)
-	if err != nil {
-		return nil, err
-	}
-	kBar, err := cusum.NewEWMA(alpha)
-	if err != nil {
-		return nil, err
-	}
-	return &CusumDetector{det: det, kBar: kBar, minK: 1}, nil
-}
-
-// Observe implements Detector.
-func (d *CusumDetector) Observe(o Observation) bool {
-	k := d.kBar.Update(o.InSYNACK)
-	if k < d.minK {
-		k = d.minK
-	}
-	return d.det.Observe((o.OutSYN - o.InSYNACK) / k)
-}
-
-// Alarmed implements Detector.
-func (d *CusumDetector) Alarmed() bool { return d.det.Alarmed() }
-
-// Reset implements Detector.
-func (d *CusumDetector) Reset() { d.det.Reset() }
-
-// Name implements Detector.
-func (d *CusumDetector) Name() string { return "syndog-cusum" }
-
-// Statistic exposes yn for plotting.
-func (d *CusumDetector) Statistic() float64 { return d.det.Statistic() }
-
 // Compile-time interface checks.
 var (
 	_ Detector = (*StaticThreshold)(nil)
 	_ Detector = (*RatioDetector)(nil)
 	_ Detector = (*AdaptiveEWMA)(nil)
-	_ Detector = (*CusumDetector)(nil)
 )
 
 // RunResult summarizes one detector's behavior over a series.

@@ -1,8 +1,12 @@
 package detect
 
 import (
+	"math"
 	"math/rand"
 	"testing"
+	"time"
+
+	"repro/internal/core"
 )
 
 // mkSeries builds benign periods followed by flood periods, with
@@ -121,35 +125,48 @@ func TestAdaptiveEWMAWarmupSuppressesEarlyAlarms(t *testing.T) {
 	}
 }
 
-func TestCusumDetectorMatchesPaperRule(t *testing.T) {
-	d, err := NewCusumDetector(0.35, 1.05, 0.9)
+// periodCounts is one period's integer totals, as the sniffers deliver
+// them to the agent and to the baselines alike.
+type periodCounts struct{ syn, synAck uint64 }
+
+// roundCounts rounds a float series to whole packet counts.
+func roundCounts(series []Observation) []periodCounts {
+	out := make([]periodCounts, len(series))
+	for i, o := range series {
+		out[i] = periodCounts{uint64(math.Round(o.OutSYN)), uint64(math.Round(o.InSYNACK))}
+	}
+	return out
+}
+
+// agentFirstAlarm replays series through SYN-dog's agent at the
+// paper's parameters and returns its first alarm period, or -1.
+func agentFirstAlarm(t *testing.T, series []periodCounts) int {
+	t.Helper()
+	a, err := core.NewAgent(core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	series := mkSeries(20, 10, 100, 70, 2) // drift = 0.7 = h
-	res := Run(d, series)
-	if res.FirstAlarm < 0 {
-		t.Fatal("CUSUM missed an h-sized flood")
+	for i, c := range series {
+		a.Period(core.Period{
+			Index: i,
+			End:   core.DefaultObservationPeriod * time.Duration(i+1),
+			Out:   core.PeriodCounts{SYN: c.syn},
+			In:    core.PeriodCounts{SYNACK: c.synAck},
+		})
 	}
-	delay := res.FirstAlarm - 20
-	if delay < 2 || delay > 6 {
-		t.Errorf("CUSUM delay = %d periods, want ≈3 (designed)", delay)
+	if al := a.FirstAlarm(); al != nil {
+		return al.Period
 	}
-	if d.Statistic() <= 1.05 {
-		t.Errorf("statistic = %v, want > N", d.Statistic())
-	}
-	if d.Name() != "syndog-cusum" {
-		t.Error("name wrong")
-	}
+	return -1
 }
 
-func TestCusumDetectorValidation(t *testing.T) {
-	if _, err := NewCusumDetector(0, 1.05, 0.9); err == nil {
-		t.Error("zero offset accepted")
+// baselineFirstAlarm replays series through a baseline with Run.
+func baselineFirstAlarm(d Detector, series []periodCounts) int {
+	obs := make([]Observation, len(series))
+	for i, c := range series {
+		obs[i] = Observation{OutSYN: float64(c.syn), InSYNACK: float64(c.synAck)}
 	}
-	if _, err := NewCusumDetector(0.35, 1.05, 2); err == nil {
-		t.Error("bad alpha accepted")
-	}
+	return Run(d, obs).FirstAlarm
 }
 
 func TestCusumBeatsAdaptiveOnSlowRamp(t *testing.T) {
@@ -167,16 +184,15 @@ func TestCusumBeatsAdaptiveOnSlowRamp(t *testing.T) {
 		extra := 2.0 * float64(i+1) // grows 2 SYN/period
 		series = append(series, Observation{OutSYN: ack*1.02 + extra, InSYNACK: ack})
 	}
-	cus, _ := NewCusumDetector(0.35, 1.05, 0.9)
+	counts := roundCounts(series)
 	ada, _ := NewAdaptiveEWMA(0.7, 6, 10)
-	cusRes := Run(cus, series)
-	adaRes := Run(ada, series)
-	if cusRes.FirstAlarm < 0 {
+	cus := agentFirstAlarm(t, counts)
+	adaFirst := baselineFirstAlarm(ada, counts)
+	if cus < 0 {
 		t.Fatal("CUSUM missed the ramp")
 	}
-	if adaRes.FirstAlarm >= 0 && adaRes.FirstAlarm <= cusRes.FirstAlarm {
-		t.Errorf("adaptive (%d) beat CUSUM (%d) on a slow ramp",
-			adaRes.FirstAlarm, cusRes.FirstAlarm)
+	if adaFirst >= 0 && adaFirst <= cus {
+		t.Errorf("adaptive (%d) beat CUSUM (%d) on a slow ramp", adaFirst, cus)
 	}
 }
 
@@ -185,20 +201,18 @@ func TestStaticThresholdIsSiteDependent(t *testing.T) {
 	// constantly on a big one — the portability failure SYN-dog's
 	// normalization removes.
 	limit := 500.0
-	small := mkSeries(50, 0, 100, 0, 3) // benign small site
-	big := mkSeries(50, 0, 2000, 0, 4)  // benign big site
+	small := roundCounts(mkSeries(50, 0, 100, 0, 3)) // benign small site
+	big := roundCounts(mkSeries(50, 0, 2000, 0, 4))  // benign big site
 	dSmall, _ := NewStaticThreshold(limit)
 	dBig, _ := NewStaticThreshold(limit)
-	if Run(dSmall, small).FirstAlarm >= 0 {
+	if baselineFirstAlarm(dSmall, small) >= 0 {
 		t.Error("false alarm on small site")
 	}
-	if Run(dBig, big).FirstAlarm < 0 {
+	if baselineFirstAlarm(dBig, big) < 0 {
 		t.Error("expected the un-normalized threshold to false-alarm on the big site")
 	}
 	// SYN-dog's normalized rule is quiet on both.
-	cSmall, _ := NewCusumDetector(0.35, 1.05, 0.9)
-	cBig, _ := NewCusumDetector(0.35, 1.05, 0.9)
-	if Run(cSmall, small).FirstAlarm >= 0 || Run(cBig, big).FirstAlarm >= 0 {
+	if agentFirstAlarm(t, small) >= 0 || agentFirstAlarm(t, big) >= 0 {
 		t.Error("CUSUM false alarm on benign traffic")
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cusum"
-	"repro/internal/detect"
 	"repro/internal/eventsim"
 	"repro/internal/flood"
 	"repro/internal/ingest"
@@ -363,57 +362,17 @@ func AblationH2A(opts Options) ([]Artifact, error) {
 // AblationBaselines runs SYN-dog's CUSUM rule head-to-head against
 // the baseline detectors of internal/detect on identical per-period
 // observations: a slow-onset flood plus flood-free false-alarm trials.
-// Every rule runs behind the unified ingest.Detector interface, driven
-// by ReplayCounts — the counts fast path of the streaming pipeline.
+// Every rule is built by ingest.NewDetector — the paper's agent with
+// default parameters (no warm-up), then the baselines at their fixed
+// settings — and driven by core.ReplayCounts, the counts walk the
+// whole program shares.
 func AblationBaselines(opts Options) ([]Artifact, error) {
 	opts.applyDefaults()
 	p := ablationProfile(opts)
 	t0 := core.DefaultObservationPeriod
-
-	// All four rules — including the CUSUM — wrap the detect-level
-	// implementations so the comparison stays exactly period-for-period
-	// (the agent-level CUSUM adds warmup semantics the baselines lack).
-	mkDetectors := func(kBarGuess float64) ([]ingest.Detector, error) {
-		cus, err := detect.NewCusumDetector(0.35, 1.05, 0.9)
-		if err != nil {
-			return nil, err
-		}
-		static, err := detect.NewStaticThreshold(2.5 * kBarGuess)
-		if err != nil {
-			return nil, err
-		}
-		ratio, err := detect.NewRatioDetector(2, 1)
-		if err != nil {
-			return nil, err
-		}
-		ada, err := detect.NewAdaptiveEWMA(0.9, 6, 10)
-		if err != nil {
-			return nil, err
-		}
-		return []ingest.Detector{
-			ingest.WrapBaseline(cus), ingest.WrapBaseline(static),
-			ingest.WrapBaseline(ratio), ingest.WrapBaseline(ada),
-		}, nil
-	}
-
-	// Build per-period count series from one aggregated background: the
-	// flood-free pass shares the flooded pass's counts, and the flood
-	// rides in as an AddFlood overlay instead of a record-level merge.
-	series := func(pc *trace.PeriodCounts, seed int64, rate float64) (*trace.PeriodCounts, int, error) {
-		onset := 15 * time.Minute
-		if rate > 0 {
-			floodSYN, err := flood.CountPerPeriod(flood.Config{
-				Start: onset, Duration: 10 * time.Minute,
-				Pattern: flood.Constant{PerSecond: rate},
-				Victim:  victimAddr, VictimPort: 80, Seed: seed + 3,
-			}, pc.T0, pc.Periods())
-			if err != nil {
-				return nil, 0, err
-			}
-			pc = pc.AddFlood(floodSYN)
-		}
-		return pc, int(onset / t0), nil
-	}
+	onset := 15 * time.Minute
+	onsetPeriod := int(onset / t0)
+	names := ingest.DetectorNames()
 
 	table := &Table{
 		ID:      "ablation-baselines",
@@ -421,52 +380,51 @@ func AblationBaselines(opts Options) ([]Artifact, error) {
 		Columns: []string{"Detector", "Detection Prob.", "Mean delay (t0)", "False alarms (flood-free)"},
 	}
 	type detOutcome struct {
-		name       string
 		detected   bool
 		delay      float64
 		falseAlarm bool
 	}
+	// replay runs a fresh detector for one rule over counts.
+	replay := func(name string, counts *trace.PeriodCounts) (core.Detector, error) {
+		d, err := ingest.NewDetector(name, core.Config{})
+		if err != nil {
+			return nil, err
+		}
+		return d, core.ReplayCounts(d, counts)
+	}
+	// Each run aggregates one background: the flood-free pass replays
+	// its counts as they are, the flooded pass with the flood binned on
+	// top as an AddFlood overlay instead of a record-level merge.
 	perRun, err := collect(opts.Parallelism, opts.Runs, func(run int) ([]detOutcome, error) {
 		seed := opts.Seed + int64(run)*29
 		bg, err := trace.Generate(p, seed)
 		if err != nil {
 			return nil, err
 		}
-		pc, err := bg.Aggregate(t0)
+		quiet, err := bg.Aggregate(t0)
 		if err != nil {
 			return nil, err
 		}
-		flooded, onsetPeriod, err := series(pc, seed, 3)
+		floodSYN, err := flood.CountPerPeriod(flood.Config{
+			Start: onset, Duration: 10 * time.Minute,
+			Pattern: flood.Constant{PerSecond: 3},
+			Victim:  victimAddr, VictimPort: 80, Seed: seed + 3,
+		}, quiet.T0, quiet.Periods())
 		if err != nil {
 			return nil, err
 		}
-		quiet, _, err := series(pc, seed, 0)
-		if err != nil {
-			return nil, err
-		}
-		dets, err := mkDetectors(100)
-		if err != nil {
-			return nil, err
-		}
-		outs := make([]detOutcome, len(dets))
-		for i, d := range dets {
-			o := detOutcome{name: d.Name()}
-			if err := ingest.ReplayCounts(d, flooded); err != nil {
+		flooded := quiet.AddFlood(floodSYN)
+		outs := make([]detOutcome, len(names))
+		for i, name := range names {
+			d, err := replay(name, flooded)
+			if err != nil {
 				return nil, err
 			}
 			if al := d.FirstAlarm(); al != nil && al.Period >= onsetPeriod {
-				o.detected = true
-				o.delay = float64(al.Period - onsetPeriod)
+				outs[i].detected = true
+				outs[i].delay = float64(al.Period - onsetPeriod)
 			}
-			outs[i] = o
-		}
-		// Fresh detectors for the flood-free pass.
-		dets, err = mkDetectors(100)
-		if err != nil {
-			return nil, err
-		}
-		for i, d := range dets {
-			if err := ingest.ReplayCounts(d, quiet); err != nil {
+			if d, err = replay(name, quiet); err != nil {
 				return nil, err
 			}
 			outs[i].falseAlarm = d.FirstAlarm() != nil
@@ -477,40 +435,26 @@ func AblationBaselines(opts Options) ([]Artifact, error) {
 		return nil, err
 	}
 
-	type agg struct {
-		detected, falseAlarms int
-		delay                 float64
-	}
-	results := map[string]*agg{}
-	order := []string{}
-	for _, outs := range perRun {
-		for _, o := range outs {
-			r, ok := results[o.name]
-			if !ok {
-				r = &agg{}
-				results[o.name] = r
-				order = append(order, o.name)
+	for i, name := range names {
+		detected, falseAlarms, delay := 0, 0, 0.0
+		for _, outs := range perRun {
+			if outs[i].detected {
+				detected++
+				delay += outs[i].delay
 			}
-			if o.detected {
-				r.detected++
-				r.delay += o.delay
-			}
-			if o.falseAlarm {
-				r.falseAlarms++
+			if outs[i].falseAlarm {
+				falseAlarms++
 			}
 		}
-	}
-	for _, name := range order {
-		r := results[name]
 		mean := "-"
-		if r.detected > 0 {
-			mean = fmt.Sprintf("%.2f", r.delay/float64(r.detected))
+		if detected > 0 {
+			mean = fmt.Sprintf("%.2f", delay/float64(detected))
 		}
 		table.Rows = append(table.Rows, []string{
 			name,
-			fmt.Sprintf("%.2f", float64(r.detected)/float64(opts.Runs)),
+			fmt.Sprintf("%.2f", float64(detected)/float64(opts.Runs)),
 			mean,
-			fmt.Sprintf("%d", r.falseAlarms),
+			fmt.Sprintf("%d", falseAlarms),
 		})
 	}
 	return []Artifact{table}, nil

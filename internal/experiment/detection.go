@@ -70,18 +70,14 @@ type RunResult struct {
 }
 
 // Run executes one trace-driven flooding experiment on the counts
-// path: aggregate (or reuse pre-aggregated) background period counts,
-// bin the flood arrival process on top, and drive the agent with
-// core.Agent.ProcessCounts. No record is materialized, merged, or
-// replayed; the tests pin the result against streaming the merged
-// records through the ingest pipeline.
+// path: aggregate (or reuse pre-aggregated) background period counts
+// and run the cell on a Runner over them, keeping the full yn and Xn
+// series. No record is materialized, merged, or replayed; the tests
+// pin the result against streaming the merged records through the
+// ingest pipeline.
 func Run(cfg RunConfig) (RunResult, error) {
-	floodCfg, err := cfg.floodConfig()
-	if err != nil {
-		return RunResult{}, err
-	}
-	agent, err := core.NewAgent(cfg.Agent)
-	if err != nil {
+	// Refuse a bad flood before synthesizing a background for it.
+	if _, err := cfg.floodConfig(); err != nil {
 		return RunResult{}, err
 	}
 	counts := cfg.BackgroundCounts
@@ -90,23 +86,19 @@ func Run(cfg RunConfig) (RunResult, error) {
 		if err != nil {
 			return RunResult{}, fmt.Errorf("experiment: background: %w", err)
 		}
-		if counts, err = bg.Aggregate(agent.Config().T0); err != nil {
+		if counts, err = bg.Aggregate(cfg.Agent.Normalized().T0); err != nil {
 			return RunResult{}, fmt.Errorf("experiment: background: %w", err)
 		}
 	}
-	floodSYN, err := flood.CountPerPeriod(floodCfg, counts.T0, counts.Periods())
+	r, err := NewRunner(cfg.Agent, counts)
 	if err != nil {
-		return RunResult{}, fmt.Errorf("experiment: flood: %w", err)
-	}
-	if _, err := agent.ProcessCounts(counts.AddFlood(floodSYN)); err != nil {
 		return RunResult{}, err
 	}
-	return resultFromAgent(agent, cfg, true), nil
+	return r.run(cfg, true)
 }
 
 // floodConfig validates the flood parameters and translates them into
-// the flood.Config Run and Runner.Run feed from — one derivation, so
-// they cannot disagree on pattern or seed.
+// the flood.Config a Runner bins.
 func (cfg *RunConfig) floodConfig() (flood.Config, error) {
 	if cfg.Rate <= 0 && cfg.Pattern == nil {
 		return flood.Config{}, errors.New("experiment: flood rate must be positive")

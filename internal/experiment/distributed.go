@@ -79,7 +79,7 @@ func distReplaySite(name string, tr *trace.Trace, t0 time.Duration) (bool, []sum
 		func(ps summary.PeriodSummary) { sums = append(sums, ps) })
 	p := &ingest.Pipeline{
 		Source:   ingest.NewTraceSource(tr),
-		Detector: ingest.WrapAgent(agent),
+		Detector: agent,
 		T0:       t0,
 		Sink:     tap.Sink,
 		Tap:      tap,

@@ -64,7 +64,7 @@ type attrStep struct {
 // and tracker state through the same period boundary.
 type evasionTap struct {
 	tracker *sourcetrack.Tracker
-	det     ingest.Detector
+	det     core.Detector
 	steps   []attrStep
 }
 
@@ -342,7 +342,7 @@ func scoreEvasionScenario(sc *evasion.Scenario, base *trace.Trace, handshakes []
 	// Detection + attribution pass: the streaming pipeline with the
 	// keyed tracker tapped in, snapshotting alarmed keys at every
 	// period boundary after the aggregate alarm.
-	det, err := ingest.NewAgentDetector(core.Config{})
+	det, err := core.NewAgent(core.Config{})
 	if err != nil {
 		return evasionOutcome{}, err
 	}

@@ -56,19 +56,19 @@ func streamRun(t *testing.T, cfg RunConfig, bg *trace.Trace) RunResult {
 	if mixed.Span > bg.Span {
 		mixed.ClipSpan(bg.Span)
 	}
-	det, err := ingest.NewAgentDetector(cfg.Agent)
+	agent, err := core.NewAgent(cfg.Agent)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := ingest.Pipeline{
 		Source:   ingest.NewTraceSource(mixed),
-		Detector: det,
-		T0:       det.Agent().Config().T0,
+		Detector: agent,
+		T0:       agent.Config().T0,
 	}
 	if err := p.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return resultFromAgent(det.Agent(), cfg, true)
+	return resultFromAgent(agent, cfg, true)
 }
 
 // TestRunCrossPathIdentical is the Run-level equivalence matrix: every

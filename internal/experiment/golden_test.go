@@ -165,4 +165,14 @@ func TestGoldenExperimentArtifact(t *testing.T) {
 			checkGolden(t, id+"-fast-seed5", got)
 		})
 	}
+	// Every ablation at the options `experiment -run ablations -fast
+	// -seed 5` uses (default fast run count), so a change to the
+	// detector wiring, the counts path or a baseline rule shows up here.
+	for _, e := range AblationRegistry() {
+		id := e.ID
+		t.Run(id, func(t *testing.T) {
+			got := renderAll(t, id, Options{Seed: 5, Fast: true, Parallelism: 4})
+			checkGolden(t, id+"-fast-seed5", got)
+		})
+	}
 }

@@ -10,13 +10,15 @@ import (
 )
 
 // Runner executes trace-driven flooding cells on the counts fast path
-// with no steady-state allocation: one agent and one overlay buffer
-// are reused across calls, restarted between cells. Sweep pools
-// Runners so its per-cell loop costs O(periods + flood events) and
-// touches the allocator only for the cell's RNG. A Runner is not safe
-// for concurrent use; results are identical to Run with
-// BackgroundCounts set to the runner's counts (pinned by
-// TestRunnerMatchesRun), so pooling cannot change a sweep's output.
+// — the one place a flood is binned over background counts and
+// replayed — with no steady-state allocation: one agent and one
+// overlay buffer are reused across calls, restarted between cells.
+// Run executes its single cell on a fresh Runner; Sweep pools Runners
+// so its per-cell loop costs O(periods + flood events) and touches the
+// allocator only for the cell's RNG. A Runner is not safe for
+// concurrent use; a reused Runner's results are identical to a fresh
+// one's (pinned by TestRunnerMatchesRun), so pooling cannot change a
+// sweep's output.
 type Runner struct {
 	counts *trace.PeriodCounts
 	agent  *core.Agent
@@ -59,6 +61,13 @@ func NewRunner(agentCfg core.Config, counts *trace.PeriodCounts) (*Runner, error
 // package-level Run when the series are needed. cfg's background
 // fields (Profile, BackgroundCounts) are ignored.
 func (r *Runner) Run(cfg RunConfig) (RunResult, error) {
+	return r.run(cfg, false)
+}
+
+// run bins cfg's flood over the background into the overlay, replays
+// it through the restarted agent and reads the result off it, with the
+// yn and Xn series when series is set.
+func (r *Runner) run(cfg RunConfig, series bool) (RunResult, error) {
 	floodCfg, err := cfg.floodConfig()
 	if err != nil {
 		return RunResult{}, err
@@ -71,5 +80,5 @@ func (r *Runner) Run(cfg RunConfig) (RunResult, error) {
 	if _, err := r.agent.ProcessCounts(&r.overlay); err != nil {
 		return RunResult{}, err
 	}
-	return resultFromAgent(r.agent, cfg, false), nil
+	return resultFromAgent(r.agent, cfg, series), nil
 }

@@ -45,7 +45,7 @@ func batchChunkRecords(n int) []trace.Record {
 // warm.
 func TestBatchPathAllocs(t *testing.T) {
 	recs := batchChunkRecords(DefaultChunk)
-	det, err := NewAgentDetector(core.Config{})
+	det, err := core.NewAgent(core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func FuzzBatchMatchesRecordPath(f *testing.F) {
 		chunk := int(chunkByte%32) + 1
 
 		// Reference: one single-record FeedBatch call per record.
-		det1, err := NewAgentDetector(core.Config{T0: t0})
+		det1, err := core.NewAgent(core.Config{T0: t0})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func FuzzBatchMatchesRecordPath(f *testing.F) {
 		}
 
 		// Batch path: a TraceSource streamed chunk-at-a-time.
-		det2, err := NewAgentDetector(core.Config{T0: t0})
+		det2, err := core.NewAgent(core.Config{T0: t0})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,7 +277,7 @@ func TestBatchMatchesRecordPathSeeds(t *testing.T) {
 	want := processTraceReports(t, tr)
 	for _, chunk := range []int{1, 2, 7, 64, DefaultChunk, 1 << 15} {
 		t.Run(fmt.Sprintf("chunk=%d", chunk), func(t *testing.T) {
-			det, err := NewAgentDetector(core.Config{})
+			det, err := core.NewAgent(core.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,61 +2,37 @@ package ingest
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/detect"
-	"repro/internal/trace"
 )
 
-// AgentDetector adapts core.Agent — the paper's CUSUM decision rule —
-// to the Detector interface. Each closed period is loaded into the
-// agent and folded through core.Fold, as Agent.ProcessCounts does, so
-// pipeline output is bit-identical to Agent.ProcessTrace.
-type AgentDetector struct {
-	agent *core.Agent
-}
+// Period and Detector are core's decision contract, named here for the
+// pipeline's callers. *core.Agent — the paper's CUSUM — implements
+// Detector itself; the internal/detect baselines do through
+// wrapBaseline.
+type (
+	Period   = core.Period
+	Detector = core.Detector
+)
 
-// NewAgentDetector builds a fresh CUSUM agent detector.
-func NewAgentDetector(cfg core.Config) (*AgentDetector, error) {
-	a, err := core.NewAgent(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &AgentDetector{agent: a}, nil
-}
+// WrapAgent returns a as a Detector. The agent already is one; the
+// conversion is kept for callers that name it.
+func WrapAgent(a *core.Agent) Detector { return a }
 
-// WrapAgent adapts an existing agent — typically one restored from a
-// snapshot, whose report history becomes the resume offset.
-func WrapAgent(a *core.Agent) *AgentDetector {
-	return &AgentDetector{agent: a}
-}
-
-// Agent exposes the wrapped agent for snapshotting.
-func (d *AgentDetector) Agent() *core.Agent { return d.agent }
-
-// Period folds one closed period through the agent.
-func (d *AgentDetector) Period(p Period) core.Report {
-	return d.agent.LoadPeriod(p.Out, p.In, p.End)
-}
-
-// Periods returns the resume offset.
-func (d *AgentDetector) Periods() int { return len(d.agent.Reports()) }
-
-// Reports returns the agent's period reports.
-func (d *AgentDetector) Reports() []core.Report { return d.agent.Reports() }
-
-// Alarmed reports the latched alarm.
-func (d *AgentDetector) Alarmed() bool { return d.agent.Alarmed() }
-
-// FirstAlarm returns the first alarm, or nil.
-func (d *AgentDetector) FirstAlarm() *core.Alarm { return d.agent.FirstAlarm() }
-
-// KBar returns the EWMA traffic baseline.
-func (d *AgentDetector) KBar() float64 { return d.agent.KBar() }
-
-// Name identifies the paper's decision rule.
-func (d *AgentDetector) Name() string { return "syndog-cusum" }
+// The baselines' settings, at the ablation experiment's values: the
+// static limit is 2.5× the Auckland K̄ of 100 outgoing SYNs per
+// period, the ratio rule alarms above 2 SYNs per SYN/ACK (floor 1),
+// and the adaptive EWMA alarms on a 6-deviation excursion after a
+// 10-period warm-up with memory 0.9.
+const (
+	staticLimit = 250
+	ratioLimit  = 2
+	ratioFloor  = 1
+	ewmaAlpha   = 0.9
+	ewmaSigma   = 6
+	ewmaWarmup  = 10
+)
 
 // baselineDetector adapts an internal/detect per-observation baseline
 // to the per-period Detector interface. Baselines keep no K̄ and no yn
@@ -67,10 +43,7 @@ type baselineDetector struct {
 	alarm   *core.Alarm
 }
 
-// WrapBaseline adapts a detect baseline. The ablation experiment uses
-// this directly so its table stays bit-identical to the pre-pipeline
-// implementation.
-func WrapBaseline(d detect.Detector) Detector {
+func wrapBaseline(d detect.Detector) Detector {
 	return &baselineDetector{det: d}
 }
 
@@ -111,46 +84,6 @@ func (d *baselineDetector) KBar() float64 { return 0 }
 
 func (d *baselineDetector) Name() string { return d.det.Name() }
 
-// DetectorConfig parameterizes NewDetector. Agent configures the
-// CUSUM detector; the remaining fields configure the baselines and
-// default to the ablation experiment's settings.
-type DetectorConfig struct {
-	// Agent configures the syndog-cusum detector.
-	Agent core.Config
-	// StaticLimit is the static-threshold alarm level in outgoing SYNs
-	// per period (default 250 — 2.5× the Auckland K̄ of 100).
-	StaticLimit float64
-	// Ratio and RatioFloor configure syn-synack-ratio (defaults 2, 1).
-	Ratio      float64
-	RatioFloor float64
-	// EWMAAlpha, EWMASigma and EWMAWarmup configure adaptive-ewma
-	// (defaults 0.9, 6, 10).
-	EWMAAlpha  float64
-	EWMASigma  float64
-	EWMAWarmup int
-}
-
-func (c *DetectorConfig) applyDefaults() {
-	if c.StaticLimit == 0 {
-		c.StaticLimit = 250
-	}
-	if c.Ratio == 0 {
-		c.Ratio = 2
-	}
-	if c.RatioFloor == 0 {
-		c.RatioFloor = 1
-	}
-	if c.EWMAAlpha == 0 {
-		c.EWMAAlpha = 0.9
-	}
-	if c.EWMASigma == 0 {
-		c.EWMASigma = 6
-	}
-	if c.EWMAWarmup == 0 {
-		c.EWMAWarmup = 10
-	}
-}
-
 // DetectorNames lists the selectable decision rules, the paper's
 // CUSUM first.
 func DetectorNames() []string {
@@ -158,63 +91,32 @@ func DetectorNames() []string {
 }
 
 // NewDetector builds a detector by name — the -detector flag's
-// backend. "syndog-cusum" is the paper's agent; the rest are the
-// comparison baselines from internal/detect.
-func NewDetector(name string, cfg DetectorConfig) (Detector, error) {
-	cfg.applyDefaults()
+// backend. "syndog-cusum" (or "") is the paper's agent configured by
+// cfg; the rest are the internal/detect comparison baselines at their
+// fixed settings, which ignore cfg.
+func NewDetector(name string, cfg core.Config) (Detector, error) {
+	var (
+		d   detect.Detector
+		err error
+	)
 	switch name {
 	case "syndog-cusum", "":
-		return NewAgentDetector(cfg.Agent)
+		a, err := core.NewAgent(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return a, nil
 	case "static-threshold":
-		d, err := detect.NewStaticThreshold(cfg.StaticLimit)
-		if err != nil {
-			return nil, err
-		}
-		return WrapBaseline(d), nil
+		d, err = detect.NewStaticThreshold(staticLimit)
 	case "syn-synack-ratio":
-		d, err := detect.NewRatioDetector(cfg.Ratio, cfg.RatioFloor)
-		if err != nil {
-			return nil, err
-		}
-		return WrapBaseline(d), nil
+		d, err = detect.NewRatioDetector(ratioLimit, ratioFloor)
 	case "adaptive-ewma":
-		d, err := detect.NewAdaptiveEWMA(cfg.EWMAAlpha, cfg.EWMASigma, cfg.EWMAWarmup)
-		if err != nil {
-			return nil, err
-		}
-		return WrapBaseline(d), nil
+		d, err = detect.NewAdaptiveEWMA(ewmaAlpha, ewmaSigma, ewmaWarmup)
 	default:
 		return nil, fmt.Errorf("ingest: unknown detector %q (have %v)", name, DetectorNames())
 	}
-}
-
-// ReplayCounts drives a detector straight from aggregated per-period
-// counts — the counts fast path expressed on the unified interface.
-// Like Agent.ProcessCounts it is resume-aware: the detector's existing
-// period count is skipped.
-func ReplayCounts(det Detector, pc *trace.PeriodCounts) error {
-	if pc == nil || pc.Periods() == 0 {
-		return fmt.Errorf("ingest: no complete periods in counts")
+	if err != nil {
+		return nil, err
 	}
-	if len(pc.InSYNACK) != len(pc.OutSYN) {
-		return fmt.Errorf("ingest: period counts misaligned (%d SYN vs %d SYN/ACK periods)",
-			len(pc.OutSYN), len(pc.InSYNACK))
-	}
-	for i := det.Periods(); i < pc.Periods(); i++ {
-		out, err := core.CountAsUint(pc.OutSYN[i])
-		if err != nil {
-			return fmt.Errorf("ingest: OutSYN[%d]: %w", i, err)
-		}
-		in, err := core.CountAsUint(pc.InSYNACK[i])
-		if err != nil {
-			return fmt.Errorf("ingest: InSYNACK[%d]: %w", i, err)
-		}
-		det.Period(Period{
-			Index: i,
-			End:   pc.T0 * time.Duration(i+1),
-			Out:   core.PeriodCounts{SYN: out},
-			In:    core.PeriodCounts{SYNACK: in},
-		})
-	}
-	return nil
+	return wrapBaseline(d), nil
 }

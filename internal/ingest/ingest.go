@@ -16,11 +16,13 @@
 // memory.
 //
 // The Aggregator is the only code that walks a record stream into
-// periods; an in-memory trace is binned by trace.Aggregate instead, and
-// every closed period becomes a decision through core.Fold. For any
-// valid trace the two agree: streaming it through the pipeline yields
-// the reports core.Agent.ProcessTrace (trace.Aggregate in front of
-// ProcessCounts) yields, which the package's tests pin.
+// periods; an in-memory trace is binned by trace.Aggregate instead and
+// replayed by core.ReplayCounts. The Detector is core's contract: the
+// paper's *core.Agent, whose every closed period becomes a decision
+// through core.Fold, or a wrapped internal/detect baseline. For any
+// valid trace the two paths agree: streaming it through the pipeline
+// yields the reports core.Agent.ProcessTrace (trace.Aggregate in front
+// of ProcessCounts) yields, which the package's tests pin.
 package ingest
 
 import (
@@ -56,43 +58,6 @@ type SpanSource interface {
 // trace name (binary header, CSV header line). Like the span, the name
 // may only be final once the stream is exhausted.
 type NamedSource interface {
-	Name() string
-}
-
-// Period is one closed observation period: per-kind packet counts for
-// each direction plus the period's index and end time.
-type Period struct {
-	Index int
-	End   time.Duration
-	Out   core.PeriodCounts
-	In    core.PeriodCounts
-}
-
-// Detector folds closed periods into a detection decision. It is the
-// unified face of core.Agent's CUSUM and the internal/detect
-// baselines.
-//
-// Periods is the resume offset: a detector restored from a snapshot
-// already holds that many closed periods, and the Aggregator skips the
-// matching leading records — this is what preserves the daemon's
-// byte-identical restart guarantee across the streaming path.
-type Detector interface {
-	// Period folds one closed observation period and returns its
-	// report. Implementations latch their alarm internally.
-	Period(p Period) core.Report
-	// Periods returns how many periods have been folded so far.
-	Periods() int
-	// Reports returns all period reports so far (the implementation's
-	// backing store; callers must not modify it).
-	Reports() []core.Report
-	// Alarmed reports whether the latched alarm has fired.
-	Alarmed() bool
-	// FirstAlarm returns the first alarm, or nil if none fired.
-	FirstAlarm() *core.Alarm
-	// KBar returns the current traffic baseline, 0 for detectors that
-	// keep none.
-	KBar() float64
-	// Name identifies the decision rule.
 	Name() string
 }
 

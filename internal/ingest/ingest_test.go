@@ -76,7 +76,7 @@ func compareReports(t *testing.T, got, want []core.Report) {
 
 func runPipeline(t *testing.T, src Source, span time.Duration) []core.Report {
 	t.Helper()
-	det, err := NewAgentDetector(core.Config{})
+	det, err := core.NewAgent(core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestPipelineMatchesProcessTrace(t *testing.T) {
 // TestPipelineAlarms sanity-checks the end decision, not just the
 // report bytes: the flooded trace must alarm, the quiet one must not.
 func TestPipelineAlarms(t *testing.T) {
-	det, err := NewAgentDetector(core.Config{})
+	det, err := core.NewAgent(core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestPipelineAlarms(t *testing.T) {
 		t.Fatal(err)
 	}
 	quiet := NewTraceSource(quietTr)
-	det2, err := NewAgentDetector(core.Config{})
+	det2, err := core.NewAgent(core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,12 +197,10 @@ func TestPipelineResume(t *testing.T) {
 	if _, err := agent.ProcessTrace(&half); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := core.RestoreAgent(agent.Snapshot())
+	det, err := core.RestoreAgent(agent.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	det := WrapAgent(restored)
 	if det.Periods() == 0 || det.Periods() >= len(want) {
 		t.Fatalf("resume offset %d not strictly inside run of %d", det.Periods(), len(want))
 	}
@@ -285,12 +283,13 @@ func TestIPTraceSource(t *testing.T) {
 	}
 }
 
-// TestOpenChunkInvariance writes one trace in every streamed container
+// TestOpenChunkInvariance writes one trace in every container
 // ingest.Open reads and drains each at chunk sizes 1, 7 and
 // DefaultChunk: records and span must equal the trace that was
 // written, however the stream is cut. The packet containers carry TCP
 // records only, pcap at microsecond resolution, and learn the span at
-// EOF as lastTs+1.
+// EOF as lastTs+1; tcpdump text is held to trace.ReadTcpdump of the
+// same bytes.
 func TestOpenChunkInvariance(t *testing.T) {
 	tr := testTrace(t)
 	wire := func(res time.Duration) *trace.Trace {
@@ -316,6 +315,7 @@ func TestOpenChunkInvariance(t *testing.T) {
 		{"x.pcap", trace.WritePcap, pcapWire},
 		{"x.ipt", trace.WriteIPTrace, wire(1)},
 		{"x.pcap.gz", trace.WritePcap, pcapWire},
+		{"x.txt", trace.WriteTcpdump, nil},
 	} {
 		var buf bytes.Buffer
 		if strings.HasSuffix(c.name, ".gz") {
@@ -332,6 +332,16 @@ func TestOpenChunkInvariance(t *testing.T) {
 		path := filepath.Join(dir, c.name)
 		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
+		}
+		if c.want == nil {
+			// tcpdump text rebases its clock to the first packet through
+			// a float seconds field, which can land 1ns under the
+			// microsecond, so its reference is the materializing reader.
+			want, err := trace.ReadTcpdump(bytes.NewReader(buf.Bytes()), "", testPrefix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.want = want
 		}
 		for _, chunk := range []int{1, 7, DefaultChunk} {
 			t.Run(fmt.Sprintf("%s/chunk=%d", c.name, chunk), func(t *testing.T) {
@@ -368,34 +378,6 @@ func TestOpenChunkInvariance(t *testing.T) {
 	}
 }
 
-// TestReplayCountsMatchesProcessCounts pins the counts fast path on
-// the unified interface.
-func TestReplayCountsMatchesProcessCounts(t *testing.T) {
-	tr := testTrace(t)
-	pc, err := tr.Aggregate(20 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	agent, err := core.NewAgent(core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := agent.ProcessCounts(pc)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	det, err := NewAgentDetector(core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ReplayCounts(det, pc); err != nil {
-		t.Fatal(err)
-	}
-	compareReports(t, det.Reports(), want)
-}
-
 // TestBaselineDetectors checks the wrapped detect baselines latch the
 // same first alarm as detect.Run over the same series.
 func TestBaselineDetectors(t *testing.T) {
@@ -411,15 +393,15 @@ func TestBaselineDetectors(t *testing.T) {
 
 	for _, name := range DetectorNames()[1:] {
 		t.Run(name, func(t *testing.T) {
-			wrapped, err := NewDetector(name, DetectorConfig{})
+			wrapped, err := NewDetector(name, core.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := ReplayCounts(wrapped, pc); err != nil {
+			if err := core.ReplayCounts(wrapped, pc); err != nil {
 				t.Fatal(err)
 			}
 
-			ref, err := NewDetector(name, DetectorConfig{})
+			ref, err := NewDetector(name, core.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -441,15 +423,37 @@ func TestBaselineDetectors(t *testing.T) {
 	}
 }
 
+// TestNewDetectorBuildsAgent pins the CUSUM branch: the paper's rule
+// is the agent itself, configured by cfg, with no adapter between.
+func TestNewDetectorBuildsAgent(t *testing.T) {
+	cfg := core.Config{T0: 10 * time.Second, Offset: 0.2, Threshold: 0.6}
+	for _, name := range []string{"", "syndog-cusum"} {
+		det, err := NewDetector(name, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, ok := det.(*core.Agent)
+		if !ok {
+			t.Fatalf("NewDetector(%q) = %T, want *core.Agent", name, det)
+		}
+		if a.Config() != cfg.Normalized() || a.Name() != "syndog-cusum" {
+			t.Errorf("NewDetector(%q): config %+v, name %q", name, a.Config(), a.Name())
+		}
+	}
+	if _, err := NewDetector("syndog-cusum", core.Config{T0: -time.Second}); err == nil {
+		t.Error("invalid agent config accepted")
+	}
+}
+
 func TestNewDetectorRejectsUnknown(t *testing.T) {
-	if _, err := NewDetector("nonsense", DetectorConfig{}); err == nil {
+	if _, err := NewDetector("nonsense", core.Config{}); err == nil {
 		t.Fatal("want error for unknown detector name")
 	}
 }
 
 // TestPipelineErrors covers the aggregator's streaming validation.
 func TestPipelineErrors(t *testing.T) {
-	det, err := NewAgentDetector(core.Config{})
+	det, err := core.NewAgent(core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +472,7 @@ func TestPipelineErrors(t *testing.T) {
 	}
 
 	// A span-less source with no override cannot finish.
-	det2, _ := NewAgentDetector(core.Config{})
+	det2, _ := core.NewAgent(core.Config{})
 	agg2, err := NewAggregator(20*time.Second, 0, det2, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -496,7 +500,7 @@ func TestStreamingPcapAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		det, err := NewAgentDetector(core.Config{})
+		det, err := core.NewAgent(core.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -514,5 +518,36 @@ func TestStreamingPcapAllocs(t *testing.T) {
 	}
 	if perRecord := allocs / float64(records); perRecord > 0.01 {
 		t.Errorf("allocs/record = %.4f, want ~0 (streaming path must not allocate per record)", perRecord)
+	}
+}
+
+// TestOpenTcpdumpAllocs pins that tcpdump text streams like every other
+// format: opening (and closing) a 50k-line text file costs the fixed
+// setup of a file, a scanner and its buffer, not an allocation per
+// line — Open must not parse the file up front.
+func TestOpenTcpdumpAllocs(t *testing.T) {
+	const lines = 50_000
+	tr := &trace.Trace{Records: make([]trace.Record, lines)}
+	for i := range tr.Records {
+		tr.Records[i] = trace.Record{
+			Ts: time.Duration(i) * time.Millisecond, Kind: packet.KindSYN, Dir: trace.DirOut,
+			Src: netip.MustParseAddr("130.216.1.1"), Dst: netip.MustParseAddr("11.0.0.1"),
+			SrcPort: 1024, DstPort: 80,
+		}
+	}
+	path := filepath.Join(t.TempDir(), "big.txt")
+	writeCapture(t, path, trace.WriteTcpdump, tr)
+	allocs := testing.AllocsPerRun(3, func() {
+		src, _, err := Open(path, testPrefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := src.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if maxAllocs := 50.0; allocs > maxAllocs {
+		t.Errorf("Open of a %d-line tcpdump file allocated %.0f times (want fixed cost ≤ %.0f)",
+			lines, allocs, maxAllocs)
 	}
 }

@@ -160,10 +160,15 @@ func TestScanRefuses(t *testing.T) {
 		seam.Records = append(seam.Records, syn(time.Duration(i)*time.Millisecond))
 	}
 	seam.Records[DefaultChunk].Ts = seam.Records[DefaultChunk-1].Ts - 1
+	// Text is import-only for Save; a text file earlier than its first
+	// packet rebases to a negative time, which is disorder as well.
+	unsortedTxt := filepath.Join(dir, "unsorted.txt")
+	writeCapture(t, unsortedTxt, trace.WriteTcpdump, unsorted)
 	for _, path := range []string{
 		save("unsorted.trace", unsorted),
 		save("unsorted.csv", unsorted),
 		save("unsorted.pcap", unsorted),
+		unsortedTxt,
 		save("seam.trace", seam),
 		save("negative.trace", &trace.Trace{Name: "negative", Span: time.Hour, Records: []trace.Record{syn(-time.Second)}}),
 	} {

@@ -22,14 +22,14 @@ type Info struct {
 	// Name is the trace name (header-carried or the file path).
 	Name string
 	// Span is the capture span; 0 when only known at EOF (pcap,
-	// iptrace).
+	// iptrace, tcpdump text).
 	Span time.Duration
 	// Records is the record count; -1 when unknown up front.
 	Records int
 }
 
 // TraceSource streams an in-memory trace — the adapter that keeps
-// materialized traces (tcpdump import, generated traces) on the
+// materialized traces (generated, merged or clipped ones) on the
 // pipeline path.
 type TraceSource struct {
 	tr  *trace.Trace
@@ -336,8 +336,8 @@ func (s *IPTraceSource) Span() time.Duration {
 // Close implements Source.
 func (s *IPTraceSource) Close() error { return closeAll(s.c) }
 
-// binarySource, csvSource and pcapSource bind the trace streams to
-// their file handles.
+// binarySource, csvSource, pcapSource and tcpdumpSource bind the trace
+// streams to their file handles.
 type binarySource struct {
 	*trace.BinaryStream
 	c io.Closer
@@ -359,19 +359,28 @@ type pcapSource struct {
 
 func (s *pcapSource) Close() error { return closeAll(s.c) }
 
+type tcpdumpSource struct {
+	*trace.TcpdumpStream
+	c io.Closer
+}
+
+func (s *tcpdumpSource) Close() error { return closeAll(s.c) }
+
 // Open opens a capture file as a streaming Source, picking the codec
 // from the extension (the rules trace.Save writes by, plus the iptrace
 // capture format):
 //
-//	.trace/.bin  binary (streamed)
-//	.csv         text (streamed)
-//	.pcap        libpcap (streamed; needs stubPrefix)
-//	.ipt         iptrace 2.0 capture (streamed; direction from tx flag)
-//	.txt/.dump   tcpdump text (materialized — needs sorting; stubPrefix)
+//	.trace/.bin  binary
+//	.csv         text
+//	.pcap        libpcap (needs stubPrefix)
+//	.ipt         iptrace 2.0 capture (direction from tx flag)
+//	.txt/.dump   tcpdump text (needs stubPrefix)
 //	any + .gz    gzip-wrapped version of the inner extension
 //
-// The returned Info reports what is known up front; zero Span means
-// the source learns it at EOF. The caller must Close the source.
+// Every format streams: no source holds more than its decoder's buffer
+// and the caller's chunk. The returned Info reports what is known up
+// front; zero Span means the source learns it at EOF. The caller must
+// Close the source.
 func Open(path string, stubPrefix netip.Prefix) (Source, Info, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -419,19 +428,11 @@ func openReader(r io.Reader, c io.Closer, path string, stubPrefix netip.Prefix) 
 		s.c = c
 		return s, Info{Name: path, Records: -1}, nil
 	case strings.HasSuffix(name, ".txt"), strings.HasSuffix(name, ".dump"):
-		// tcpdump text needs a post-parse sort, so it materializes;
-		// everything downstream still streams.
 		if !stubPrefix.IsValid() {
 			return nil, Info{}, fmt.Errorf("trace: %s needs a stub prefix for direction inference", path)
 		}
-		tr, err := trace.ReadTcpdump(r, path, stubPrefix)
-		if err != nil {
-			return nil, Info{}, err
-		}
-		if cerr := closeAll(c); cerr != nil {
-			return nil, Info{}, cerr
-		}
-		return NewTraceSource(tr), Info{Name: tr.Name, Span: tr.Span, Records: len(tr.Records)}, nil
+		return &tcpdumpSource{TcpdumpStream: trace.NewTcpdumpStream(r, stubPrefix), c: c},
+			Info{Name: path, Records: -1}, nil
 	default:
 		s, err := trace.NewBinaryStream(r)
 		if err != nil {
@@ -453,10 +454,10 @@ func openReader(r io.Reader, c io.Closer, path string, stubPrefix netip.Prefix) 
 // records out of timestamp order (trace.ErrUnsorted) or outside
 // [0, span). Each chunk goes through Validate behind the previous
 // chunk's last record, so order holds across chunk boundaries too.
-// The span is final only at EOF (a CSV header may come late; pcap and
-// iptrace learn it from the last record), so it is checked then, on
-// the last record: in a sorted stream, a record past the span puts the
-// last one past it as well.
+// The span is final only at EOF (a CSV header may come late; pcap,
+// iptrace and tcpdump text learn it from the last record), so it is
+// checked then, on the last record: in a sorted stream, a record past
+// the span puts the last one past it as well.
 func Scan(path string, stubPrefix netip.Prefix) (Info, error) {
 	src, info, err := Open(path, stubPrefix)
 	if err != nil {

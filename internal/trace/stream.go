@@ -17,8 +17,9 @@ import (
 // This file holds the streaming record readers the ingest pipeline is
 // built on: each decodes records a chunk at a time in O(1) memory
 // through its one read method, NextBatch. The materializing readers
-// (ReadBinary, ReadCSV, ReadPcap) share one collect loop over these
-// streams, so there is exactly one decoder per format.
+// (ReadBinary, ReadCSV, ReadPcap, and ReadTcpdump over TcpdumpStream
+// in tcpdump.go) share one collect loop over these streams, so there
+// is exactly one decoder per format.
 
 // BinaryStream decodes the compact binary format.
 type BinaryStream struct {
@@ -241,7 +242,7 @@ func (s *PcapStream) NextBatch(buf []Record) (int, error) {
 
 // collect appends every record s yields to recs, decoding straight into
 // the slice's spare capacity — the one materializing loop ReadBinary,
-// ReadCSV and ReadPcap share.
+// ReadCSV, ReadPcap and ReadTcpdump share.
 func collect(s interface{ NextBatch([]Record) (int, error) }, recs []Record) ([]Record, error) {
 	for {
 		if len(recs) == cap(recs) {

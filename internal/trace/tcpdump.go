@@ -12,57 +12,96 @@ import (
 	"repro/internal/packet"
 )
 
-// ReadTcpdump imports the text output of `tcpdump -n` — the format the
-// original mid-1990s traces circulated in — and converts it to a
-// Trace. Lines look like:
+// TcpdumpStream decodes the text output of `tcpdump -n` — the format
+// the original mid-1990s traces circulated in — line by line. Lines
+// look like:
 //
 //	12:00:00.123456 IP 10.1.2.3.443 > 192.168.1.5.51234: Flags [S.], seq 1, ...
 //
-// Only TCP lines carrying a Flags field are ingested; everything else
+// Only TCP lines carrying a Flags field are decoded; everything else
 // (ARP, UDP, ICMP, continuation lines) is skipped, mirroring how the
 // leaf-router classifier ignores non-TCP traffic. Direction is
-// assigned by destination relative to stubPrefix, like ReadPcap.
-// Timestamps are wall-clock times of day; the trace clock starts at
-// the first accepted packet, and a backward jump of more than half a
-// day is treated as midnight rollover.
-func ReadTcpdump(r io.Reader, name string, stubPrefix netip.Prefix) (*Trace, error) {
+// assigned by destination relative to the stub prefix, like
+// PcapStream. Timestamps are wall-clock times of day; the stream's
+// clock starts at the first accepted packet, and a backward jump of
+// more than half a day is treated as midnight rollover.
+//
+// The text carries no span header: the span is the largest timestamp
+// + 1, final once the stream is exhausted. Records are delivered in
+// file order; a record earlier than the first one comes out with a
+// negative timestamp, which the ingest pipeline refuses as unsorted —
+// use ReadTcpdump to repair unordered files.
+type TcpdumpStream struct {
+	sc     *bufio.Scanner
+	prefix netip.Prefix
+	lineNo int
+
+	haveBase  bool
+	base      time.Duration // first packet's time of day
+	dayOffset time.Duration
+	prevTOD   time.Duration
+	span      time.Duration
+}
+
+// NewTcpdumpStream returns a stream over r whose records take their
+// direction from stubPrefix.
+func NewTcpdumpStream(r io.Reader, stubPrefix netip.Prefix) *TcpdumpStream {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	t := &Trace{Name: name}
-	var (
-		haveBase  bool
-		base      time.Duration // first packet's time of day
-		dayOffset time.Duration
-		prevTOD   time.Duration
-	)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		rec, tod, ok, err := parseTcpdumpLine(sc.Text(), stubPrefix)
+	return &TcpdumpStream{sc: sc, prefix: stubPrefix}
+}
+
+// Span returns the largest timestamp + 1 seen so far (0 before the
+// first record); it is final once NextBatch has returned io.EOF.
+func (s *TcpdumpStream) Span() time.Duration { return s.span }
+
+// NextBatch decodes up to len(buf) records into buf. io.EOF (possibly
+// alongside n > 0) marks the end of input.
+func (s *TcpdumpStream) NextBatch(buf []Record) (int, error) {
+	n := 0
+	for n < len(buf) {
+		if !s.sc.Scan() {
+			if err := s.sc.Err(); err != nil {
+				return n, err
+			}
+			return n, io.EOF
+		}
+		s.lineNo++
+		rec, tod, ok, err := parseTcpdumpLine(s.sc.Text(), s.prefix)
 		if err != nil {
-			return nil, fmt.Errorf("trace: tcpdump line %d: %w", lineNo, err)
+			return n, fmt.Errorf("trace: tcpdump line %d: %w", s.lineNo, err)
 		}
 		if !ok {
 			continue
 		}
-		if !haveBase {
-			haveBase = true
-			base = tod
-			prevTOD = tod
+		if !s.haveBase {
+			s.haveBase = true
+			s.base = tod
+			s.prevTOD = tod
 		}
-		if tod < prevTOD-12*time.Hour {
-			dayOffset += 24 * time.Hour
+		if tod < s.prevTOD-12*time.Hour {
+			s.dayOffset += 24 * time.Hour
 		}
-		prevTOD = tod
-		rec.Ts = tod + dayOffset - base
-		t.Records = append(t.Records, rec)
-		if rec.Ts >= t.Span {
-			t.Span = rec.Ts + 1
+		s.prevTOD = tod
+		rec.Ts = tod + s.dayOffset - s.base
+		if rec.Ts >= s.span {
+			s.span = rec.Ts + 1
 		}
+		buf[n] = rec
+		n++
 	}
-	if err := sc.Err(); err != nil {
+	return n, nil
+}
+
+// ReadTcpdump imports tcpdump text (see TcpdumpStream) as a Trace,
+// sorted by timestamp.
+func ReadTcpdump(r io.Reader, name string, stubPrefix netip.Prefix) (*Trace, error) {
+	s := NewTcpdumpStream(r, stubPrefix)
+	recs, err := collect(s, nil)
+	if err != nil {
 		return nil, err
 	}
+	t := &Trace{Name: name, Span: s.Span(), Records: recs}
 	t.Sort()
 	return t, nil
 }
