@@ -146,6 +146,7 @@ fuzz:
 	$(GO) test ./internal/ingest -fuzz '^FuzzBatchMatchesRecordPath$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ingest -fuzz '^FuzzScanMatchesValidate$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -fuzz '^FuzzFrameParse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace -fuzz '^FuzzEmitterMatchesStableSort$$' -fuzztime $(FUZZTIME)
 
 clean:
 	$(GO) clean ./...

@@ -495,6 +495,26 @@ func BenchmarkTraceGeneration(b *testing.B) {
 	}
 }
 
+// BenchmarkTraceGenerationSweepPair synthesizes the two backgrounds
+// perfbench's sweep pass draws at its default seed: UNC's full 30
+// minutes at seed 1 and Auckland's 3 hours at seed 2. Unlike the
+// one-minute BenchmarkTraceGeneration, both spans reach the steady
+// population of connections waiting for their FINs.
+func BenchmarkTraceGenerationSweepPair(b *testing.B) {
+	records := 0
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for j, p := range []trace.Profile{trace.UNC(), trace.Auckland()} {
+			tr, err := trace.Generate(p, int64(j+1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			records += len(tr.Records)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
+}
+
 // BenchmarkProcessTrace measures replaying a 10-minute Auckland trace
 // through the agent (the trace-driven experiment inner loop).
 func BenchmarkProcessTrace(b *testing.B) {

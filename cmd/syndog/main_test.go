@@ -163,6 +163,34 @@ func TestRunTcpdumpInput(t *testing.T) {
 	}
 }
 
+// TestRunTcpdumpPeriodBoundary replays four SYNs stamped exactly 20 s
+// apart at .000052 past the second: with -t0 20s every period counts
+// one out-SYN. Text timestamps parsed through float seconds put the
+// second SYN 1 ns early and printed 2, 0, 1.
+func TestRunTcpdumpPeriodBoundary(t *testing.T) {
+	var sb strings.Builder
+	for i, ts := range []string{"10:00:12", "10:00:32", "10:00:52", "10:01:12"} {
+		fmt.Fprintf(&sb, "%s.000052 IP 10.1.0.1.%d > 11.0.0.1.80: Flags [S], seq 1, win 65535, length 0\n", ts, 40000+i)
+	}
+	path := filepath.Join(t.TempDir(), "four.txt")
+	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if _, err := run([]string{"-in", path, "-prefix", "10.1.0.0/16", "-t0", "20s", "-v"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	var outSYN []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 2 && f[0] == fmt.Sprint(len(outSYN)) {
+			outSYN = append(outSYN, f[2])
+		}
+	}
+	if got := strings.Join(outSYN, " "); got != "1 1 1" {
+		t.Errorf("outSYN per period = %q, want \"1 1 1\"\n%s", got, out.String())
+	}
+}
+
 // TestRunLivePcapInput: live:pcap:PATH replays a capture file through
 // the capture frame parser, reaches the same verdict as the plain
 // .pcap path, and reports its (zero, here: blocking mode) drop count.

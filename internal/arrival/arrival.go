@@ -9,7 +9,9 @@
 //
 //   - Poisson: memoryless arrivals at a fixed rate.
 //   - ParetoOnOff: a superposition of heavy-tailed ON/OFF sources,
-//     the standard construction of self-similar traffic.
+//     the standard construction of self-similar traffic. A winner
+//     tree merges the sources' streams in log2(n) compares per
+//     arrival.
 //   - MMPP: a two-state Markov-modulated Poisson process for
 //     regime-switching burstiness.
 //   - Modulated: wraps any Process with a deterministic rate envelope
@@ -126,9 +128,17 @@ func paretoSample(rng *rand.Rand, shape, scale float64) float64 {
 // durations Pareto(shape in (1,2)) the aggregate is asymptotically
 // self-similar with Hurst exponent H = (3-shape)/2 (Willinger et al.),
 // matching the burstiness of measured wide-area TCP arrivals.
+//
+// The per-source arrival streams merge through a winner tree: heads
+// holds each source's next arrival, padded with never-winning leaves
+// to a power of two m, and tree[k] for 1 <= k < m is the source that
+// wins subtree k (leaf i sits at node m+i). Next takes the winner at
+// the root and replays only the log2(m) matches on its path. Ties go
+// to the lower index, exactly as a scan for the first least head.
 type ParetoOnOff struct {
-	sources []*paretoSource
+	sources []paretoSource
 	heads   []time.Duration
+	tree    []int32
 }
 
 // ParetoConfig parameterizes a ParetoOnOff process.
@@ -158,12 +168,18 @@ func NewParetoOnOff(cfg ParetoConfig, rng *rand.Rand) (*ParetoOnOff, error) {
 	dutyCycle := cfg.MeanOn / (cfg.MeanOn + cfg.MeanOff)
 	perSource := cfg.MeanRate / (float64(cfg.Sources) * dutyCycle)
 
+	m := 1
+	for m < cfg.Sources {
+		m *= 2
+	}
 	p := &ParetoOnOff{
-		sources: make([]*paretoSource, cfg.Sources),
-		heads:   make([]time.Duration, cfg.Sources),
+		sources: make([]paretoSource, cfg.Sources),
+		heads:   make([]time.Duration, m),
+		tree:    make([]int32, 2*m),
 	}
 	for i := range p.sources {
-		src := &paretoSource{
+		src := &p.sources[i]
+		*src = paretoSource{
 			peakRate: perSource,
 			onShape:  cfg.Shape,
 			offShape: cfg.Shape,
@@ -180,22 +196,38 @@ func NewParetoOnOff(cfg ParetoConfig, rng *rand.Rand) (*ParetoOnOff, error) {
 			length = paretoSample(rng, src.offShape, src.offScale)
 		}
 		src.periodEnds = secondsToDuration(length * rng.Float64())
-		p.sources[i] = src
 		p.heads[i] = src.next()
+	}
+	for i := cfg.Sources; i < m; i++ {
+		p.heads[i] = math.MaxInt64
+	}
+	for i := range m {
+		p.tree[m+i] = int32(i)
+	}
+	for k := m - 1; k >= 1; k-- {
+		p.play(k)
 	}
 	return p, nil
 }
 
+// play sets tree[k] to the winner of its two children: the earlier
+// head, or the left (lower-index) one on a tie.
+func (p *ParetoOnOff) play(k int) {
+	l, r := p.tree[2*k], p.tree[2*k+1]
+	if p.heads[r] < p.heads[l] {
+		l = r
+	}
+	p.tree[k] = l
+}
+
 // Next implements Process by merging the per-source arrival streams.
 func (p *ParetoOnOff) Next() time.Duration {
-	best := 0
-	for i := 1; i < len(p.heads); i++ {
-		if p.heads[i] < p.heads[best] {
-			best = i
-		}
-	}
+	best := p.tree[1]
 	t := p.heads[best]
 	p.heads[best] = p.sources[best].next()
+	for k := (len(p.heads) + int(best)) / 2; k >= 1; k /= 2 {
+		p.play(k)
+	}
 	return t
 }
 

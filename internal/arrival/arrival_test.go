@@ -106,6 +106,80 @@ func TestParetoOnOffMonotoneAndRate(t *testing.T) {
 	}
 }
 
+// scanMerge merges by scanning every source head for the first least
+// one: the reference ParetoOnOff's winner tree must reproduce, ties
+// included.
+type scanMerge struct {
+	sources []paretoSource
+	heads   []time.Duration
+}
+
+// Next returns the next arrival and the source it came from.
+func (s *scanMerge) Next() (time.Duration, int) {
+	best := 0
+	for i := 1; i < len(s.heads); i++ {
+		if s.heads[i] < s.heads[best] {
+			best = i
+		}
+	}
+	t := s.heads[best]
+	s.heads[best] = s.sources[best].next()
+	return t, best
+}
+
+// TestParetoOnOffMatchesScan checks the winner tree against the scan,
+// source by source, at source counts on, under and over powers of two.
+// Every source is forced ON at a clock of 0, 1 or 2 ns. At the high
+// rate every gap clamps to 1 ns, so sources tick in lockstep and most
+// arrivals tie another source's head; at the low rate heads differ.
+func TestParetoOnOffMatchesScan(t *testing.T) {
+	const steps = 20000
+	force := func(sources []paretoSource, heads []time.Duration) {
+		for i := range sources {
+			s := &sources[i]
+			s.on, s.now, s.periodEnds = true, time.Duration(i%3), time.Second
+			heads[i] = s.next()
+		}
+	}
+	for _, n := range []int{1, 3, 12, 64, 65} {
+		for _, rate := range []float64{50, 1e13} {
+			cfg := ParetoConfig{Sources: n, MeanRate: rate, Shape: 1.4, MeanOn: 1, MeanOff: 2}
+			tree, err := NewParetoOnOff(cfg, rand.New(rand.NewSource(int64(n))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			twin, err := NewParetoOnOff(cfg, rand.New(rand.NewSource(int64(n))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := &scanMerge{sources: twin.sources, heads: twin.heads[:n]}
+			force(tree.sources, tree.heads)
+			force(ref.sources, ref.heads)
+			for k := len(tree.heads) - 1; k >= 1; k-- {
+				tree.play(k)
+			}
+			ties := 0
+			prev := time.Duration(-1)
+			for i := 0; i < steps; i++ {
+				winner := int(tree.tree[1])
+				got := tree.Next()
+				want, wantWinner := ref.Next()
+				if got != want || winner != wantWinner {
+					t.Fatalf("n=%d rate=%g arrival %d: tree gave %v from source %d, scan %v from source %d",
+						n, rate, i, got, winner, want, wantWinner)
+				}
+				if got == prev {
+					ties++
+				}
+				prev = got
+			}
+			if rate > 1e12 && n > 1 && ties < steps/2 {
+				t.Errorf("n=%d: only %d of %d arrivals tie; the lockstep case lost its ties", n, ties, steps)
+			}
+		}
+	}
+}
+
 func TestParetoOnOffBurstierThanPoisson(t *testing.T) {
 	// The index of dispersion (var/mean of per-bin counts) of the
 	// ON/OFF superposition must exceed the Poisson value of ~1.

@@ -8,7 +8,7 @@ import (
 )
 
 // DefaultChunk is the record-chunk size a pipeline uses when the
-// caller supplies no arena: 1024 records × 72 B ≈ 72 KiB per chunk —
+// caller supplies no arena: 1024 records × 64 B = 64 KiB per chunk —
 // large enough to amortize interface dispatch and period bookkeeping
 // to noise, small enough to stay cache- and latency-friendly for live
 // feeds.

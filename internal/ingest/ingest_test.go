@@ -8,6 +8,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -287,9 +288,9 @@ func TestIPTraceSource(t *testing.T) {
 // ingest.Open reads and drains each at chunk sizes 1, 7 and
 // DefaultChunk: records and span must equal the trace that was
 // written, however the stream is cut. The packet containers carry TCP
-// records only, pcap at microsecond resolution, and learn the span at
-// EOF as lastTs+1; tcpdump text is held to trace.ReadTcpdump of the
-// same bytes.
+// records only, pcap and tcpdump text at microsecond resolution, and
+// learn the span at EOF as lastTs+1; tcpdump text also starts its
+// clock at the first record.
 func TestOpenChunkInvariance(t *testing.T) {
 	tr := testTrace(t)
 	wire := func(res time.Duration) *trace.Trace {
@@ -304,6 +305,11 @@ func TestOpenChunkInvariance(t *testing.T) {
 		return out
 	}
 	pcapWire := wire(time.Microsecond)
+	textWire := &trace.Trace{Records: slices.Clone(pcapWire.Records)}
+	for i := range textWire.Records {
+		textWire.Records[i].Ts -= pcapWire.Records[0].Ts
+	}
+	textWire.Span = textWire.Records[len(textWire.Records)-1].Ts + 1
 	dir := t.TempDir()
 	for _, c := range []struct {
 		name  string
@@ -315,7 +321,7 @@ func TestOpenChunkInvariance(t *testing.T) {
 		{"x.pcap", trace.WritePcap, pcapWire},
 		{"x.ipt", trace.WriteIPTrace, wire(1)},
 		{"x.pcap.gz", trace.WritePcap, pcapWire},
-		{"x.txt", trace.WriteTcpdump, nil},
+		{"x.txt", trace.WriteTcpdump, textWire},
 	} {
 		var buf bytes.Buffer
 		if strings.HasSuffix(c.name, ".gz") {
@@ -332,16 +338,6 @@ func TestOpenChunkInvariance(t *testing.T) {
 		path := filepath.Join(dir, c.name)
 		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
-		}
-		if c.want == nil {
-			// tcpdump text rebases its clock to the first packet through
-			// a float seconds field, which can land 1ns under the
-			// microsecond, so its reference is the materializing reader.
-			want, err := trace.ReadTcpdump(bytes.NewReader(buf.Bytes()), "", testPrefix)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.want = want
 		}
 		for _, chunk := range []int{1, 7, DefaultChunk} {
 			t.Run(fmt.Sprintf("%s/chunk=%d", c.name, chunk), func(t *testing.T) {
@@ -521,12 +517,10 @@ func TestStreamingPcapAllocs(t *testing.T) {
 	}
 }
 
-// TestOpenTcpdumpAllocs pins that tcpdump text streams like every other
-// format: opening (and closing) a 50k-line text file costs the fixed
-// setup of a file, a scanner and its buffer, not an allocation per
-// line — Open must not parse the file up front.
-func TestOpenTcpdumpAllocs(t *testing.T) {
-	const lines = 50_000
+// tcpdumpFixture writes a lines-line tcpdump text file of SYNs one
+// millisecond apart and returns its path.
+func tcpdumpFixture(t *testing.T, lines int) string {
+	t.Helper()
 	tr := &trace.Trace{Records: make([]trace.Record, lines)}
 	for i := range tr.Records {
 		tr.Records[i] = trace.Record{
@@ -537,6 +531,16 @@ func TestOpenTcpdumpAllocs(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "big.txt")
 	writeCapture(t, path, trace.WriteTcpdump, tr)
+	return path
+}
+
+// TestOpenTcpdumpAllocs pins that tcpdump text streams like every other
+// format: opening (and closing) a 50k-line text file costs the fixed
+// setup of a file, a scanner and its buffer, not an allocation per
+// line — Open must not parse the file up front.
+func TestOpenTcpdumpAllocs(t *testing.T) {
+	const lines = 50_000
+	path := tcpdumpFixture(t, lines)
 	allocs := testing.AllocsPerRun(3, func() {
 		src, _, err := Open(path, testPrefix)
 		if err != nil {
@@ -548,6 +552,42 @@ func TestOpenTcpdumpAllocs(t *testing.T) {
 	})
 	if maxAllocs := 50.0; allocs > maxAllocs {
 		t.Errorf("Open of a %d-line tcpdump file allocated %.0f times (want fixed cost ≤ %.0f)",
+			lines, allocs, maxAllocs)
+	}
+}
+
+// TestStreamTcpdumpAllocs pins that decoding tcpdump text allocates
+// nothing per line: draining a 50k-line file through Open into one
+// reused chunk costs the same fixed setup as opening it.
+func TestStreamTcpdumpAllocs(t *testing.T) {
+	const lines = 50_000
+	path := tcpdumpFixture(t, lines)
+	buf := make([]trace.Record, DefaultChunk)
+	allocs := testing.AllocsPerRun(3, func() {
+		src, _, err := Open(path, testPrefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := 0
+		for {
+			n, err := src.NextBatch(buf)
+			total += n
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if total != lines {
+			t.Fatalf("decoded %d of %d lines", total, lines)
+		}
+		if err := src.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if maxAllocs := 50.0; allocs > maxAllocs {
+		t.Errorf("streaming a %d-line tcpdump file allocated %.0f times (want fixed cost ≤ %.0f)",
 			lines, allocs, maxAllocs)
 	}
 }

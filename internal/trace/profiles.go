@@ -223,7 +223,8 @@ func emitDirection(p Profile, rng *rand.Rand, starts []time.Duration, synDir Dir
 	if p.WithTeardown {
 		perConn = max(perConn, 4) // SYN, SYN/ACK and two FINs
 	}
-	e := newEmitter(p.Span, perConn*len(starts))
+	capacity := perConn * len(starts)
+	e := newEmitter(p.Span, capacity, calendarShift(p.Span, capacity))
 	for _, t := range starts {
 		e.advance(t)
 		emitConnection(e, p, rng, t, synDir, responseProbAt(p, outages, t))
@@ -373,59 +374,98 @@ func emitConnection(e *emitter, p Profile, rng *rand.Rand, start time.Duration, 
 	}
 }
 
-// pendingCap caps the starting capacity of the emitter's pending heap,
-// record slab and free list. A one-minute UNC trace defers at most
-// ~3.1k records at once, so it never grows them; the full 30-minute
-// UNC span peaks near 6.5k.
+// slotShift is log2 of the emitter's calendar slot width in
+// nanoseconds: 2^26 ns ≈ 67 ms. The width sets only the speed, never
+// the output. Deferred records wait 80–180 ms for a SYN/ACK, 3 s and
+// 9 s for a retransmit and ~15 s for a FIN, so most of them sit in a
+// list for many slots, and the heap holds only the few dozen of one
+// UNC slot.
+const slotShift = 26
+
+// pendingCap caps the starting capacity of the emitter's record slab.
+// A one-minute UNC trace defers at most ~3.1k records at once, so it
+// never grows it; the full 30-minute UNC span peaks near 6.5k.
 const pendingCap = 4096
+
+// readyCap is the starting capacity of the emitter's ready heap: the
+// full UNC span holds at most ~50 records in it at once.
+const readyCap = 64
 
 // emitter collects one direction's records in timestamp order as
 // connections are drawn, so no sort follows generation. Connection
 // starts never decrease and no record precedes its own connection's
 // start, so a record at or before the current start is final and goes
-// straight to out. A later one (SYN/ACK, retransmit, FIN) waits in a
-// min-heap keyed by (Ts, emission sequence) until a start passes it.
+// straight to out. A later one (SYN/ACK, retransmit, FIN) is deferred
+// into a calendar: one list per fixed time slot across the span,
+// threaded through a record slab. When a start reaches a slot, that
+// slot's records move into a small min-heap keyed by (Ts, emission
+// sequence), which releases every record at or before the start.
 // Equal timestamps leave in emission order, which is exactly what a
-// stable sort of the emission sequence produces. The heap holds only
-// the records of connections still in flight.
+// stable sort of the emission sequence produces.
 type emitter struct {
 	span  time.Duration
 	start time.Duration // start of the connection being emitted
 	seq   uint64        // emission sequence of the next deferred record
 	out   []Record
-	// pending is a min-heap on (ts, seq) over deferred records kept in
-	// slab, so sifting moves 24-byte entries rather than records; free
-	// lists the slab slots released by pops.
-	pending []pendingRecord
-	slab    []Record
-	free    []int
+	// slots[s] heads the list of deferred records whose Ts>>shift is
+	// s; next is the first slot not yet moved into ready. Lists and
+	// the free list run through nodes[i].next, and index 0 is the nil
+	// sentinel.
+	shift uint
+	slots []int32
+	next  int
+	nodes []pendingNode
+	free  int32
+	// ready is a min-heap on (ts, seq) over the records of loaded
+	// slots that are still later than the current start.
+	ready []pendingRecord
 }
 
-// pendingRecord orders the deferred record slab[slot].
+// pendingNode is one slab entry: a deferred record and its place in
+// a calendar list or in the free list.
+type pendingNode struct {
+	rec  Record
+	seq  uint64
+	next int32
+}
+
+// pendingRecord orders the deferred record nodes[node].
 type pendingRecord struct {
 	ts   time.Duration
 	seq  uint64
-	slot int
+	node int32
 }
 
-// newEmitter returns an emitter for at most capacity records.
-func newEmitter(span time.Duration, capacity int) *emitter {
+// calendarShift returns the slot shift for a direction of at most
+// capacity records: slotShift, widened until the calendar has no more
+// slots than records, so a sparse span never pays more for its empty
+// slots than for its records.
+func calendarShift(span time.Duration, capacity int) uint {
+	shift := uint(slotShift)
+	for (span-1)>>shift >= time.Duration(max(capacity, 1)) {
+		shift++
+	}
+	return shift
+}
+
+// newEmitter returns an emitter for at most capacity records in
+// [0, span), with calendar slots 2^shift ns wide.
+func newEmitter(span time.Duration, capacity int, shift uint) *emitter {
 	n := min(capacity, pendingCap)
 	return &emitter{
-		span:    span,
-		out:     make([]Record, 0, capacity),
-		pending: make([]pendingRecord, 0, n),
-		slab:    make([]Record, 0, n),
-		free:    make([]int, 0, n),
+		span:  span,
+		out:   make([]Record, 0, capacity),
+		shift: shift,
+		slots: make([]int32, (span-1)>>shift+1),
+		nodes: make([]pendingNode, 1, n+1),
+		ready: make([]pendingRecord, 0, min(n, readyCap)),
 	}
 }
 
 // advance moves to the next connection, starting at start: every
 // deferred record at or before it is released first.
 func (e *emitter) advance(start time.Duration) {
-	for len(e.pending) > 0 && e.pending[0].ts <= start {
-		e.out = append(e.out, e.pop())
-	}
+	e.release(start)
 	e.start = start
 }
 
@@ -437,36 +477,65 @@ func (e *emitter) emit(r Record) {
 	if r.Ts <= e.start {
 		e.out = append(e.out, r)
 	} else {
-		e.push(r)
+		e.hold(r)
 	}
 }
 
 // finish releases every deferred record and returns the records.
 func (e *emitter) finish() []Record {
-	for len(e.pending) > 0 {
-		e.out = append(e.out, e.pop())
-	}
+	e.release(e.span)
 	return e.out
 }
 
+// release appends every deferred record at or before limit to out in
+// (Ts, seq) order. Slots load one at a time, and ready drains to limit
+// before the next loads: every record of a later slot is later than
+// every record of an earlier one.
+func (e *emitter) release(limit time.Duration) {
+	last := min(int(limit>>e.shift), len(e.slots)-1)
+	for {
+		for len(e.ready) > 0 && e.ready[0].ts <= limit {
+			e.out = append(e.out, e.pop())
+		}
+		if e.next > last {
+			return
+		}
+		for i := e.slots[e.next]; i != 0; i = e.nodes[i].next {
+			e.push(pendingRecord{ts: e.nodes[i].rec.Ts, seq: e.nodes[i].seq, node: i})
+		}
+		e.slots[e.next] = 0
+		e.next++
+	}
+}
+
+// hold stores r in the slab and files it under its slot, or straight
+// into ready when that slot is already loaded.
+func (e *emitter) hold(r Record) {
+	i := e.free
+	if i != 0 {
+		e.free = e.nodes[i].next
+		e.nodes[i] = pendingNode{rec: r, seq: e.seq}
+	} else {
+		i = int32(len(e.nodes))
+		e.nodes = append(e.nodes, pendingNode{rec: r, seq: e.seq})
+	}
+	if s := int(r.Ts >> e.shift); s >= e.next {
+		e.nodes[i].next = e.slots[s]
+		e.slots[s] = i
+	} else {
+		e.push(pendingRecord{ts: r.Ts, seq: e.seq, node: i})
+	}
+	e.seq++
+}
+
 func (e *emitter) less(i, j int) bool {
-	a, b := &e.pending[i], &e.pending[j]
+	a, b := &e.ready[i], &e.ready[j]
 	return a.ts < b.ts || (a.ts == b.ts && a.seq < b.seq)
 }
 
-func (e *emitter) push(r Record) {
-	var slot int
-	if n := len(e.free); n > 0 {
-		slot = e.free[n-1]
-		e.free = e.free[:n-1]
-		e.slab[slot] = r
-	} else {
-		slot = len(e.slab)
-		e.slab = append(e.slab, r)
-	}
-	e.pending = append(e.pending, pendingRecord{ts: r.Ts, seq: e.seq, slot: slot})
-	e.seq++
-	h := e.pending
+func (e *emitter) push(p pendingRecord) {
+	e.ready = append(e.ready, p)
+	h := e.ready
 	for i := len(h) - 1; i > 0; {
 		parent := (i - 1) / 2
 		if !e.less(i, parent) {
@@ -477,29 +546,31 @@ func (e *emitter) push(r Record) {
 	}
 }
 
+// pop removes the least ready record and frees its slab node.
 func (e *emitter) pop() Record {
-	h := e.pending
-	slot := h[0].slot
+	h := e.ready
+	i := h[0].node
 	n := len(h) - 1
 	h[0] = h[n]
 	h = h[:n]
-	e.pending = h
-	for i := 0; ; {
-		child := 2*i + 1
+	e.ready = h
+	for k := 0; ; {
+		child := 2*k + 1
 		if child >= n {
 			break
 		}
 		if r := child + 1; r < n && e.less(r, child) {
 			child = r
 		}
-		if !e.less(child, i) {
+		if !e.less(child, k) {
 			break
 		}
-		h[i], h[child] = h[child], h[i]
-		i = child
+		h[k], h[child] = h[child], h[k]
+		k = child
 	}
-	e.free = append(e.free, slot)
-	return e.slab[slot]
+	e.nodes[i].next = e.free
+	e.free = i
+	return e.nodes[i].rec
 }
 
 func flip(d Direction) Direction {

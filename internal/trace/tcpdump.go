@@ -2,11 +2,11 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"net/netip"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/packet"
@@ -67,7 +67,7 @@ func (s *TcpdumpStream) NextBatch(buf []Record) (int, error) {
 			return n, io.EOF
 		}
 		s.lineNo++
-		rec, tod, ok, err := parseTcpdumpLine(s.sc.Text(), s.prefix)
+		rec, tod, ok, err := parseTcpdumpLine(s.sc.Bytes(), s.prefix)
 		if err != nil {
 			return n, fmt.Errorf("trace: tcpdump line %d: %w", s.lineNo, err)
 		}
@@ -155,37 +155,45 @@ func WriteTcpdump(w io.Writer, tr *Trace) error {
 }
 
 // parseTcpdumpLine extracts one record; ok=false means skip the line.
-func parseTcpdumpLine(line string, stubPrefix netip.Prefix) (Record, time.Duration, bool, error) {
-	fields := strings.Fields(line)
-	// Minimal shape: ts IP src > dst: Flags [..]
-	if len(fields) < 7 || fields[1] != "IP" || fields[3] != ">" {
-		return Record{}, 0, false, nil
-	}
-	flagsIdx := -1
-	for i, f := range fields {
-		if f == "Flags" {
-			flagsIdx = i
+// It reads the scanner's bytes in place and allocates only on an
+// error or an address that is not a plain dotted quad.
+func parseTcpdumpLine(line []byte, stubPrefix netip.Prefix) (Record, time.Duration, bool, error) {
+	// Minimal shape: ts IP src > dst: Flags [..], that is at least 7
+	// fields, the first "Flags" field followed by one more.
+	var head [5][]byte
+	var flags []byte
+	n, sawFlags := 0, false
+	for rest := line; n < 7 || flags == nil; n++ {
+		var f []byte
+		if f, rest = nextField(rest); f == nil {
 			break
 		}
+		if n < len(head) {
+			head[n] = f
+		}
+		if sawFlags && flags == nil {
+			flags = f
+		} else if string(f) == "Flags" {
+			sawFlags = true
+		}
 	}
-	if flagsIdx < 0 || flagsIdx+1 >= len(fields) {
+	if n < 7 || string(head[1]) != "IP" || string(head[3]) != ">" || flags == nil {
 		return Record{}, 0, false, nil // not a TCP line
 	}
 
-	tod, err := parseTimeOfDay(fields[0])
+	tod, err := parseTimeOfDay(head[0])
 	if err != nil {
 		return Record{}, 0, false, err
 	}
-	src, srcPort, err := parseHostPort(fields[2])
+	src, srcPort, err := parseHostPort(head[2])
 	if err != nil {
 		return Record{}, 0, false, err
 	}
-	dstField := strings.TrimSuffix(fields[4], ":")
-	dst, dstPort, err := parseHostPort(dstField)
+	dst, dstPort, err := parseHostPort(bytes.TrimSuffix(head[4], []byte(":")))
 	if err != nil {
 		return Record{}, 0, false, err
 	}
-	kind, err := parseTcpdumpFlags(fields[flagsIdx+1])
+	kind, err := parseTcpdumpFlags(flags)
 	if err != nil {
 		return Record{}, 0, false, err
 	}
@@ -201,53 +209,135 @@ func parseTcpdumpLine(line string, stubPrefix netip.Prefix) (Record, time.Durati
 	}, tod, true, nil
 }
 
-// parseTimeOfDay parses HH:MM:SS[.frac].
-func parseTimeOfDay(s string) (time.Duration, error) {
-	parts := strings.Split(s, ":")
-	if len(parts) != 3 {
-		return 0, fmt.Errorf("bad timestamp %q", s)
+// nextField returns the first field of b and what follows it; f is
+// nil when b holds no field. Fields split at ASCII white space, which
+// is all tcpdump prints.
+func nextField(b []byte) (f, rest []byte) {
+	i := 0
+	for i < len(b) && isSpace(b[i]) {
+		i++
 	}
-	h, err := strconv.Atoi(parts[0])
-	if err != nil || h < 0 || h > 23 {
-		return 0, fmt.Errorf("bad hour in %q", s)
+	if i == len(b) {
+		return nil, nil
 	}
-	m, err := strconv.Atoi(parts[1])
-	if err != nil || m < 0 || m > 59 {
-		return 0, fmt.Errorf("bad minute in %q", s)
+	j := i
+	for j < len(b) && !isSpace(b[j]) {
+		j++
 	}
-	sec, err := strconv.ParseFloat(parts[2], 64)
-	if err != nil || sec < 0 || sec >= 61 {
-		return 0, fmt.Errorf("bad second in %q", s)
+	return b[i:j], b[j:]
+}
+
+func isSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
+}
+
+// parseTimeOfDay parses HH:MM:SS[.frac] in integer nanoseconds: the
+// fraction's first nine digits are the nanoseconds, so a timestamp is
+// exact to the digit (later digits are checked and dropped).
+func parseTimeOfDay(b []byte) (time.Duration, error) {
+	hh, rest, _ := bytes.Cut(b, []byte(":"))
+	mm, ss, ok := bytes.Cut(rest, []byte(":"))
+	if !ok || bytes.IndexByte(ss, ':') >= 0 {
+		return 0, fmt.Errorf("bad timestamp %q", b)
+	}
+	h, ok := parseDigits(hh)
+	if !ok || h > 23 {
+		return 0, fmt.Errorf("bad hour in %q", b)
+	}
+	m, ok := parseDigits(mm)
+	if !ok || m > 59 {
+		return 0, fmt.Errorf("bad minute in %q", b)
+	}
+	whole, frac, _ := bytes.Cut(ss, []byte("."))
+	sec, ok := parseDigits(whole)
+	if !ok || sec > 60 {
+		return 0, fmt.Errorf("bad second in %q", b)
+	}
+	ns, scale := 0, int(time.Second)
+	for _, c := range frac {
+		if c < '0' || c > '9' {
+			return 0, fmt.Errorf("bad second in %q", b)
+		}
+		if scale > 1 {
+			scale /= 10
+			ns += int(c-'0') * scale
+		}
 	}
 	return time.Duration(h)*time.Hour + time.Duration(m)*time.Minute +
-		time.Duration(sec*float64(time.Second)), nil
+		time.Duration(sec)*time.Second + time.Duration(ns), nil
+}
+
+// parseDigits parses a run of one to nine ASCII digits.
+func parseDigits(b []byte) (int, bool) {
+	if len(b) == 0 || len(b) > 9 {
+		return 0, false
+	}
+	v := 0
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		v = v*10 + int(c-'0')
+	}
+	return v, true
 }
 
 // parseHostPort splits "a.b.c.d.port" (tcpdump joins address and port
 // with a dot).
-func parseHostPort(s string) (netip.Addr, uint16, error) {
-	idx := strings.LastIndexByte(s, '.')
-	if idx <= 0 || idx == len(s)-1 {
-		return netip.Addr{}, 0, fmt.Errorf("bad host.port %q", s)
+func parseHostPort(b []byte) (netip.Addr, uint16, error) {
+	idx := bytes.LastIndexByte(b, '.')
+	if idx <= 0 || idx == len(b)-1 {
+		return netip.Addr{}, 0, fmt.Errorf("bad host.port %q", b)
 	}
-	addr, err := netip.ParseAddr(s[:idx])
-	if err != nil {
-		return netip.Addr{}, 0, fmt.Errorf("bad address in %q: %w", s, err)
+	addr, ok := parseDottedQuad(b[:idx])
+	if !ok {
+		var err error
+		if addr, err = netip.ParseAddr(string(b[:idx])); err != nil {
+			return netip.Addr{}, 0, fmt.Errorf("bad address in %q: %w", b, err)
+		}
 	}
-	port, err := strconv.ParseUint(s[idx+1:], 10, 16)
-	if err != nil {
-		return netip.Addr{}, 0, fmt.Errorf("bad port in %q: %w", s, err)
+	port, ok := parseDigits(b[idx+1:])
+	if !ok || port > math.MaxUint16 {
+		return netip.Addr{}, 0, fmt.Errorf("bad port in %q", b)
 	}
 	return addr, uint16(port), nil
 }
 
+// parseDottedQuad parses the IPv4 form netip.ParseAddr accepts: four
+// decimal octets without leading zeros. ok=false leaves every other
+// form, valid or not, to netip.ParseAddr.
+func parseDottedQuad(b []byte) (netip.Addr, bool) {
+	var ip [4]byte
+	for i := range ip {
+		end := bytes.IndexByte(b, '.')
+		if i == 3 {
+			end = len(b)
+		} else if end < 0 {
+			return netip.Addr{}, false
+		}
+		octet := b[:end]
+		if len(octet) > 1 && octet[0] == '0' {
+			return netip.Addr{}, false
+		}
+		v, ok := parseDigits(octet)
+		if !ok || v > 255 {
+			return netip.Addr{}, false
+		}
+		ip[i] = byte(v)
+		if i < 3 {
+			b = b[end+1:]
+		}
+	}
+	return netip.AddrFrom4(ip), true
+}
+
 // parseTcpdumpFlags maps tcpdump's bracket notation to a Kind:
 // S=SYN, F=FIN, R=RST, P=PSH, U=URG, .=ACK (W/E/none ignored).
-func parseTcpdumpFlags(s string) (packet.Kind, error) {
-	s = strings.TrimSuffix(strings.TrimPrefix(s, "["), "],")
-	s = strings.TrimSuffix(s, "]")
+func parseTcpdumpFlags(b []byte) (packet.Kind, error) {
+	b = bytes.TrimSuffix(bytes.TrimPrefix(b, []byte("[")), []byte("],"))
+	b = bytes.TrimSuffix(b, []byte("]"))
 	var flags uint8
-	for _, c := range s {
+	for _, c := range string(b) {
 		switch c {
 		case 'S':
 			flags |= packet.FlagSYN
@@ -264,7 +354,7 @@ func parseTcpdumpFlags(s string) (packet.Kind, error) {
 		case 'W', 'E', 'w', 'e', 'n':
 			// ECN bits / "none": irrelevant to classification.
 		default:
-			return 0, fmt.Errorf("unknown tcpdump flag %q in %q", string(c), s)
+			return 0, fmt.Errorf("unknown tcpdump flag %q in %q", string(c), b)
 		}
 	}
 	return packet.ClassifyFlags(flags), nil

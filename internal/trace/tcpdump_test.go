@@ -2,6 +2,7 @@ package trace
 
 import (
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -65,6 +66,64 @@ func TestReadTcpdumpBasic(t *testing.T) {
 	}
 }
 
+// fourSYNs stamps four SYNs exactly 20 s apart at a microsecond
+// fraction (.000052) that float seconds cannot hold exactly.
+const fourSYNs = `10:00:12.000052 IP 10.1.0.1.40000 > 11.0.0.1.80: Flags [S], seq 1, win 65535, length 0
+10:00:32.000052 IP 10.1.0.1.40001 > 11.0.0.1.80: Flags [S], seq 1, win 65535, length 0
+10:00:52.000052 IP 10.1.0.1.40002 > 11.0.0.1.80: Flags [S], seq 1, win 65535, length 0
+10:01:12.000052 IP 10.1.0.1.40003 > 11.0.0.1.80: Flags [S], seq 1, win 65535, length 0
+`
+
+// TestReadTcpdumpExactTimestamps pins integer time parsing: each SYN
+// lands exactly 20 s after the last, so with t0 = 20 s each period
+// holds one. Parsed through float seconds, the second SYN sat 1 ns
+// under 20 s and the periods held 2, 0 and 1.
+func TestReadTcpdumpExactTimestamps(t *testing.T) {
+	tr, err := ReadTcpdump(strings.NewReader(fourSYNs), "four", tcpdumpStub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range tr.Records {
+		if want := time.Duration(i) * 20 * time.Second; r.Ts != want {
+			t.Errorf("record %d at %v, want %v", i, r.Ts, want)
+		}
+	}
+	pc, err := tr.Aggregate(20 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(pc.OutSYN, []float64{1, 1, 1}) {
+		t.Errorf("out-SYNs per period = %v, want [1 1 1]", pc.OutSYN)
+	}
+}
+
+// TestParseTimeOfDay pins the accepted clock forms: the fraction's
+// digits are nanoseconds (past the ninth they are dropped), seconds
+// may read 60 for a leap second, and anything but digits is refused.
+func TestParseTimeOfDay(t *testing.T) {
+	good := map[string]time.Duration{
+		"00:00:00":              0,
+		"10:00:12.000052":       10*time.Hour + 12*time.Second + 52*time.Microsecond,
+		"23:59:60.5":            23*time.Hour + 59*time.Minute + 60*time.Second + 500*time.Millisecond,
+		"01:02:03.123456789123": time.Hour + 2*time.Minute + 3*time.Second + 123456789,
+		"1:2:3.":                time.Hour + 2*time.Minute + 3*time.Second,
+	}
+	for in, want := range good {
+		got, err := parseTimeOfDay([]byte(in))
+		if err != nil || got != want {
+			t.Errorf("parseTimeOfDay(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, in := range []string{
+		"", "12:00", "12:00:00:00", "24:00:00", "12:60:00", "12:00:61",
+		"+1:00:00", "12:00:1e1", "12:00:.5", "12:00:00.5x", "12:00:NaN",
+	} {
+		if got, err := parseTimeOfDay([]byte(in)); err == nil {
+			t.Errorf("parseTimeOfDay(%q) = %v, want an error", in, got)
+		}
+	}
+}
+
 func TestReadTcpdumpMidnightRollover(t *testing.T) {
 	in := `23:59:59.500000 IP 10.1.0.1.1000 > 11.0.0.1.80: Flags [S], length 0
 00:00:00.500000 IP 10.1.0.1.1001 > 11.0.0.1.80: Flags [S], length 0
@@ -124,7 +183,7 @@ func TestParseTcpdumpFlagVariants(t *testing.T) {
 		"[SEW],": packet.KindSYN, // ECN-setup SYN
 	}
 	for in, want := range cases {
-		got, err := parseTcpdumpFlags(in)
+		got, err := parseTcpdumpFlags([]byte(in))
 		if err != nil {
 			t.Errorf("parse %q: %v", in, err)
 			continue
@@ -216,10 +275,7 @@ func TestWriteTcpdumpRoundTrip(t *testing.T) {
 			g.SrcPort != want.SrcPort || g.DstPort != want.DstPort || g.Dir != want.Dir {
 			t.Fatalf("record %d = %+v, want %+v", i, g, want)
 		}
-		// parseTimeOfDay goes through a float64 seconds value, which
-		// can sit 1ns under the exact microsecond; allow exactly that.
-		diff := g.Ts - (want.Ts.Truncate(time.Microsecond) - base)
-		if diff < -time.Nanosecond || diff > time.Nanosecond {
+		if g.Ts != want.Ts.Truncate(time.Microsecond)-base {
 			t.Fatalf("record %d ts = %v, want %v truncated and re-based", i, g.Ts, want.Ts)
 		}
 	}

@@ -49,15 +49,17 @@ func (d Direction) String() string {
 }
 
 // Record is one trace event: a classified TCP control segment crossing
-// the leaf router at time Ts (relative to trace start).
+// the leaf router at time Ts (relative to trace start). The one-byte
+// fields come last, after the ports, so a record packs into 64 bytes:
+// one cache line.
 type Record struct {
 	Ts      time.Duration
-	Kind    packet.Kind
-	Dir     Direction
 	Src     netip.Addr
 	Dst     netip.Addr
 	SrcPort uint16
 	DstPort uint16
+	Kind    packet.Kind
+	Dir     Direction
 }
 
 // Trace is an ordered sequence of records.
