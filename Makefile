@@ -1,7 +1,7 @@
 # SYN-dog reproduction — convenience targets.
 GO ?= go
 
-.PHONY: all build build-live fmt vet vet-live test race perfbench check bench bench-gate examples experiments fast-experiments ablations evasion distributed victim fuzz soak soak-short clean
+.PHONY: all build build-live fmt vet vet-live test race perfbench check bench bench-gate examples experiments fast-experiments ablations evasion distributed victim fuzz soak soak-short loc clean
 
 all: build vet test
 
@@ -128,6 +128,13 @@ soak:
 
 soak-short:
 	$(GO) test -race ./internal/daemon/ -run TestSoakChurn -soak 5s
+
+# Non-test Go lines (code, comments and blank lines) of the files git
+# tracks or would track, counted twice: the program outside perfbench/,
+# then the perfbench harness, its own module.
+loc:
+	@git ls-files -co --exclude-standard '*.go' | grep -v '_test\.go$$' | grep -v '^perfbench/' | xargs cat | wc -l | xargs printf 'program (outside perfbench/): %s\n'
+	@git ls-files -co --exclude-standard '*.go' | grep -v '_test\.go$$' | grep '^perfbench/' | xargs cat | wc -l | xargs printf 'perfbench/: %s\n'
 
 # 8 seconds per fuzz target; extend FUZZTIME for deeper runs.
 FUZZTIME ?= 8s

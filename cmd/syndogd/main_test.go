@@ -98,7 +98,7 @@ func TestRunRejectsConfigMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	state := filepath.Join(dir, "state.json")
-	if err := daemon.WriteSnapshotFile(agent.Snapshot(), state); err != nil {
+	if err := daemon.WriteStateFile(daemon.State{Snapshot: agent.Snapshot()}, state); err != nil {
 		t.Fatal(err)
 	}
 	tr := filepath.Join(dir, "bg.trace")
@@ -198,7 +198,7 @@ func TestRunMismatchPolicyFlag(t *testing.T) {
 		t.Fatal(err)
 	}
 	state := filepath.Join(dir, "state.json")
-	if err := daemon.WriteSnapshotFile(agent.Snapshot(), state); err != nil {
+	if err := daemon.WriteStateFile(daemon.State{Snapshot: agent.Snapshot()}, state); err != nil {
 		t.Fatal(err)
 	}
 	tr := filepath.Join(dir, "bg.trace")

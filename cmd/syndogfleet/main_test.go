@@ -100,11 +100,11 @@ func TestFleetSnapshotDir(t *testing.T) {
 	// agent must still carry the alarm.
 	for i := 0; i < 3; i++ {
 		path := filepath.Join(dir, fmt.Sprintf("stub%02d.json", i))
-		agent, _, resumed, err := daemon.LoadOrNewState(path, core.Config{T0: 10 * time.Second}, fleetTrack())
+		agent, _, action, err := daemon.LoadOrNewState(path, core.Config{T0: 10 * time.Second}, fleetTrack(), daemon.PolicyError)
 		if err != nil {
 			t.Fatalf("stub %d: %v", i, err)
 		}
-		if !resumed {
+		if action != daemon.ActionResumed {
 			t.Fatalf("stub %d: snapshot missing", i)
 		}
 		if len(agent.Reports()) == 0 {
@@ -117,7 +117,7 @@ func TestFleetSnapshotDir(t *testing.T) {
 	// A mismatched config must refuse the fleet snapshot, same as any
 	// other resume.
 	path := filepath.Join(dir, "stub00.json")
-	if _, _, _, err := daemon.LoadOrNewState(path, core.Config{}, fleetTrack()); err == nil {
+	if _, _, _, err := daemon.LoadOrNewState(path, core.Config{}, fleetTrack(), daemon.PolicyError); err == nil {
 		t.Error("fleet snapshot resumed under wrong t0")
 	}
 }
@@ -154,7 +154,8 @@ func TestFleetSnapshotDirPerTrial(t *testing.T) {
 // TestFleetSnapshotCarriesKeyedState: the fleet's snapshots include
 // the keyed per-source half, so syndogd -track-sources resumes the
 // attribution evidence too, not just the aggregate CUSUM. Before this,
-// WriteSnapshotFile dropped the tracker state on the floor.
+// the fleet wrote aggregate-only snapshots and dropped the tracker
+// state on the floor.
 func TestFleetSnapshotCarriesKeyedState(t *testing.T) {
 	dir := t.TempDir()
 	err := run([]string{
@@ -169,12 +170,12 @@ func TestFleetSnapshotCarriesKeyedState(t *testing.T) {
 	// flood evidence intact — tracked sources, and at least one keyed
 	// alarm pointing at the spoofed blocks.
 	path := filepath.Join(dir, "stub00.json")
-	agent, tracker, resumed, err := daemon.LoadOrNewState(path, core.Config{T0: 10 * time.Second}, fleetTrack())
+	agent, tracker, action, err := daemon.LoadOrNewState(path, core.Config{T0: 10 * time.Second}, fleetTrack(), daemon.PolicyError)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resumed || tracker == nil {
-		t.Fatalf("resumed = %v, tracker = %v", resumed, tracker)
+	if action != daemon.ActionResumed || tracker == nil {
+		t.Fatalf("action = %v, tracker = %v", action, tracker)
 	}
 	if tracker.Periods() != len(agent.Reports()) {
 		t.Errorf("period clocks disagree: keyed %d, aggregate %d",

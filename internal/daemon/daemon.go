@@ -1,19 +1,22 @@
 // Package daemon is the hardened operational core shared by the
-// long-lived SYN-dog binaries (cmd/syndogd, cmd/syndogfleet): capture
-// replay through an ingest pipeline — instant or paced against
-// absolute wall-clock deadlines — live HTTP state, and durable
-// snapshot / checkpoint handling.
+// long-lived SYN-dog binaries (cmd/syndogd, cmd/syndogfleet): one
+// replay loop that feeds any capture — a scanned file, instant or paced
+// against absolute wall-clock deadlines, or a live source — through an
+// ingest pipeline, live HTTP state, and durable snapshot / checkpoint
+// handling.
 //
 // The package exists to make the resume/replay path provably
 // equivalent to a single uninterrupted run, which is what the CUSUM
 // change-point literature assumes of a continuously-running statistic:
 //
 //   - Replay is resume-aware: a detector restored from a snapshot with
-//     N completed periods skips the first N periods of the capture
-//     instead of re-appending them.
+//     N completed periods skips the records of the first N periods
+//     instead of re-counting them, on file and live inputs alike.
 //   - Pacing derives every period boundary from one start instant, so
 //     scheduler latency inside a period does not accumulate into the
 //     next (no chained time.After drift).
+//   - Every period closes through one timed close, whatever the input,
+//     so the period-latency histogram counts every period a run closed.
 //   - Replay failures are daemon state, surfaced via /status and
 //     /healthz (503) and returned from Run so the process exits
 //     non-zero — never discarded.
@@ -63,7 +66,7 @@ type Options struct {
 	// replay taps every counted record into it, /sources and the
 	// keyed /metrics gauges expose it, and SaveState persists its
 	// keyed snapshot alongside the agent's. Its period clock must
-	// match the detector's resume offset (NewStream validates).
+	// match the detector's resume offset (New validates).
 	Tracker *sourcetrack.Tracker
 	// Monitor names this daemon in its exported summaries — the
 	// identity a fusion coordinator sees (default Name). The
@@ -105,18 +108,17 @@ type Daemon struct {
 	srcName    string
 	srcRecords int // record count when known up front, -1 for pure streams
 	t0         time.Duration
-	span       time.Duration
+	span       time.Duration // the scanned file span; 0 for a live source
 
-	resumeOffset int  // periods already in the detector when the daemon started
-	totalPeriods int  // complete periods the capture spans; 0 for live sources
-	live         bool // live source: unbounded span, data-driven period closes
-	records      int  // records replayed so far (this run)
-	skipped      int  // records skipped: their period predates the resume point
+	resumeOffset int // periods already in the detector when the daemon started
+	totalPeriods int // complete periods the file spans; 0 for a live source
+	records      int // records replayed so far (this run)
+	skipped      int // records skipped: their period predates the resume point
 	done         bool
 	replayErr    error
 
-	// midPeriod is set while the bounded replay has fed part of a period
-	// it has not closed yet: the replay releases mu between chunks, and
+	// midPeriod is set while the replay has fed part of a file period it
+	// has not closed yet: the replay releases mu between chunks, and
 	// the tracker's open-period counts must not reach a snapshot. State
 	// waits on boundary (whose lock is mu) until it clears.
 	midPeriod bool
@@ -139,36 +141,53 @@ type Daemon struct {
 	lastCheckpointErr  error
 }
 
-// NewStream builds a daemon that replays src through det. info must
-// carry the capture span (ingest.Scan learns it, and validates the
-// file, in one pass before the replay opens it); info.Records may be
-// -1 when the count is unknown up front. t0 is the observation period
-// — detectors other than the CUSUM agent carry no period of their own.
+// New builds a daemon that replays src through det. t0 is the
+// observation period — detectors other than the CUSUM agent carry no
+// period of their own. info.Records may be -1 when the count is
+// unknown up front. info.Span says what kind of input src is:
+//
+//   - Span > 0: a file, whose span ingest.Scan learned (and whose order
+//     it validated) in one pass before the replay opened it. The replay
+//     covers the span's complete periods, paced when Replay is given a
+//     speed, and stops at the last one. New refuses a span shorter than
+//     one period.
+//   - Span == 0: a live source — a capture.Source on an interface or
+//     pcap pipe, or any other ingest.Source whose span is unknowable up
+//     front. It is never paced: records arrive in real time and a
+//     period closes when the first record of a later one arrives (a
+//     completely quiet period closes only when traffic resumes). At
+//     EOF the replay closes the complete periods of the span the
+//     source learned (ingest.SpanSource), so a finite feed reports
+//     exactly what the file replay of the same capture reports.
+//     Cancelling the replay closes src to unblock a read on a quiet
+//     wire, so src.Close must end a pending NextBatch: capture.Source's
+//     does, but a bare ingest.ChanSource's Close only frees a parked
+//     producer — its feeder must CloseSend for a replay to return.
+//
 // If the detector was resumed from a snapshot, its existing report
-// history becomes the resume offset: replay will skip that many
-// leading periods. NewStream fails on a span shorter than one period,
-// or when the detector's history claims more periods than the span
-// holds (the snapshot cannot have come from this capture).
+// history becomes the resume offset: replay skips the records of that
+// many leading periods. New fails when that history claims more
+// periods than a file's span holds (the snapshot cannot have come from
+// this capture), and when a tracker's period clock disagrees with it.
 //
 // The aggregator still checks order as records stream: a source that
 // turns out unordered or out of span fails the replay (surfacing via
 // /healthz and Run's error) rather than mis-bucketing periods.
-func NewStream(det core.Detector, src ingest.Source, info ingest.Info, t0 time.Duration, opts Options) (*Daemon, error) {
+func New(det core.Detector, src ingest.Source, info ingest.Info, t0 time.Duration, opts Options) (*Daemon, error) {
 	opts.applyDefaults()
 	if t0 <= 0 {
 		return nil, fmt.Errorf("daemon: non-positive observation period %v", t0)
 	}
-	if info.Span <= 0 {
-		return nil, fmt.Errorf("daemon: trace %q has no span", info.Name)
-	}
-	periods := int(info.Span / t0)
-	if periods == 0 {
-		return nil, fmt.Errorf("daemon: trace %q span %v shorter than one period %v", info.Name, info.Span, t0)
-	}
 	resume := det.Periods()
-	if resume > periods {
-		return nil, fmt.Errorf("daemon: snapshot holds %d periods but trace %q spans only %d — wrong trace or state file",
-			resume, info.Name, periods)
+	periods := 0
+	if info.Span != 0 {
+		if periods = int(info.Span / t0); periods <= 0 {
+			return nil, fmt.Errorf("daemon: trace %q span %v shorter than one period %v", info.Name, info.Span, t0)
+		}
+		if resume > periods {
+			return nil, fmt.Errorf("daemon: snapshot holds %d periods but trace %q spans only %d — wrong trace or state file",
+				resume, info.Name, periods)
+		}
 	}
 	if opts.Tracker != nil && opts.Tracker.Periods() != resume {
 		return nil, fmt.Errorf("daemon: keyed state holds %d periods but detector holds %d — mismatched snapshot halves",
@@ -184,62 +203,16 @@ func NewStream(det core.Detector, src ingest.Source, info ingest.Info, t0 time.D
 		span:         info.Span,
 		resumeOffset: resume,
 		totalPeriods: periods,
+		summarizer: &summary.Summarizer{
+			Monitor: opts.Monitor,
+			Cfg:     opts.Summary,
+			Tracker: opts.Tracker,
+		},
 	}
-	d.init()
-	return d, nil
-}
-
-// NewLive builds a daemon over a live source — a capture.Source on an
-// interface or pcap pipe, or any other ingest.Source whose span is
-// unknowable up front. There is no fixed period count and no pacing:
-// records arrive in real time and the aggregator closes a period when
-// the first record of the next one crosses the boundary (a completely
-// quiet period closes only when traffic resumes). Replay ends when the
-// source does — never for an interface, at stream end for a pipe —
-// with the trailing partial period closed so a finite live feed
-// accounts for every record.
-//
-// Resume still works: a detector restored with N periods makes the
-// aggregator skip records timestamped inside them, which is exactly
-// right for replaying a capture file through the live path and
-// meaningless-but-harmless for a freshly-rebased interface feed (whose
-// operator should start with fresh state).
-func NewLive(det core.Detector, src ingest.Source, name string, t0 time.Duration, opts Options) (*Daemon, error) {
-	opts.applyDefaults()
-	if t0 <= 0 {
-		return nil, fmt.Errorf("daemon: non-positive observation period %v", t0)
-	}
-	resume := det.Periods()
-	if opts.Tracker != nil && opts.Tracker.Periods() != resume {
-		return nil, fmt.Errorf("daemon: keyed state holds %d periods but detector holds %d — mismatched snapshot halves",
-			opts.Tracker.Periods(), resume)
-	}
-	d := &Daemon{
-		opts:         opts,
-		det:          det,
-		src:          src,
-		srcName:      name,
-		srcRecords:   -1,
-		t0:           t0,
-		live:         true,
-		resumeOffset: resume,
-	}
-	d.init()
-	return d, nil
-}
-
-// init finishes construction: the snapshot handle on the CUSUM agent,
-// the summarizer with its backfilled history, and the period-boundary
-// condition.
-func (d *Daemon) init() {
-	d.agent, _ = d.det.(*core.Agent)
-	d.summarizer = &summary.Summarizer{
-		Monitor: d.opts.Monitor,
-		Cfg:     d.opts.Summary,
-		Tracker: d.opts.Tracker,
-	}
-	d.summaries = d.summarizer.Backfill(d.det.Reports())
+	d.agent, _ = det.(*core.Agent)
+	d.summaries = d.summarizer.Backfill(det.Reports())
 	d.boundary.L = &d.mu
+	return d, nil
 }
 
 // emitSummary appends one closed period's summary to the store and
@@ -266,16 +239,18 @@ func (d *Daemon) Close() error {
 // started.
 func (d *Daemon) ResumeOffset() int { return d.resumeOffset }
 
-// TotalPeriods returns how many complete periods the capture spans.
+// TotalPeriods returns how many complete periods the capture spans (0
+// for a live source).
 func (d *Daemon) TotalPeriods() int { return d.totalPeriods }
 
 // Replay feeds the source through the detector, skipping periods
 // already covered by the detector's history. speed <= 0 replays
-// instantly; a positive speed replays that many trace seconds per wall
-// second, pacing each period boundary against an absolute deadline
-// derived from the replay start instant. The returned error is also
-// recorded in daemon state (visible via /status and /healthz) unless
-// it is the context's cancellation.
+// instantly; a positive speed replays a file that many trace seconds
+// per wall second, pacing each period boundary against an absolute
+// deadline derived from the replay start instant (a live source is
+// never paced). The returned error is also recorded in daemon state
+// (visible via /status and /healthz) unless it is the context's
+// cancellation.
 func (d *Daemon) Replay(ctx context.Context, speed float64) error {
 	err := d.replay(ctx, speed)
 	d.mu.Lock()
@@ -294,10 +269,17 @@ func (d *Daemon) Replay(ctx context.Context, speed float64) error {
 	return err
 }
 
+// replay is the one chunk loop behind every input. Records land in an
+// arena chunk and buf[pos:n] is the unconsumed window; reads run
+// without d.mu held, so a slow or quiet source never stalls the HTTP
+// plane. The loop cuts the window at the resume point and at the open
+// period's boundary: records before the resume point were counted
+// before the snapshot was taken, and the aggregator skips them
+// unpaced; a record at or past the boundary closes the open period —
+// at its wall-clock deadline when paced, without consuming that
+// record — and everything else is fed into the open period.
 func (d *Daemon) replay(ctx context.Context, speed float64) error {
-	if d.live {
-		return d.replayLive(ctx)
-	}
+	live := d.span == 0
 	// The summarizer tap is the single emission path for closed
 	// periods: it folds the tracker (when present), builds the period's
 	// summary from the detector's report, and hands it to emitSummary —
@@ -313,134 +295,51 @@ func (d *Daemon) replay(ctx context.Context, speed float64) error {
 		return err
 	}
 	agg.SetTap(tap)
+	if live {
+		// A live source already arrives in real time, and blocks on a
+		// quiet wire: cancellation must close it to unblock the read,
+		// not just set a flag the loop never reaches.
+		speed = 0
+		stopClose := context.AfterFunc(ctx, func() { _ = d.src.Close() })
+		defer stopClose()
+	}
 
-	// Chunked lookahead over the source: records land in an arena chunk
-	// and buf[pos:n] is the unconsumed window. The paced loop cuts each
-	// chunk at the period boundary, so a period closes at its wall-clock
-	// deadline without consuming the first record of the following one —
-	// the batch generalization of the old one-record peek.
-	arena := ingest.NewArena(0)
-	buf := arena.Get()
-	defer arena.Put(buf)
+	// gate runs once per period, before the period's first record is
+	// fed or the period is closed. Paced, it waits for the period's
+	// deadline, derived from the instant the first period was gated: a
+	// late wakeup shortens the next wait instead of pushing every later
+	// period back the way chained time.After calls do. Past the resume
+	// prefix a file replay heeds cancellation only here, so a file
+	// period once fed is always completed.
 	var (
-		pos, n  int
-		srcDone bool
+		start time.Time
+		gated = d.resumeOffset - 1
 	)
-	// fill refills the window when it is empty; reads run without d.mu
-	// held, so a slow source never stalls the HTTP plane.
-	fill := func() error {
-		if srcDone || pos < n {
+	gate := func() error {
+		p := agg.Done()
+		if p == gated {
 			return nil
 		}
-		pos, n = 0, 0
-		for !srcDone && n == 0 {
-			m, err := d.src.NextBatch(buf)
-			n = m
-			if err == io.EOF {
-				srcDone = true
-			} else if err != nil {
-				return err
-			}
+		gated = p
+		if speed <= 0 {
+			return ctx.Err()
 		}
-		return nil
-	}
-
-	// Records inside already-reported periods were counted before the
-	// snapshot was taken; replaying them would double-count, so the
-	// aggregator drops them. Drain them before pacing starts so the
-	// skip counter is complete when the first period opens.
-	resumeStart := d.t0 * time.Duration(d.resumeOffset)
-	for {
-		// The drain is unpaced and can cover a multi-gigabyte prefix; it
-		// must stay interruptible (one check per chunk) or the daemon
-		// ignores SIGTERM until every skipped record has been read.
-		if err := ctx.Err(); err != nil {
-			return err
+		if start.IsZero() {
+			start = time.Now()
 		}
-		if err := fill(); err != nil {
-			return err
-		}
-		if pos >= n {
-			break // source exhausted inside the resume prefix
-		}
-		cut := pos
-		for cut < n && buf[cut].Ts < resumeStart {
-			cut++
-		}
-		if cut > pos {
-			d.mu.Lock()
-			err := agg.FeedBatch(buf[pos:cut])
-			d.skipped = agg.Skipped()
-			d.mu.Unlock()
-			if err != nil {
-				return err
-			}
-			pos = cut
-		}
-		if pos < n {
-			break // first live record reached; pacing takes over
-		}
-	}
-
-	var (
-		start     time.Time
-		perPeriod time.Duration
-		timer     *time.Timer
-	)
-	if speed > 0 {
-		start = time.Now()
-		perPeriod = time.Duration(float64(d.t0) / speed)
-		timer = time.NewTimer(0)
-		if !timer.Stop() {
-			<-timer.C
-		}
+		perPeriod := time.Duration(float64(d.t0) / speed)
+		timer := time.NewTimer(time.Until(start.Add(time.Duration(p-d.resumeOffset+1) * perPeriod)))
 		defer timer.Stop()
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-timer.C:
+			return nil
+		}
 	}
-
-	for p := d.resumeOffset; p < d.totalPeriods; p++ {
-		if speed > 0 {
-			// Drift-free pacing: period p ends at an absolute deadline
-			// derived from the start instant. A late wakeup shortens
-			// the next wait instead of pushing every later period back
-			// the way chained time.After calls do.
-			deadline := start.Add(time.Duration(p-d.resumeOffset+1) * perPeriod)
-			timer.Reset(time.Until(deadline))
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-timer.C:
-			}
-		} else if err := ctx.Err(); err != nil {
-			return err
-		}
-		for {
-			if err := fill(); err != nil {
-				return err
-			}
-			if pos >= n {
-				break // source exhausted; remaining periods close empty
-			}
-			d.mu.Lock()
-			boundary := agg.NextBoundary()
-			cut := pos
-			for cut < n && buf[cut].Ts < boundary {
-				cut++
-			}
-			if cut > pos {
-				d.midPeriod = true
-				if err := agg.FeedBatch(buf[pos:cut]); err != nil {
-					d.mu.Unlock()
-					return err
-				}
-				pos = cut
-				d.records = agg.Records() - agg.Skipped()
-			}
-			if pos < n {
-				d.mu.Unlock()
-				break // head of the next period stays in the window
-			}
-			d.mu.Unlock()
-		}
+	// closePeriod is the one period close, timed for
+	// syndog_period_processing_seconds.
+	closePeriod := func() {
 		d.mu.Lock()
 		closeStart := time.Now()
 		agg.ClosePeriod()
@@ -449,81 +348,113 @@ func (d *Daemon) replay(ctx context.Context, speed float64) error {
 		d.boundary.Broadcast()
 		d.mu.Unlock()
 	}
-	return nil
-}
-
-// replayLive is the live-mode replay loop: no span, no pacing, no
-// period count. The aggregator runs unbounded (span 0) and closes
-// periods data-driven as record timestamps cross boundaries; the speed
-// knob is ignored because a live source already arrives in real time.
-func (d *Daemon) replayLive(ctx context.Context) error {
-	var inner summary.RecordTap
-	if d.opts.Tracker != nil {
-		inner = d.opts.Tracker
-	}
-	tap := summary.NewTap(d.summarizer, inner, d.emitSummary)
-	agg, err := ingest.NewAggregator(d.t0, 0, d.det, tap.Sink)
-	if err != nil {
-		return err
-	}
-	agg.SetTap(tap)
-
-	// A live source blocks on a quiet wire; cancellation must close it
-	// to unblock the read, not just set a flag the loop never reaches.
-	stopClose := context.AfterFunc(ctx, func() { _ = d.src.Close() })
-	defer stopClose()
 
 	arena := ingest.NewArena(0)
 	buf := arena.Get()
 	defer arena.Put(buf)
-	for {
-		n, err := d.src.NextBatch(buf)
-		if n > 0 {
-			d.mu.Lock()
-			ferr := agg.FeedBatch(buf[:n])
-			d.records = agg.Records() - agg.Skipped()
-			d.skipped = agg.Skipped()
-			d.mu.Unlock()
-			if ferr != nil {
-				return ferr
+	var (
+		pos, n   int
+		eof      bool
+		draining = true // no record past the resume point seen yet
+	)
+	// feed counts the window up to cut. A partly fed file period makes
+	// State wait for its close; a live period may stay open for as long
+	// as the wire is quiet, so it never holds State back.
+	feed := func(cut int, mid bool) error {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		d.midPeriod = mid
+		err := agg.FeedBatch(buf[pos:cut])
+		pos = cut
+		d.records = agg.Records() - agg.Skipped()
+		d.skipped = agg.Skipped()
+		return err
+	}
+
+	resumeStart := d.t0 * time.Duration(d.resumeOffset)
+	for !eof || pos < n {
+		if pos == n {
+			// The resume drain is unpaced and can cover a multi-gigabyte
+			// prefix; it must stay interruptible, one check per chunk,
+			// or the daemon ignores SIGTERM until every skipped record
+			// has been read.
+			if draining {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
 			}
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				// The read failed because cancellation closed the
-				// source out from under it.
-				return cerr
+			m, err := d.src.NextBatch(buf)
+			pos, n = 0, m
+			if err == io.EOF {
+				eof = true
+			} else if err != nil {
+				if cerr := ctx.Err(); live && cerr != nil {
+					return cerr // cancellation closed the source under the read
+				}
+				return err
 			}
+			continue
+		}
+		head := buf[pos].Ts
+		if head < resumeStart {
+			cut := pos
+			for cut < n && buf[cut].Ts < resumeStart {
+				cut++
+			}
+			if err := feed(cut, false); err != nil {
+				return err
+			}
+			continue
+		}
+		draining = false
+		if !live && agg.Done() == d.totalPeriods {
+			return nil // a file stops at its last complete period
+		}
+		if err := gate(); err != nil {
+			return err
+		}
+		boundary := agg.NextBoundary()
+		if head >= boundary {
+			closePeriod()
+			continue
+		}
+		cut := pos
+		for cut < n && buf[cut].Ts < boundary {
+			cut++
+		}
+		if err := feed(cut, !live); err != nil {
 			return err
 		}
 	}
-	if cerr := ctx.Err(); cerr != nil {
-		return cerr
+
+	end := d.span
+	if live {
+		// Cancellation ends a live source this way too, by closing it.
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		// A finite live feed (a pcap pipe at EOF) closes the complete
+		// periods of the span it learned, exactly as the file replay of
+		// the same capture would: the trailing partial period stays
+		// unreported on both, which keeps live pcap replay bit-identical
+		// to file replay. A feed with no record counted past the resume
+		// point, or without a complete period, has none to close.
+		if ss, ok := d.src.(ingest.SpanSource); ok && agg.Records() > agg.Skipped() {
+			end = ss.Span()
+		}
+		if end < d.t0 {
+			return nil
+		}
 	}
-	// A finite live feed (pcap pipe at EOF): close out the complete
-	// periods the stream spanned, exactly as the bounded path would
-	// have for the same capture — the trailing partial period stays
-	// unreported on both paths, which is what keeps live pcap replay
-	// bit-identical to file replay. With no records counted beyond the
-	// resume point there is nothing to close.
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if agg.Records() <= agg.Skipped() {
-		return nil
+	// The source is exhausted: the open period closes, and a file's
+	// periods past its last record close empty, each at its deadline.
+	for agg.Done() < int(end/d.t0) {
+		if err := gate(); err != nil {
+			return err
+		}
+		closePeriod()
 	}
-	span := time.Duration(0)
-	if ss, ok := d.src.(ingest.SpanSource); ok {
-		span = ss.Span()
-	}
-	if span < d.t0 {
-		// Source without a span (or shorter than one period): no
-		// complete period to close.
-		return nil
-	}
-	return agg.Finish(span)
+	return agg.Finish(end)
 }
 
 // failReplay records err as the replay failure. It exists so tests can

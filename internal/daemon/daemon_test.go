@@ -71,7 +71,7 @@ func newTestDaemon(t *testing.T, withFlood bool, opts Options) *Daemon {
 // agent: the fixture for every test that is not about the file door
 // (BuildAgent's Scan and Open), which TestNewValidates covers.
 func traceDaemon(agent *core.Agent, tr *trace.Trace, opts Options) (*Daemon, error) {
-	return NewStream(agent, ingest.NewTraceSource(tr),
+	return New(agent, ingest.NewTraceSource(tr),
 		ingest.Info{Name: tr.Name, Span: tr.Span, Records: len(tr.Records)}, agent.Config().T0, opts)
 }
 
@@ -105,7 +105,7 @@ func get(t *testing.T, d *Daemon, path string) (int, string) {
 }
 
 // TestNewValidates drives the file door — BuildAgent's Scan, Open and
-// NewStream — over traces written with trace.Save: a file without a
+// New — over traces written with trace.Save: a file without a
 // span, one shorter than a period, an unsorted one, and a snapshot
 // whose history outruns the file are all refused before any replay.
 func TestNewValidates(t *testing.T) {
@@ -147,7 +147,7 @@ func TestNewValidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	state := filepath.Join(dir, "long.json")
-	if err := WriteSnapshotFile(long.Snapshot(), state); err != nil {
+	if err := WriteStateFile(State{Snapshot: long.Snapshot()}, state); err != nil {
 		t.Fatal(err)
 	}
 	shortTr := truncated(tr, 2*time.Minute)
@@ -390,7 +390,7 @@ func TestResumeEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer src.Close()
-		d, err := NewStream(agent, src, inf, t0, Options{})
+		d, err := New(agent, src, inf, t0, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -434,7 +434,7 @@ func TestResumeEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d1, err := NewStream(a2, src, info, t0, Options{})
+		d1, err := New(a2, src, info, t0, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -505,6 +505,54 @@ func TestPacedResumeMatchesInstant(t *testing.T) {
 	}
 }
 
+// TestPacedResumeHoldsPeriod: a paced replay resumed at k periods
+// drains the resume prefix at once, then holds period k — not one of
+// its records is fed — until k's wall-clock deadline.
+func TestPacedResumeHoldsPeriod(t *testing.T) {
+	tr := testTrace(t, true)
+	t0 := core.DefaultObservationPeriod
+	const k = 11
+	a1, err := core.NewAgent(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := truncated(tr, k*t0)
+	if _, err := a1.ProcessTrace(prefix); err != nil {
+		t.Fatal(err)
+	}
+	a2, err := core.RestoreAgent(a1.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := traceDaemon(a2, tr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- d.Replay(ctx, 0.001) }() // period k is due in ~5.5 hours
+	defer func() {
+		cancel()
+		if err := <-done; !errors.Is(err, context.Canceled) {
+			t.Errorf("Replay = %v, want context.Canceled", err)
+		}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); d.Status().RecordsSkipped < len(prefix.Records); {
+		if time.Now().After(deadline) {
+			t.Fatalf("resume drain stuck at %d of %d records", d.Status().RecordsSkipped, len(prefix.Records))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var s Status
+	if _, body := get(t, d, "/status"); json.Unmarshal([]byte(body), &s) != nil {
+		t.Fatalf("bad /status: %s", body)
+	}
+	if s.RecordsSkipped != len(prefix.Records) || s.RecordsProcessed != 0 || s.Periods != k {
+		t.Errorf("before period %d's deadline: skipped %d (want %d), processed %d (want 0), periods %d",
+			k, s.RecordsSkipped, len(prefix.Records), s.RecordsProcessed, s.Periods)
+	}
+}
+
 func TestPacedReplayRespectsContext(t *testing.T) {
 	d := newTestDaemon(t, false, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -552,12 +600,12 @@ func TestLoadOrNewAgent(t *testing.T) {
 
 	// No state path and missing file both mean a fresh agent.
 	for _, path := range []string{"", dir + "/none.json"} {
-		a, _, resumed, err := LoadOrNewState(path, core.Config{}, nil)
+		a, _, action, err := LoadOrNewState(path, core.Config{}, nil, PolicyError)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resumed || len(a.Reports()) != 0 {
-			t.Errorf("path %q: fresh agent resumed=%v reports=%d", path, resumed, len(a.Reports()))
+		if action == ActionResumed || len(a.Reports()) != 0 {
+			t.Errorf("path %q: fresh agent action=%v reports=%d", path, action, len(a.Reports()))
 		}
 	}
 
@@ -566,7 +614,7 @@ func TestLoadOrNewAgent(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := LoadOrNewState(bad, core.Config{}, nil); err == nil {
+	if _, _, _, err := LoadOrNewState(bad, core.Config{}, nil, PolicyError); err == nil {
 		t.Error("corrupt snapshot silently ignored")
 	}
 
@@ -579,27 +627,27 @@ func TestLoadOrNewAgent(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := dir + "/good.json"
-	if err := WriteSnapshotFile(src.Snapshot(), good); err != nil {
+	if err := WriteStateFile(State{Snapshot: src.Snapshot()}, good); err != nil {
 		t.Fatal(err)
 	}
-	a, _, resumed, err := LoadOrNewState(good, core.Config{}, nil)
+	a, _, action, err := LoadOrNewState(good, core.Config{}, nil, PolicyError)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resumed || len(a.Reports()) != 30 || !a.Alarmed() {
-		t.Errorf("resumed=%v reports=%d alarmed=%v", resumed, len(a.Reports()), a.Alarmed())
+	if action != ActionResumed || len(a.Reports()) != 30 || !a.Alarmed() {
+		t.Errorf("action=%v reports=%d alarmed=%v", action, len(a.Reports()), a.Alarmed())
 	}
 
 	// A snapshot whose config disagrees with the flags is a hard
 	// error, never silently adopted.
-	if _, _, _, err := LoadOrNewState(good, core.Config{T0: 30 * time.Second}, nil); !errors.Is(err, ErrConfigMismatch) {
+	if _, _, _, err := LoadOrNewState(good, core.Config{T0: 30 * time.Second}, nil, PolicyError); !errors.Is(err, ErrConfigMismatch) {
 		t.Errorf("t0 mismatch: err = %v, want ErrConfigMismatch", err)
 	}
-	if _, _, _, err := LoadOrNewState(good, core.Config{Threshold: 2.5}, nil); !errors.Is(err, ErrConfigMismatch) {
+	if _, _, _, err := LoadOrNewState(good, core.Config{Threshold: 2.5}, nil, PolicyError); !errors.Is(err, ErrConfigMismatch) {
 		t.Errorf("threshold mismatch: err = %v, want ErrConfigMismatch", err)
 	}
 	// Equivalent-after-defaulting configs are not a mismatch.
-	if _, _, _, err := LoadOrNewState(good, core.Config{T0: 20 * time.Second, Alpha: 0.9}, nil); err != nil {
+	if _, _, _, err := LoadOrNewState(good, core.Config{T0: 20 * time.Second, Alpha: 0.9}, nil, PolicyError); err != nil {
 		t.Errorf("defaulted config rejected: %v", err)
 	}
 }
@@ -623,12 +671,12 @@ func TestCheckpointDurableRoundTrip(t *testing.T) {
 	}
 
 	// The file must be a complete, loadable snapshot.
-	a, _, resumed, err := LoadOrNewState(path, core.Config{}, nil)
+	a, _, action, err := LoadOrNewState(path, core.Config{}, nil, PolicyError)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resumed || len(a.Reports()) != 30 {
-		t.Errorf("checkpoint reload: resumed=%v reports=%d", resumed, len(a.Reports()))
+	if action != ActionResumed || len(a.Reports()) != 30 {
+		t.Errorf("checkpoint reload: action=%v reports=%d", action, len(a.Reports()))
 	}
 
 	// No leftover temp files from the atomic write.
@@ -717,11 +765,11 @@ func TestServeLifecycle(t *testing.T) {
 	}
 
 	// "Reboot": resume from the final snapshot and finish the replay.
-	resumedAgent, _, resumed, err := LoadOrNewState(statePath, core.Config{}, nil)
+	resumedAgent, _, action, err := LoadOrNewState(statePath, core.Config{}, nil, PolicyError)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resumed {
+	if action != ActionResumed {
 		t.Fatal("state file not resumed")
 	}
 	d2, err := traceDaemon(resumedAgent, tr, Options{})
@@ -790,7 +838,7 @@ func TestReplayDrainRespectsContext(t *testing.T) {
 	// Second boot resumes over the full stream — and is killed before
 	// the drain of the k skipped periods can finish.
 	src := &countingSource{src: ingest.NewTraceSource(tr)}
-	d, err := NewStream(a2, src,
+	d, err := New(a2, src,
 		ingest.Info{Name: tr.Name, Span: tr.Span, Records: len(tr.Records)}, t0, Options{})
 	if err != nil {
 		t.Fatal(err)

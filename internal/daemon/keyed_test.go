@@ -39,7 +39,7 @@ func TestKeyedResumeEquivalence(t *testing.T) {
 
 	run := func(statePath string, full bool, k int) (stateBytes, sources string) {
 		t.Helper()
-		agent, tracker, _, err := LoadOrNewState(statePath, core.Config{}, keyedTrackConfig())
+		agent, tracker, _, err := LoadOrNewState(statePath, core.Config{}, keyedTrackConfig(), PolicyError)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,16 +93,16 @@ func TestLoadOrNewState(t *testing.T) {
 
 	// Empty path and missing file: fresh agent, fresh tracker.
 	for _, path := range []string{"", filepath.Join(dir, "none.json")} {
-		agent, tracker, resumed, err := LoadOrNewState(path, core.Config{}, keyedTrackConfig())
+		agent, tracker, action, err := LoadOrNewState(path, core.Config{}, keyedTrackConfig(), PolicyError)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resumed || len(agent.Reports()) != 0 || tracker == nil || tracker.Periods() != 0 {
-			t.Errorf("path %q: fresh state resumed=%v tracker=%v", path, resumed, tracker)
+		if action == ActionResumed || len(agent.Reports()) != 0 || tracker == nil || tracker.Periods() != 0 {
+			t.Errorf("path %q: fresh state action=%v tracker=%v", path, action, tracker)
 		}
 	}
 	// Tracking disabled: no tracker comes back.
-	if _, tracker, _, err := LoadOrNewState("", core.Config{}, nil); err != nil || tracker != nil {
+	if _, tracker, _, err := LoadOrNewState("", core.Config{}, nil, PolicyError); err != nil || tracker != nil {
 		t.Errorf("track=nil built tracker %v (err %v)", tracker, err)
 	}
 
@@ -116,20 +116,20 @@ func TestLoadOrNewState(t *testing.T) {
 		t.Fatal(err)
 	}
 	aggPath := filepath.Join(dir, "agg.json")
-	if err := WriteSnapshotFile(agent.Snapshot(), aggPath); err != nil {
+	if err := WriteStateFile(State{Snapshot: agent.Snapshot()}, aggPath); err != nil {
 		t.Fatal(err)
 	}
-	a2, tracker, resumed, err := LoadOrNewState(aggPath, core.Config{}, keyedTrackConfig())
+	a2, tracker, action, err := LoadOrNewState(aggPath, core.Config{}, keyedTrackConfig(), PolicyError)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resumed || tracker == nil || tracker.Periods() != len(a2.Reports()) {
-		t.Fatalf("aggregate-only resume: resumed=%v tracker periods=%d agent periods=%d",
-			resumed, tracker.Periods(), len(a2.Reports()))
+	if action != ActionResumed || tracker == nil || tracker.Periods() != len(a2.Reports()) {
+		t.Fatalf("aggregate-only resume: action=%v tracker periods=%d agent periods=%d",
+			action, tracker.Periods(), len(a2.Reports()))
 	}
 
 	// Build a keyed state file via a tracking daemon.
-	agent3, tracker3, _, err := LoadOrNewState("", core.Config{}, keyedTrackConfig())
+	agent3, tracker3, _, err := LoadOrNewState("", core.Config{}, keyedTrackConfig(), PolicyError)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,27 +147,27 @@ func TestLoadOrNewState(t *testing.T) {
 
 	// Resuming a keyed file without tracking would silently drop the
 	// per-key evidence — hard error.
-	if _, _, _, err := LoadOrNewState(keyedPath, core.Config{}, nil); !errors.Is(err, ErrConfigMismatch) {
+	if _, _, _, err := LoadOrNewState(keyedPath, core.Config{}, nil, PolicyError); !errors.Is(err, ErrConfigMismatch) {
 		t.Errorf("keyed file without -track-sources: err = %v, want ErrConfigMismatch", err)
 	}
 	// Changed keying is the keyed config mismatch.
-	if _, _, _, err := LoadOrNewState(keyedPath, core.Config{}, &sourcetrack.Config{KeyBits: 16, MaxSources: 64}); !errors.Is(err, sourcetrack.ErrConfigMismatch) {
+	if _, _, _, err := LoadOrNewState(keyedPath, core.Config{}, &sourcetrack.Config{KeyBits: 16, MaxSources: 64}, PolicyError); !errors.Is(err, sourcetrack.ErrConfigMismatch) {
 		t.Errorf("key-bits change: err = %v, want sourcetrack.ErrConfigMismatch", err)
 	}
-	if _, _, _, err := LoadOrNewState(keyedPath, core.Config{}, &sourcetrack.Config{KeyBits: 8, MaxSources: 32}); !errors.Is(err, sourcetrack.ErrConfigMismatch) {
+	if _, _, _, err := LoadOrNewState(keyedPath, core.Config{}, &sourcetrack.Config{KeyBits: 8, MaxSources: 32}, PolicyError); !errors.Is(err, sourcetrack.ErrConfigMismatch) {
 		t.Errorf("max-sources change: err = %v, want sourcetrack.ErrConfigMismatch", err)
 	}
 	// The aggregate mismatch check still fires first.
-	if _, _, _, err := LoadOrNewState(keyedPath, core.Config{T0: 30 * time.Second}, keyedTrackConfig()); !errors.Is(err, ErrConfigMismatch) {
+	if _, _, _, err := LoadOrNewState(keyedPath, core.Config{T0: 30 * time.Second}, keyedTrackConfig(), PolicyError); !errors.Is(err, ErrConfigMismatch) {
 		t.Errorf("t0 change: err = %v, want ErrConfigMismatch", err)
 	}
 	// Matching config resumes both halves, aligned.
-	a4, tracker4, resumed, err := LoadOrNewState(keyedPath, core.Config{}, keyedTrackConfig())
+	a4, tracker4, action, err := LoadOrNewState(keyedPath, core.Config{}, keyedTrackConfig(), PolicyError)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resumed || tracker4 == nil || tracker4.Periods() != len(a4.Reports()) {
-		t.Fatalf("keyed resume: resumed=%v, periods %d vs %d", resumed, tracker4.Periods(), len(a4.Reports()))
+	if action != ActionResumed || tracker4 == nil || tracker4.Periods() != len(a4.Reports()) {
+		t.Fatalf("keyed resume: action=%v, periods %d vs %d", action, tracker4.Periods(), len(a4.Reports()))
 	}
 	if tracker4.Stats().Alarmed == 0 {
 		t.Error("keyed resume lost the per-source alarms")
@@ -188,7 +188,7 @@ func TestLoadOrNewState(t *testing.T) {
 	if err := WriteStateFile(st, tornPath); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := LoadOrNewState(tornPath, core.Config{}, keyedTrackConfig()); !errors.Is(err, core.ErrBadSnapshot) {
+	if _, _, _, err := LoadOrNewState(tornPath, core.Config{}, keyedTrackConfig(), PolicyError); !errors.Is(err, core.ErrBadSnapshot) {
 		t.Errorf("mismatched halves: err = %v, want core.ErrBadSnapshot", err)
 	}
 }
@@ -208,7 +208,7 @@ func TestStateFileCompatibility(t *testing.T) {
 	}
 
 	path := filepath.Join(dir, "agg.json")
-	if err := WriteSnapshotFile(agent.Snapshot(), path); err != nil {
+	if err := WriteStateFile(State{Snapshot: agent.Snapshot()}, path); err != nil {
 		t.Fatal(err)
 	}
 	onDisk, err := os.ReadFile(path)
@@ -250,7 +250,7 @@ func TestStateFileCompatibility(t *testing.T) {
 // TestSourcesEndpoint drives /sources and the keyed /status and
 // /metrics fields over a flooded replay.
 func TestSourcesEndpoint(t *testing.T) {
-	agent, tracker, _, err := LoadOrNewState("", core.Config{}, keyedTrackConfig())
+	agent, tracker, _, err := LoadOrNewState("", core.Config{}, keyedTrackConfig(), PolicyError)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,10 +311,10 @@ func TestSourcesEndpoint(t *testing.T) {
 	}
 }
 
-// TestNewStreamRejectsMisalignedTracker pins the startup guard: a
+// TestNewRejectsMisalignedTracker pins the startup guard: a
 // tracker whose period clock disagrees with the detector's resume
 // offset means the two snapshot halves came from different runs.
-func TestNewStreamRejectsMisalignedTracker(t *testing.T) {
+func TestNewRejectsMisalignedTracker(t *testing.T) {
 	agent, err := core.NewAgent(core.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -336,7 +336,7 @@ func TestNewStreamRejectsMisalignedTracker(t *testing.T) {
 // the ranking, negatives clamp, and concatenating pages reproduces the
 // full ranked list with a stable total.
 func TestSourcesPagination(t *testing.T) {
-	agent, tracker, _, err := LoadOrNewState("", core.Config{}, keyedTrackConfig())
+	agent, tracker, _, err := LoadOrNewState("", core.Config{}, keyedTrackConfig(), PolicyError)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,11 +454,11 @@ func TestCheckpointWaitsForPeriodBoundary(t *testing.T) {
 		release: make(chan struct{}),
 	}
 	halted := src.halted
-	agent, tracker, _, err := LoadOrNewState("", core.Config{}, keyedTrackConfig())
+	agent, tracker, _, err := LoadOrNewState("", core.Config{}, keyedTrackConfig(), PolicyError)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewStream(agent, src,
+	d, err := New(agent, src,
 		ingest.Info{Name: tr.Name, Span: tr.Span, Records: len(tr.Records)}, t0, Options{Tracker: tracker})
 	if err != nil {
 		t.Fatal(err)
@@ -485,7 +485,7 @@ func TestCheckpointWaitsForPeriodBoundary(t *testing.T) {
 	got := <-snap
 
 	k := len(got.Reports)
-	refAgent, refTracker, _, err := LoadOrNewState("", core.Config{}, keyedTrackConfig())
+	refAgent, refTracker, _, err := LoadOrNewState("", core.Config{}, keyedTrackConfig(), PolicyError)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,5 +510,84 @@ func TestCheckpointWaitsForPeriodBoundary(t *testing.T) {
 	if !bytes.Equal(gotBytes.Bytes(), wantBytes.Bytes()) {
 		t.Errorf("snapshot at %d periods holds %d keyed SYNs, an uninterrupted run stopped there %d",
 			k, got.Sources.Stats.SYNs, want.Sources.Stats.SYNs)
+	}
+}
+
+// chunkCap serves at most n records per NextBatch.
+type chunkCap struct {
+	ingest.Source
+	n int
+}
+
+func (c chunkCap) NextBatch(buf []trace.Record) (int, error) {
+	return c.Source.NextBatch(buf[:min(len(buf), c.n)])
+}
+
+// TestCancelCompletesFedPeriod: cancellation never abandons a period
+// the replay has begun to feed. The source stalls halfway through
+// period 12 and serves eight records per read, so the rest of the
+// period takes many reads; the replay is cancelled during the stall.
+// It must still feed and close period 12, return context.Canceled,
+// and hold the state of an uninterrupted run stopped at 13 periods.
+func TestCancelCompletesFedPeriod(t *testing.T) {
+	tr := testTrace(t, true)
+	t0 := core.DefaultObservationPeriod
+	halting := &haltingSource{
+		recs: tr.Records,
+		halt: sort.Search(len(tr.Records), func(i int) bool {
+			return tr.Records[i].Ts >= 12*t0+t0/2
+		}),
+		halted:  make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	halted := halting.halted
+	agent, tracker, _, err := LoadOrNewState("", core.Config{}, keyedTrackConfig(), PolicyError)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(agent, chunkCap{halting, 8},
+		ingest.Info{Name: tr.Name, Span: tr.Span, Records: len(tr.Records)}, t0, Options{Tracker: tracker})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	replayDone := make(chan error, 1)
+	go func() { replayDone <- d.Replay(ctx, 0) }()
+	<-halted
+	cancel()
+	close(halting.release)
+	if err := <-replayDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Replay = %v, want context.Canceled", err)
+	}
+	got, err := d.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	refAgent, refTracker, _, err := LoadOrNewState("", core.Config{}, keyedTrackConfig(), PolicyError)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := traceDaemon(refAgent, truncated(tr, 13*t0), Options{Tracker: refTracker})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Replay(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gotBytes, wantBytes bytes.Buffer
+	if err := got.Write(&gotBytes); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.Write(&wantBytes); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotBytes.Bytes(), wantBytes.Bytes()) {
+		t.Errorf("cancelled replay holds %d periods and %d keyed SYNs; an uninterrupted run stopped at 13 periods, %d and %d",
+			len(got.Reports), got.Sources.Stats.SYNs, len(want.Reports), want.Sources.Stats.SYNs)
 	}
 }

@@ -3,6 +3,8 @@ package daemon
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"io"
 	"net/netip"
 	"os"
@@ -15,6 +17,7 @@ import (
 	"repro/internal/capture"
 	"repro/internal/core"
 	"repro/internal/ingest"
+	"repro/internal/pcapng"
 	"repro/internal/sourcetrack"
 	"repro/internal/trace"
 )
@@ -275,6 +278,13 @@ func TestLiveAgentMatchesFileAgent(t *testing.T) {
 			fs.RecordsProcessed, ls.RecordsProcessed, trailing)
 	}
 
+	// Every period closes through the one timed close, whatever the
+	// input, so both period-latency histograms count every period the
+	// run closed.
+	for _, d := range []*Daemon{fileD, liveD} {
+		checkClosesTimed(t, d)
+	}
+
 	// Capture-layer accounting surfaces only on the live agent.
 	if fs.Capture != nil {
 		t.Error("file agent reports capture stats")
@@ -286,6 +296,160 @@ func TestLiveAgentMatchesFileAgent(t *testing.T) {
 		t.Errorf("capture parsed %d records, trace has %d", ls.Capture.Parsed, len(tr.Records))
 	case ls.Capture.RingDropped != 0:
 		t.Errorf("blocking pcap source dropped %d records", ls.Capture.RingDropped)
+	}
+}
+
+// checkClosesTimed asserts that d's syndog_period_processing_seconds
+// histogram counts exactly the periods d closed in this run.
+func checkClosesTimed(t *testing.T, d *Daemon) {
+	t.Helper()
+	st := d.Status()
+	_, body := get(t, d, "/metrics")
+	got := pickMetrics(t, body, []string{"syndog_period_processing_seconds_count"})
+	if want := fmt.Sprintf("syndog_period_processing_seconds_count %d\n", st.Periods-st.ResumeOffset); got != want {
+		t.Errorf("%s: %q, want %q (%d periods, resumed at %d)", st.Trace, got, want, st.Periods, st.ResumeOffset)
+	}
+}
+
+// TestLiveResumeMatchesFileAgent: a live:pcap: agent resumed from a
+// snapshot of k periods — none, some, or every complete period of the
+// capture — finishes on the /reports bytes of one uninterrupted file
+// replay, and times exactly the periods it closed itself.
+func TestLiveResumeMatchesFileAgent(t *testing.T) {
+	tr := testTrace(t, true)
+	path := writeTestPcap(t, tr)
+	const prefix = "130.216.0.0/16"
+	t0 := core.DefaultObservationPeriod
+
+	ref, _, err := BuildAgent(AgentSpec{Name: "agent", Input: path, Prefix: prefix}, BuildEnv{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	if err := ref.Replay(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	_, want := get(t, ref, "/reports")
+
+	for _, k := range []int{1, 9, ref.TotalPeriods()} {
+		// First boot: a file agent stopped after k periods. Clipping the
+		// scanned span to k periods stops its replay there.
+		first, err := core.NewAgent(core.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, _, err := ingest.Open(path, netip.MustParsePrefix(prefix))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := New(first, src, ingest.Info{Name: path, Span: time.Duration(k) * t0, Records: -1}, t0, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Replay(context.Background(), 0); err != nil {
+			t.Fatal(err)
+		}
+		src.Close()
+		state := filepath.Join(t.TempDir(), "agent.json")
+		if err := d.SaveState(state); err != nil {
+			t.Fatal(err)
+		}
+
+		// Second boot: the same capture through the live path.
+		live, action, err := BuildAgent(AgentSpec{Name: "agent", Input: "live:pcap:" + path, Prefix: prefix, State: state}, BuildEnv{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if action != ActionResumed || live.ResumeOffset() != k {
+			t.Fatalf("k=%d: action %s at offset %d", k, action, live.ResumeOffset())
+		}
+		if err := live.Replay(context.Background(), 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, got := get(t, live, "/reports"); got != want {
+			t.Errorf("k=%d: resumed live /reports differ from the file replay", k)
+		}
+		checkClosesTimed(t, live)
+		live.Close()
+	}
+}
+
+// TestLiveTimesEOFCloses: a live source that learns at EOF a span
+// reaching past its last record's period closes the remaining periods
+// there, through the same timed close, and reports what the file
+// replay of the same trace reports.
+func TestLiveTimesEOFCloses(t *testing.T) {
+	tr := testTrace(t, true)
+	agent, err := core.NewAgent(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(agent, ingest.NewTraceSource(tr), ingest.Info{Name: tr.Name, Records: -1}, agent.Config().T0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Replay(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	ref := newTestDaemon(t, true, Options{})
+	if err := ref.Replay(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	_, got := get(t, d, "/reports")
+	if _, want := get(t, ref, "/reports"); got != want {
+		t.Error("live /reports differ from the file replay of the same trace")
+	}
+	last := tr.Records[len(tr.Records)-1].Ts
+	if n, inLast := d.Status().Periods, int(last/agent.Config().T0); n <= inLast {
+		t.Fatalf("%d periods closed: the last record's period %d never closed at EOF", n, inLast)
+	}
+	checkClosesTimed(t, d)
+}
+
+// TestLiveCancelQuietWire: cancelling a live replay whose source is
+// blocked on a quiet wire closes the source, and Replay returns the
+// cancellation promptly instead of waiting for traffic.
+func TestLiveCancelQuietWire(t *testing.T) {
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	go func() {
+		// The reader needs the file header; after it the wire is quiet.
+		if _, err := pcapng.NewWriter(pw, 0); err != nil {
+			t.Error(err)
+		}
+	}()
+	fr, err := capture.NewPcapReader(pr, pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := capture.NewSource(fr, capture.Config{StubPrefix: netip.MustParsePrefix("10.0.0.0/8")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	agent, err := core.NewAgent(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(agent, src, ingest.Info{Name: "quiet", Records: -1}, agent.Config().T0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- d.Replay(ctx, 0) }()
+	time.Sleep(20 * time.Millisecond) // let the replay block on the wire
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("Replay = %v, want context.Canceled", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("live replay did not stop within 2 s of cancellation")
+	}
+	if s := d.Status(); s.ReplayDone || s.ReplayError != "" {
+		t.Errorf("cancelled live replay recorded done=%v err=%q", s.ReplayDone, s.ReplayError)
 	}
 }
 

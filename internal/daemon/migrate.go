@@ -64,29 +64,6 @@ func MigrateState(st State, cfg core.Config, track *sourcetrack.Config) State {
 	return st
 }
 
-// LoadOrNewStateWithPolicy is LoadOrNewState with a mismatch policy:
-// under PolicyError it is exactly LoadOrNewState; under PolicyMigrate
-// a configuration mismatch rewrites the snapshot via MigrateState and
-// restores the result; under PolicyReset the snapshot is discarded and
-// the agent starts fresh. Corrupt snapshots (core.ErrBadSnapshot,
-// sourcetrack.ErrBadSnapshot) and I/O failures stay fatal under every
-// policy — a policy decides what to do with a readable snapshot that
-// asks for different parameters, never papers over a broken one.
-func LoadOrNewStateWithPolicy(statePath string, cfg core.Config, track *sourcetrack.Config, policy Policy) (*core.Agent, *sourcetrack.Tracker, StateAction, error) {
-	var (
-		agent   *core.Agent
-		tracker *sourcetrack.Tracker
-	)
-	action, err := startState(statePath, cfg, track, policy, func(st *State) (err error) {
-		agent, tracker, err = restoreState(st, cfg, track)
-		return err
-	})
-	if err != nil {
-		return nil, nil, "", err
-	}
-	return agent, tracker, action, nil
-}
-
 // startState reads statePath and hands restore the state an agent
 // under cfg/track starts from, settling a configuration mismatch by
 // policy. restore gets nil to start fresh — there is no snapshot

@@ -55,14 +55,14 @@ func ReadStateFile(path string) (State, error) {
 
 // LoadOrNewState resumes the aggregate agent from statePath when the
 // file exists, otherwise builds a fresh agent from cfg; when track is
-// non-nil it does the same for the source tracker. It returns whether
-// the state was resumed.
+// non-nil it does the same for the source tracker. It returns how the
+// state was obtained.
 //
-// Every failure is surfaced: an unreadable state file, a corrupt
-// snapshot, and a snapshot whose effective Config differs from cfg
-// (after defaulting) are all errors — the operator must either fix the
-// flags or move the snapshot aside, not have one silently win over the
-// other. The keyed half adds:
+// Under PolicyError every failure is surfaced: an unreadable state
+// file, a corrupt snapshot, and a snapshot whose effective Config
+// differs from cfg (after defaulting) are all errors — the operator
+// must either fix the flags or move the snapshot aside, not have one
+// silently win over the other. The keyed half adds:
 //
 //   - A state file carrying keyed sources is refused when tracking is
 //     disabled — dropping accumulated per-key evidence must be an
@@ -73,9 +73,27 @@ func ReadStateFile(path string) (State, error) {
 //     an empty tracker to the agent's resume point: keyed evidence
 //     starts accumulating from there.
 //   - The two halves' period clocks must agree.
-func LoadOrNewState(statePath string, cfg core.Config, track *sourcetrack.Config) (agent *core.Agent, tracker *sourcetrack.Tracker, resumed bool, err error) {
-	agent, tracker, action, err := LoadOrNewStateWithPolicy(statePath, cfg, track, PolicyError)
-	return agent, tracker, action == ActionResumed, err
+//
+// Under PolicyMigrate a configuration mismatch rewrites the snapshot
+// via MigrateState and restores the result; under PolicyReset the
+// snapshot is discarded and the agent starts fresh. Corrupt snapshots
+// (core.ErrBadSnapshot, sourcetrack.ErrBadSnapshot) and I/O failures
+// stay fatal under every policy — a policy decides what to do with a
+// readable snapshot that asks for different parameters, never papers
+// over a broken one.
+func LoadOrNewState(statePath string, cfg core.Config, track *sourcetrack.Config, policy Policy) (*core.Agent, *sourcetrack.Tracker, StateAction, error) {
+	var (
+		agent   *core.Agent
+		tracker *sourcetrack.Tracker
+	)
+	action, err := startState(statePath, cfg, track, policy, func(st *State) (err error) {
+		agent, tracker, err = restoreState(st, cfg, track)
+		return err
+	})
+	if err != nil {
+		return nil, nil, "", err
+	}
+	return agent, tracker, action, nil
 }
 
 // restoreState builds an agent and its keyed tracker under cfg and
@@ -126,13 +144,6 @@ func restoreState(st *State, cfg core.Config, track *sourcetrack.Config) (*core.
 			core.ErrBadSnapshot, tr.Periods(), len(st.Reports))
 	}
 	return a, tr, nil
-}
-
-// WriteSnapshotFile persists an aggregate-only snapshot durably. It
-// is WriteStateFile with no keyed half; the bytes are identical to
-// the pre-keyed format.
-func WriteSnapshotFile(snap core.Snapshot, path string) error {
-	return WriteStateFile(State{Snapshot: snap}, path)
 }
 
 // WriteStateFile persists a daemon state durably: it writes to a
@@ -189,10 +200,11 @@ func (d *Daemon) SaveState(path string) error {
 // before) persisting. Only the CUSUM agent carries snapshot state;
 // daemons running a baseline detector cannot produce one.
 //
-// The snapshot is taken at a period boundary: while the bounded replay
-// has fed part of a period, State waits for that period to close, so
-// the keyed half never persists open-period counts (which a restart
-// would count again).
+// A file replay's snapshot is taken at a period boundary: while the
+// replay has fed part of a file period, State waits for that period to
+// close, so the keyed half never persists open-period counts (which a
+// restart would count again). A live period can stay open for as long
+// as the wire is quiet, so State does not wait for one.
 func (d *Daemon) State() (State, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

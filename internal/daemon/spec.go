@@ -402,10 +402,11 @@ func newDetector(spec AgentSpec, st *State) (core.Detector, *sourcetrack.Tracker
 // a detector rebuilt from captured in-memory state.
 //
 // A live: input opens through capture.Open (see there for its two
-// forms). Every file input takes the same road: ingest.Scan reads it
-// once to learn its span and record count and to refuse an unsorted or
-// out-of-span file before anything binds, then ingest.Open re-opens it
-// for the replay. Neither pass holds more than one chunk of records.
+// forms) with no span. Every file input takes the same road:
+// ingest.Scan reads it once to learn its span and record count and to
+// refuse an unsorted, out-of-span or span-less file before anything
+// binds, then ingest.Open re-opens it for the replay. Neither pass
+// holds more than one chunk of records.
 func assemble(spec AgentSpec, det core.Detector, tracker *sourcetrack.Tracker, env BuildEnv) (*Daemon, error) {
 	opts := Options{
 		Name:               env.ProcName,
@@ -423,27 +424,26 @@ func assemble(spec AgentSpec, det core.Detector, tracker *sourcetrack.Tracker, e
 	if spec.Prefix != "" {
 		prefix = netip.MustParsePrefix(spec.Prefix) // Validate parsed it
 	}
+	var (
+		src  ingest.Source
+		info = ingest.Info{Name: spec.Input, Records: -1}
+		err  error
+	)
 	if strings.HasPrefix(spec.Input, "live:") {
-		src, err := capture.Open(spec.Input, prefix)
-		if err != nil {
+		src, err = capture.Open(spec.Input, prefix)
+	} else {
+		if info, err = ingest.Scan(spec.Input, prefix); err != nil {
 			return nil, err
 		}
-		d, err := NewLive(det, src, spec.Input, effT0, opts)
-		if err != nil {
-			src.Close()
-			return nil, err
+		if info.Span <= 0 {
+			return nil, fmt.Errorf("daemon: trace %q has no span", info.Name)
 		}
-		return d, nil
+		src, _, err = ingest.Open(spec.Input, prefix)
 	}
-	info, err := ingest.Scan(spec.Input, prefix)
 	if err != nil {
 		return nil, err
 	}
-	src, _, err := ingest.Open(spec.Input, prefix)
-	if err != nil {
-		return nil, err
-	}
-	d, err := NewStream(det, src, info, effT0, opts)
+	d, err := New(det, src, info, effT0, opts)
 	if err != nil {
 		src.Close()
 		return nil, err

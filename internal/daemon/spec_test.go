@@ -157,7 +157,7 @@ func TestSpecEffective(t *testing.T) {
 // returns its final persistable state — the input to migration tests.
 func keyedRunState(t *testing.T) State {
 	t.Helper()
-	agent, tracker, _, err := LoadOrNewState("", core.Config{}, keyedTrackConfig())
+	agent, tracker, _, err := LoadOrNewState("", core.Config{}, keyedTrackConfig(), PolicyError)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestLoadOrNewStateWithPolicy(t *testing.T) {
 
 	// Matching config: plain resume under every policy.
 	for _, p := range []Policy{PolicyError, PolicyMigrate, PolicyReset} {
-		a, tr, act, err := LoadOrNewStateWithPolicy(path, core.Config{}, track, p)
+		a, tr, act, err := LoadOrNewState(path, core.Config{}, track, p)
 		if err != nil || act != ActionResumed || tr == nil {
 			t.Fatalf("policy %s: action %s err %v", p, act, err)
 		}
@@ -279,10 +279,10 @@ func TestLoadOrNewStateWithPolicy(t *testing.T) {
 	hot := core.Config{Threshold: 9}
 	hotTrack := keyedTrackConfig()
 	hotTrack.Agent = hot
-	if _, _, _, err := LoadOrNewStateWithPolicy(path, hot, hotTrack, PolicyError); !errors.Is(err, ErrConfigMismatch) {
+	if _, _, _, err := LoadOrNewState(path, hot, hotTrack, PolicyError); !errors.Is(err, ErrConfigMismatch) {
 		t.Fatalf("policy error: %v", err)
 	}
-	a, tr, act, err := LoadOrNewStateWithPolicy(path, hot, hotTrack, PolicyMigrate)
+	a, tr, act, err := LoadOrNewState(path, hot, hotTrack, PolicyMigrate)
 	if err != nil || act != ActionMigrated {
 		t.Fatalf("migrate: action %s err %v", act, err)
 	}
@@ -301,7 +301,7 @@ func TestLoadOrNewStateWithPolicy(t *testing.T) {
 	slow := core.Config{T0: 40 * time.Second}
 	slowTrack := keyedTrackConfig()
 	slowTrack.Agent = slow
-	a, tr, act, err = LoadOrNewStateWithPolicy(path, slow, slowTrack, PolicyMigrate)
+	a, tr, act, err = LoadOrNewState(path, slow, slowTrack, PolicyMigrate)
 	if err != nil || act != ActionMigrated {
 		t.Fatalf("migrate t0: action %s err %v", act, err)
 	}
@@ -311,7 +311,7 @@ func TestLoadOrNewStateWithPolicy(t *testing.T) {
 	if tr == nil || tr.Periods() != 0 {
 		t.Fatal("migrate t0: keyed half not restarted")
 	}
-	a, tr, act, err = LoadOrNewStateWithPolicy(path, slow, slowTrack, PolicyReset)
+	a, tr, act, err = LoadOrNewState(path, slow, slowTrack, PolicyReset)
 	if err != nil || act != ActionReset {
 		t.Fatalf("reset: action %s err %v", act, err)
 	}
@@ -321,10 +321,10 @@ func TestLoadOrNewStateWithPolicy(t *testing.T) {
 
 	// Keyed file without tracking: hard error by default, keyed half
 	// dropped (aggregate kept) under migrate.
-	if _, _, _, err := LoadOrNewStateWithPolicy(path, core.Config{}, nil, PolicyError); !errors.Is(err, ErrConfigMismatch) {
+	if _, _, _, err := LoadOrNewState(path, core.Config{}, nil, PolicyError); !errors.Is(err, ErrConfigMismatch) {
 		t.Fatalf("keyed without track: %v", err)
 	}
-	a, tr, act, err = LoadOrNewStateWithPolicy(path, core.Config{}, nil, PolicyMigrate)
+	a, tr, act, err = LoadOrNewState(path, core.Config{}, nil, PolicyMigrate)
 	if err != nil || act != ActionMigrated || tr != nil {
 		t.Fatalf("keyed without track migrate: action %s tracker %v err %v", act, tr, err)
 	}
@@ -338,7 +338,7 @@ func TestLoadOrNewStateWithPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []Policy{PolicyError, PolicyMigrate, PolicyReset} {
-		if _, _, _, err := LoadOrNewStateWithPolicy(torn, core.Config{}, track, p); !errors.Is(err, core.ErrBadSnapshot) {
+		if _, _, _, err := LoadOrNewState(torn, core.Config{}, track, p); !errors.Is(err, core.ErrBadSnapshot) {
 			t.Fatalf("policy %s accepted a corrupt snapshot: %v", p, err)
 		}
 	}

@@ -391,7 +391,7 @@ func TestReloadCompatibleLive(t *testing.T) {
 	}
 
 	// And resuming a from that file is still a clean resume.
-	agent, _, act, err := LoadOrNewStateWithPolicy(aState, core.Config{}, nil, PolicyError)
+	agent, _, act, err := LoadOrNewState(aState, core.Config{}, nil, PolicyError)
 	if err != nil || act != ActionResumed || len(agent.Reports()) != 30 {
 		t.Fatalf("restart after reload: action %s err %v", act, err)
 	}

@@ -247,8 +247,11 @@ func (a *Aggregator) closePeriod() {
 }
 
 // ClosePeriod forces the open period shut at its boundary regardless
-// of record arrival — the paced daemon closes periods on wall-clock
-// deadlines, not on the first record of the next period.
+// of record arrival. The daemon's replay closes every period through
+// it, never inside FeedBatch, so it can time each close: it shuts the
+// open period once the next record lies at or past NextBoundary (a
+// paced file replay only after the period's wall-clock deadline), and
+// at end of stream the periods left to close.
 func (a *Aggregator) ClosePeriod() {
 	a.closePeriod()
 }
