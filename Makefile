@@ -130,11 +130,14 @@ soak-short:
 	$(GO) test -race ./internal/daemon/ -run TestSoakChurn -soak 5s
 
 # Non-test Go lines (code, comments and blank lines) of the files git
-# tracks or would track, counted twice: the program outside perfbench/,
-# then the perfbench harness, its own module.
+# tracks or would track that exist in the working tree (a tracked file
+# deleted but not yet staged is not counted), counted twice: the
+# program outside perfbench/, then the perfbench harness, its own
+# module.
+LOCFILES = git ls-files -co --exclude-standard '*.go' | grep -v '_test\.go$$' | while read -r f; do test -f "$$f" && echo "$$f"; done
 loc:
-	@git ls-files -co --exclude-standard '*.go' | grep -v '_test\.go$$' | grep -v '^perfbench/' | xargs cat | wc -l | xargs printf 'program (outside perfbench/): %s\n'
-	@git ls-files -co --exclude-standard '*.go' | grep -v '_test\.go$$' | grep '^perfbench/' | xargs cat | wc -l | xargs printf 'perfbench/: %s\n'
+	@$(LOCFILES) | grep -v '^perfbench/' | xargs cat | wc -l | xargs printf 'program (outside perfbench/): %s\n'
+	@$(LOCFILES) | grep '^perfbench/' | xargs cat | wc -l | xargs printf 'perfbench/: %s\n'
 
 # 8 seconds per fuzz target; extend FUZZTIME for deeper runs.
 FUZZTIME ?= 8s
@@ -146,8 +149,6 @@ fuzz:
 	$(GO) test ./internal/trace -fuzz '^FuzzAggregate$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pcapng -fuzz '^FuzzReader$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pcapng -fuzz '^FuzzReaderStreaming$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/iptrace -fuzz '^FuzzCaptureReader$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/iptrace -fuzz '^FuzzCaptureReaderStreaming$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sourcetrack -fuzz '^FuzzKeyedSnapshotRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/flood -fuzz '^FuzzPulsingCountsMatchRecords$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ingest -fuzz '^FuzzBatchMatchesRecordPath$$' -fuzztime $(FUZZTIME)

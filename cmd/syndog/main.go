@@ -62,7 +62,7 @@ func main() {
 func run(args []string, stdout io.Writer) (int, error) {
 	fs := flag.NewFlagSet("syndog", flag.ContinueOnError)
 	var (
-		in         = fs.String("in", "", "input capture: .trace/.bin (binary), .csv, .pcap, .ipt, .txt/.dump, or live:pcap:PATH (capture-path replay)")
+		in         = fs.String("in", "", "input capture: .trace/.bin (binary), .csv, .pcap, .txt/.dump, or live:pcap:PATH (capture-path replay)")
 		prefixStr  = fs.String("prefix", "", "stub prefix for pcap direction inference (e.g. 152.2.0.0/16)")
 		detector   = fs.String("detector", "", "decision rule: "+strings.Join(ingest.DetectorNames(), ", ")+" (default syndog-cusum)")
 		t0         = fs.Duration("t0", 20*time.Second, "observation period")

@@ -55,13 +55,13 @@
 // processes the whole trace instantly and then just serves the final
 // state (useful for post-mortems).
 //
-// Every file input streams — binary .trace/.bin, .csv, .pcap, iptrace
-// .ipt and tcpdump .txt/.dump, each optionally gzipped: the file is
-// read once in O(1) memory to learn its span and record count and to
-// refuse it, before the listener binds, if its records are out of
-// timestamp order or outside the span; then it is replayed without
-// ever holding the capture in memory. Direction inference for pcap and
-// tcpdump text needs -prefix.
+// Every file input streams — binary .trace/.bin, .csv, .pcap and
+// tcpdump .txt/.dump, each optionally gzipped: the file is read once
+// in O(1) memory to learn its span and record count and to refuse it,
+// before the listener binds, if its records are out of timestamp order
+// or outside the span; then it is replayed without ever holding the
+// capture in memory. Direction inference for pcap and tcpdump text
+// needs -prefix.
 //
 // A live: input watches a wire instead of replaying a file, through
 // the internal/capture subsystem:
@@ -127,7 +127,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("syndogd", flag.ContinueOnError)
 	var agents []daemon.AgentSpec
 	var (
-		in         = fs.String("in", "", "input capture, streamed: .trace/.bin (binary), .csv, .pcap, .ipt, .txt/.dump (tcpdump text), optionally .gz; shorthand for one -agent")
+		in         = fs.String("in", "", "input capture, streamed: .trace/.bin (binary), .csv, .pcap, .txt/.dump (tcpdump text), optionally .gz; shorthand for one -agent")
 		configPath = fs.String("config", "", "JSON agent spec file ({\"agents\":[...]}); re-read on SIGHUP or empty POST /reload")
 		prefixStr  = fs.String("prefix", "", "stub prefix for pcap, tcpdump-text and live direction inference (e.g. 152.2.0.0/16)")
 		detector   = fs.String("detector", "", "decision rule: "+strings.Join(ingest.DetectorNames(), ", ")+" (default syndog-cusum)")

@@ -1,21 +1,20 @@
-// Package arrival models the connection-request arrival processes used
-// to synthesize background traffic for the SYN-dog reproduction.
+// Package arrival models the connection-request arrival process that
+// synthesizes background traffic for the SYN-dog reproduction.
 //
 // The paper stresses (Section 3.2) that there is no consensus on
 // whether TCP connection arrivals are Poisson or self-similar, which
-// is exactly why the detector is non-parametric. To validate that the
-// detector is insensitive to the arrival model, this package provides
-// several generators behind a single Process interface:
+// is why the detector is non-parametric. trace.Generate draws every
+// site profile's connection starts from one process built here:
 //
-//   - Poisson: memoryless arrivals at a fixed rate.
 //   - ParetoOnOff: a superposition of heavy-tailed ON/OFF sources,
 //     the standard construction of self-similar traffic. A winner
 //     tree merges the sources' streams in log2(n) compares per
 //     arrival.
-//   - MMPP: a two-state Markov-modulated Poisson process for
-//     regime-switching burstiness.
 //   - Modulated: wraps any Process with a deterministic rate envelope
 //     (diurnal drift, trends).
+//
+// Poisson, memoryless arrivals at a fixed rate, is the reference the
+// tests hold the ON/OFF superposition's burstiness against.
 //
 // All processes draw randomness from an explicit *rand.Rand so that
 // every experiment is reproducible from a seed.
@@ -229,85 +228,6 @@ func (p *ParetoOnOff) Next() time.Duration {
 		p.play(k)
 	}
 	return t
-}
-
-// MMPP is a two-state Markov-modulated Poisson process: the arrival
-// rate alternates between Rate1 and Rate2, with exponentially
-// distributed sojourn times Mean1 and Mean2 (seconds).
-type MMPP struct {
-	rate      [2]float64
-	meanStay  [2]float64
-	state     int
-	stateEnds time.Duration
-	now       time.Duration
-	rng       *rand.Rand
-}
-
-// NewMMPP builds a two-state MMPP.
-func NewMMPP(rate1, rate2, mean1, mean2 float64, rng *rand.Rand) (*MMPP, error) {
-	if rate1 <= 0 || rate2 <= 0 || mean1 <= 0 || mean2 <= 0 {
-		return nil, ErrBadParam
-	}
-	m := &MMPP{
-		rate:     [2]float64{rate1, rate2},
-		meanStay: [2]float64{mean1, mean2},
-		rng:      rng,
-	}
-	m.stateEnds = secondsToDuration(rng.ExpFloat64() * mean1)
-	return m, nil
-}
-
-// Next implements Process.
-func (m *MMPP) Next() time.Duration {
-	for {
-		gap := m.rng.ExpFloat64() / m.rate[m.state]
-		candidate := m.now + secondsToDuration(gap)
-		if candidate <= m.stateEnds {
-			m.now = candidate
-			return m.now
-		}
-		m.now = m.stateEnds
-		m.state = 1 - m.state
-		stay := m.rng.ExpFloat64() * m.meanStay[m.state]
-		m.stateEnds += secondsToDuration(stay)
-	}
-}
-
-// Weibull is a renewal process with Weibull-distributed inter-arrival
-// times. Feldmann's measurements of TCP connection arrivals found
-// Weibull inter-arrivals with shape < 1 (heavier than exponential),
-// the middle ground between Poisson and the ON/OFF superposition.
-// Shape 1 reduces exactly to Poisson.
-type Weibull struct {
-	shape float64
-	scale float64 // chosen so the mean rate matches
-	now   time.Duration
-	rng   *rand.Rand
-}
-
-// NewWeibull builds a renewal process with the given mean rate
-// (arrivals/second) and Weibull shape (> 0; < 1 is burstier than
-// Poisson). The scale derives from rate via the Weibull mean
-// scale·Γ(1+1/shape).
-func NewWeibull(rate, shape float64, rng *rand.Rand) (*Weibull, error) {
-	if rate <= 0 || shape <= 0 || math.IsNaN(rate) || math.IsNaN(shape) {
-		return nil, ErrBadParam
-	}
-	meanGap := 1 / rate
-	scale := meanGap / math.Gamma(1+1/shape)
-	return &Weibull{shape: shape, scale: scale, rng: rng}, nil
-}
-
-// Next implements Process by Weibull inversion sampling:
-// X = scale·(−ln U)^(1/shape).
-func (w *Weibull) Next() time.Duration {
-	u := w.rng.Float64()
-	for u == 0 {
-		u = w.rng.Float64()
-	}
-	gap := w.scale * math.Pow(-math.Log(u), 1/w.shape)
-	w.now += secondsToDuration(gap)
-	return w.now
 }
 
 // Envelope maps an absolute time to a rate multiplier (>= 0). It is

@@ -216,95 +216,6 @@ func TestParetoSampleBounds(t *testing.T) {
 	}
 }
 
-func TestMMPPValidationAndMonotone(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	if _, err := NewMMPP(0, 1, 1, 1, rng); err != ErrBadParam {
-		t.Errorf("zero rate1: error = %v, want ErrBadParam", err)
-	}
-	if _, err := NewMMPP(1, 1, 0, 1, rng); err != ErrBadParam {
-		t.Errorf("zero mean1: error = %v, want ErrBadParam", err)
-	}
-	m, err := NewMMPP(20, 200, 5, 5, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := time.Duration(-1)
-	for i := 0; i < 5000; i++ {
-		next := m.Next()
-		if next <= prev {
-			t.Fatalf("MMPP arrival %d not increasing", i)
-		}
-		prev = next
-	}
-}
-
-func TestMMPPMeanRate(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	// Equal sojourn means: long-run rate = (20+200)/2 = 110.
-	m, _ := NewMMPP(20, 200, 5, 5, rng)
-	const horizon = 500 * time.Second
-	arrivals := Collect(m, horizon)
-	got := float64(len(arrivals)) / horizon.Seconds()
-	if math.Abs(got-110) > 20 {
-		t.Errorf("MMPP empirical rate = %v, want ~110", got)
-	}
-}
-
-func TestWeibullValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	if _, err := NewWeibull(0, 1, rng); err != ErrBadParam {
-		t.Errorf("zero rate error = %v", err)
-	}
-	if _, err := NewWeibull(10, 0, rng); err != ErrBadParam {
-		t.Errorf("zero shape error = %v", err)
-	}
-	if _, err := NewWeibull(math.NaN(), 1, rng); err != ErrBadParam {
-		t.Errorf("NaN rate error = %v", err)
-	}
-}
-
-func TestWeibullMeanRate(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	for _, shape := range []float64{0.6, 1.0, 2.0} {
-		w, err := NewWeibull(100, shape, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		arrivals := Collect(w, 200*time.Second)
-		got := float64(len(arrivals)) / 200
-		if math.Abs(got-100) > 8 {
-			t.Errorf("shape %v: empirical rate = %v, want ~100", shape, got)
-		}
-	}
-}
-
-func TestWeibullShapeControlsBurstiness(t *testing.T) {
-	// Shape < 1 gives inter-arrival CV > 1 (burstier than Poisson);
-	// shape > 1 gives CV < 1 (more regular).
-	cv := func(shape float64, seed int64) float64 {
-		rng := rand.New(rand.NewSource(seed))
-		w, _ := NewWeibull(200, shape, rng)
-		arrivals := Collect(w, 100*time.Second)
-		gaps := make([]float64, 0, len(arrivals)-1)
-		for i := 1; i < len(arrivals); i++ {
-			gaps = append(gaps, (arrivals[i] - arrivals[i-1]).Seconds())
-		}
-		return stats.StdDev(gaps) / stats.Mean(gaps)
-	}
-	heavy := cv(0.5, 33)
-	poissonish := cv(1.0, 34)
-	regular := cv(3.0, 35)
-	if heavy <= poissonish {
-		t.Errorf("shape 0.5 CV %v should exceed shape 1 CV %v", heavy, poissonish)
-	}
-	if regular >= poissonish {
-		t.Errorf("shape 3 CV %v should be below shape 1 CV %v", regular, poissonish)
-	}
-	if math.Abs(poissonish-1) > 0.15 {
-		t.Errorf("shape 1 CV = %v, want ~1 (Poisson)", poissonish)
-	}
-}
-
 func TestDiurnalEnvelope(t *testing.T) {
 	env := DiurnalEnvelope(24*time.Hour, 0.5)
 	if got := env(0); math.Abs(got-1) > 1e-9 {

@@ -9,9 +9,9 @@
 //     any pcap byte-stream; the AF_PACKET reader (afpacket_linux.go,
 //     behind "linux && live") reads a real interface.
 //   - Source runs a producer goroutine that decodes frames with
-//     trace.FrameParser — the same decoder the offline pcap and
-//     iptrace paths call, so a capture replayed live is bit-identical
-//     to the same capture replayed through ingest.Open — into a bounded
+//     trace.FrameParser — the same decoder the offline pcap path
+//     calls, so a capture replayed live is bit-identical to the same
+//     capture replayed through ingest.Open — into a bounded
 //     ring of records (an ingest.ChanSource, the same
 //     single-producer/single-consumer ring simulator taps feed). The
 //     consumer side implements ingest.Source. In blocking mode (the

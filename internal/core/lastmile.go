@@ -71,9 +71,6 @@ func (l *LastMileAgent) Alarmed() bool { return l.agent.Alarmed() }
 // FirstAlarm returns a copy of the first alarm, or nil.
 func (l *LastMileAgent) FirstAlarm() *Alarm { return l.agent.FirstAlarm() }
 
-// Statistics returns the yn series.
-func (l *LastMileAgent) Statistics() []float64 { return l.agent.Statistics() }
-
 // Reports returns the period reports.
 func (l *LastMileAgent) Reports() []Report { return l.agent.Reports() }
 

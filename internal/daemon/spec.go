@@ -107,7 +107,7 @@ type AgentSpec struct {
 	// labels its metrics. Letters, digits, '.', '_' and '-' only.
 	Name string `json:"name"`
 	// Input is the capture to replay — any format ingest.Open reads
-	// (.trace/.bin, .csv, .pcap, .ipt, tcpdump .txt/.dump, each
+	// (.trace/.bin, .csv, .pcap, tcpdump .txt/.dump, each
 	// optionally .gz), streamed — or a live source: "live:IFACE"
 	// (AF_PACKET on linux with the 'live' build tag) or
 	// "live:pcap:PATH" (portable pcap byte-stream, file or FIFO).

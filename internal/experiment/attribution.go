@@ -92,15 +92,10 @@ func AblationAttribution(opts Options) ([]Artifact, error) {
 	// SYN/ACK volume of the merged trace. Measured, not assumed, so
 	// the rate multipliers stay honest in fast mode too.
 	agentCfg := core.Config{}.Normalized()
-	counts, err := merged.Aggregate(agentCfg.T0)
+	kbar, err := backgroundKBar(merged, agentCfg.T0)
 	if err != nil {
 		return nil, err
 	}
-	var kbar float64
-	for _, v := range counts.InSYNACK {
-		kbar += v
-	}
-	kbar /= float64(counts.Periods())
 	fminAgg := agentCfg.Offset * kbar / agentCfg.T0.Seconds()
 
 	mults := []float64{0.5, 2, 8}

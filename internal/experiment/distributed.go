@@ -119,15 +119,10 @@ func AblationDistributed(opts Options) ([]Artifact, error) {
 		if err != nil {
 			return distSite{}, err
 		}
-		counts, err := bg.Aggregate(t0)
+		kbar, err := backgroundKBar(bg, t0)
 		if err != nil {
 			return distSite{}, err
 		}
-		var kbar float64
-		for _, v := range counts.InSYNACK {
-			kbar += v
-		}
-		kbar /= float64(counts.Periods())
 		cfg := core.Config{T0: t0}.Normalized()
 		return distSite{
 			name: p.Name,

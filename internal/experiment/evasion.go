@@ -220,15 +220,10 @@ func AblationEvasion(opts Options) ([]Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	counts, err := bg.Aggregate(agentCfg.T0)
+	kbar, err := backgroundKBar(bg, agentCfg.T0)
 	if err != nil {
 		return nil, err
 	}
-	var kbar float64
-	for _, v := range counts.InSYNACK {
-		kbar += v
-	}
-	kbar /= float64(counts.Periods())
 	fmin := design.MinFloodRate(kbar, agentCfg.T0.Seconds())
 
 	params := evasion.Params{

@@ -325,21 +325,6 @@ func TestFig9TunedDetectsDefaultDoesNot(t *testing.T) {
 	}
 }
 
-func TestFalseAlarmSummary(t *testing.T) {
-	p := trace.Auckland()
-	p.Span = 10 * time.Minute
-	tbl, err := FalseAlarmSummary(core.Config{}, []int64{1, 2}, []trace.Profile{p}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 1 {
-		t.Fatalf("rows = %d", len(tbl.Rows))
-	}
-	if tbl.Rows[0][2] != "0" {
-		t.Errorf("false alarms = %s, want 0", tbl.Rows[0][2])
-	}
-}
-
 func TestTrimFloat(t *testing.T) {
 	cases := map[float64]string{
 		37:    "37",

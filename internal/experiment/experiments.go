@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -100,6 +99,21 @@ func shrinkSpan(p trace.Profile, fast bool, minSpan time.Duration) trace.Profile
 	}
 	p.Span = span
 	return p
+}
+
+// backgroundKBar returns K̄ of a background trace: its mean
+// per-period SYN/ACK count at observation period t0, the scale of the
+// Eq. 8 sensitivity floor fmin = a·K̄/t0.
+func backgroundKBar(tr *trace.Trace, t0 time.Duration) (float64, error) {
+	counts, err := tr.Aggregate(t0)
+	if err != nil {
+		return 0, err
+	}
+	var kbar float64
+	for _, v := range counts.InSYNACK {
+		kbar += v
+	}
+	return kbar / float64(counts.Periods()), nil
 }
 
 // Table1 regenerates the trace-feature summary. LBL and Harvard are
@@ -455,71 +469,6 @@ func Fig9(opts Options) ([]Artifact, error) {
 		Y:     res.Statistic,
 	})
 	return []Artifact{fig}, nil
-}
-
-// FalseAlarmSummary counts false alarms over the flood-free site
-// traces with given parameters; it backs the Fig 9 claim "without
-// incurring additional false alarms" and the fig5 numbers. Every
-// (profile, seed) pair is an independent work item fanned out over
-// parallelism workers (0 = one per CPU).
-func FalseAlarmSummary(agentCfg core.Config, seeds []int64, profiles []trace.Profile, parallelism int) (*Table, error) {
-	t := &Table{
-		ID:      "false-alarms",
-		Title:   "False alarms and peak yn on flood-free traces",
-		Columns: []string{"Trace", "Seeds", "False alarms", "max yn"},
-	}
-	type cell struct {
-		alarmed bool
-		peak    float64
-	}
-	cellsCount := len(profiles) * len(seeds)
-	cells, err := collect(parallelism, cellsCount, func(i int) (cell, error) {
-		p := profiles[i/len(seeds)]
-		seed := seeds[i%len(seeds)]
-		tr, err := trace.Generate(p, seed)
-		if err != nil {
-			return cell{}, err
-		}
-		agent, err := core.NewAgent(agentCfg)
-		if err != nil {
-			return cell{}, err
-		}
-		counts, err := tr.Aggregate(agent.Config().T0)
-		if err != nil {
-			return cell{}, err
-		}
-		if _, err := agent.ProcessCounts(counts); err != nil {
-			return cell{}, err
-		}
-		c := cell{alarmed: agent.Alarmed()}
-		if m, err := stats.Max(agent.Statistics()); err == nil {
-			c.peak = m
-		}
-		return c, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for pi, p := range profiles {
-		alarms := 0
-		peak := 0.0
-		for si := range seeds {
-			c := cells[pi*len(seeds)+si]
-			if c.alarmed {
-				alarms++
-			}
-			if c.peak > peak {
-				peak = c.peak
-			}
-		}
-		t.Rows = append(t.Rows, []string{
-			p.Name,
-			fmt.Sprintf("%d", len(seeds)),
-			fmt.Sprintf("%d", alarms),
-			fmt.Sprintf("%.4f", peak),
-		})
-	}
-	return t, nil
 }
 
 // SortedIDs returns the registry ids, sorted, for CLI help.

@@ -93,20 +93,23 @@ func TestForEachReturnsLowestIndexError(t *testing.T) {
 
 func TestForEachRunsAllItemsDespiteError(t *testing.T) {
 	// No early cancellation: a failing item must not stop later items
-	// (the completed set would otherwise depend on scheduling).
-	var ran atomic.Int64
-	err := ForEach(2, 20, func(i int) error {
-		ran.Add(1)
-		if i == 0 {
-			return errors.New("first item fails")
+	// (the completed set would otherwise depend on scheduling), on one
+	// worker as on several.
+	for _, par := range []int{1, 2} {
+		var ran atomic.Int64
+		err := ForEach(par, 20, func(i int) error {
+			ran.Add(1)
+			if i == 0 {
+				return errors.New("first item fails")
+			}
+			return nil
+		})
+		if err == nil {
+			t.Fatalf("parallelism %d: error swallowed", par)
 		}
-		return nil
-	})
-	if err == nil {
-		t.Fatal("error swallowed")
-	}
-	if got := ran.Load(); got != 20 {
-		t.Errorf("ran %d items, want all 20", got)
+		if got := ran.Load(); got != 20 {
+			t.Errorf("parallelism %d: ran %d items, want all 20", par, got)
+		}
 	}
 }
 

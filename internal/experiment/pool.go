@@ -51,12 +51,13 @@ func ForEach(parallelism, n int, fn func(i int) error) error {
 		parallelism = n
 	}
 	if parallelism == 1 {
+		var first error
 		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
+			if err := fn(i); err != nil && first == nil {
+				first = err
 			}
 		}
-		return nil
+		return first
 	}
 	errs := make([]error, n)
 	var next atomic.Int64

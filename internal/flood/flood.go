@@ -1,8 +1,7 @@
 // Package flood generates SYN flooding traffic: spoofed-source SYN
 // streams in trace form (for the paper's trace-driven experiments,
 // Figure 6) and live form (scheduled onto simulated hosts for the
-// end-to-end examples), plus the DDoS campaign arithmetic of
-// Section 4.2.
+// end-to-end examples).
 //
 // The paper's detection argument is volume-based: the CUSUM detector
 // is insensitive to the flooding pattern, caring only about total
@@ -21,16 +20,6 @@ import (
 
 	"repro/internal/packet"
 	"repro/internal/trace"
-)
-
-// Empirical flood-rate landmarks from the paper (Section 3.1, citing
-// [8]): the minimum rate that overwhelms an unprotected server, and
-// the rate needed against a specialized anti-SYN-flood firewall.
-const (
-	// MinRateUnprotected is V for an unprotected server, SYN/s.
-	MinRateUnprotected = 500
-	// MinRateProtected is V for a firewall-protected server, SYN/s.
-	MinRateProtected = 14000
 )
 
 // Pattern gives the instantaneous flooding rate (SYN/s) at offset t
@@ -105,29 +94,14 @@ type Pulsing struct {
 	On, Off  time.Duration
 }
 
-// Rate implements Pattern.
-func (p Pulsing) Rate(t time.Duration) float64 {
-	cycle := p.On + p.Off
-	if cycle <= 0 {
-		return 0
-	}
-	if t%cycle < p.On {
-		return p.PeakRate
-	}
-	return 0
-}
+// Rate, Peak and Mean implement Pattern with Bursty's envelope.
+func (p Pulsing) Rate(t time.Duration) float64 { return Bursty(p).Rate(t) }
 
 // Peak implements Pattern.
-func (p Pulsing) Peak() float64 { return p.PeakRate }
+func (p Pulsing) Peak() float64 { return Bursty(p).Peak() }
 
 // Mean implements Pattern.
-func (p Pulsing) Mean() float64 {
-	cycle := p.On + p.Off
-	if cycle <= 0 {
-		return 0
-	}
-	return p.PeakRate * float64(p.On) / float64(cycle)
-}
+func (p Pulsing) Mean() float64 { return Bursty(p).Mean() }
 
 // Ramp grows linearly from StartRate to EndRate over Span, modeling a
 // botnet spinning up slaves gradually.
@@ -380,33 +354,4 @@ func SpoofedAddr(prefix netip.Prefix, rng *rand.Rand) netip.Addr {
 		v += uint32(rng.Uint64() % span)
 	}
 	return netip.AddrFrom4([4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)})
-}
-
-// Campaign is the distributed-attack arithmetic of Section 4.2: a
-// total rate V split evenly across A stub networks, one flooding
-// source per stub, so each SYN-dog sees only fi = V/A.
-type Campaign struct {
-	// TotalRate is V, the aggregate SYN/s needed at the victim.
-	TotalRate float64
-	// Stubs is A, the number of stub networks hosting one source each.
-	Stubs int
-}
-
-// PerStubRate returns fi = V/A, the rate visible to each outbound
-// sniffer.
-func (c Campaign) PerStubRate() (float64, error) {
-	if c.Stubs < 1 || c.TotalRate <= 0 {
-		return 0, ErrBadConfig
-	}
-	return c.TotalRate / float64(c.Stubs), nil
-}
-
-// MaxHiddenStubs answers the paper's discussion question (4.2.3): how
-// many stubs can the attacker spread across before each per-stub rate
-// drops below the detection floor fmin? A = floor(V / fmin).
-func (c Campaign) MaxHiddenStubs(fmin float64) (int, error) {
-	if fmin <= 0 || c.TotalRate <= 0 {
-		return 0, ErrBadConfig
-	}
-	return int(c.TotalRate / fmin), nil
 }

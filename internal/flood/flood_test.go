@@ -269,38 +269,6 @@ func TestSpoofedAddrStaysInPrefix(t *testing.T) {
 	}
 }
 
-func TestCampaignArithmetic(t *testing.T) {
-	c := Campaign{TotalRate: MinRateProtected, Stubs: 378}
-	fi, err := c.PerStubRate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Paper: V=14000 across 378 UNC-like stubs gives fi ≈ 37 — right
-	// at the UNC detection floor.
-	if math.Abs(fi-37.037) > 0.01 {
-		t.Errorf("fi = %v, want ≈37", fi)
-	}
-	// Paper: with fmin = 1.75 (Auckland), A can reach 8000.
-	hidden, err := c.MaxHiddenStubs(1.75)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hidden != 8000 {
-		t.Errorf("MaxHiddenStubs = %d, want 8000", hidden)
-	}
-	// UNC floor 37: A ≈ 378.
-	hidden, _ = c.MaxHiddenStubs(37)
-	if hidden != 378 {
-		t.Errorf("MaxHiddenStubs(37) = %d, want 378", hidden)
-	}
-	if _, err := (Campaign{}).PerStubRate(); err == nil {
-		t.Error("empty campaign accepted")
-	}
-	if _, err := c.MaxHiddenStubs(0); err == nil {
-		t.Error("zero fmin accepted")
-	}
-}
-
 func TestSlaveValidation(t *testing.T) {
 	host := netsim.NewHost(netip.MustParseAddr("10.1.0.1"))
 	if _, err := NewSlave(nil, victim, 80, Constant{PerSecond: 5}, 1); err == nil {

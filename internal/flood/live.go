@@ -40,9 +40,6 @@ func NewSlave(host *netsim.Host, victim netip.Addr, port uint16, pattern Pattern
 	}, nil
 }
 
-// SetSpoofPrefix overrides the spoofed-source block.
-func (s *Slave) SetSpoofPrefix(p netip.Prefix) { s.spoof = p }
-
 // Sent returns how many flood SYNs this slave has emitted.
 func (s *Slave) Sent() uint64 { return s.sent }
 

@@ -7,10 +7,10 @@
 //
 //	Source → (Classify) → Aggregate → Detect → Sink
 //
-// Classification happens inside the packet-backed sources (pcap,
-// iptrace, live captures) through trace.FrameParser; record-backed
-// sources (binary, CSV, in-memory traces, simulator taps) carry the
-// kind already. The whole path is O(1) in trace length: nothing past
+// Classification happens inside the packet-backed sources (pcap and
+// live captures) through trace.FrameParser; record-backed sources
+// (binary, CSV, in-memory traces, simulator taps) carry the kind
+// already. The whole path is O(1) in trace length: nothing past
 // the current chunk and the current period's four counters is
 // retained, which is what lets the daemon ingest captures larger than
 // memory.
@@ -48,8 +48,8 @@ type Source interface {
 
 // SpanSource is implemented by sources that know the capture span —
 // either up front (binary header, in-memory trace) or only once the
-// stream is exhausted (pcap, iptrace). A zero return means "not yet
-// known"; the pipeline re-queries at EOF.
+// stream is exhausted (pcap, tcpdump text). A zero return means "not
+// yet known"; the pipeline re-queries at EOF.
 type SpanSource interface {
 	Span() time.Duration
 }

@@ -235,62 +235,14 @@ func TestChanSource(t *testing.T) {
 	}
 }
 
-// TestIPTraceSource round-trips a trace through the iptrace capture
-// format: direction comes from the tx flag, not a prefix heuristic.
-func TestIPTraceSource(t *testing.T) {
-	tr := testTrace(t)
-
-	var buf bytes.Buffer
-	if err := trace.WriteIPTrace(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-
-	src, err := NewIPTraceSource(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []trace.Record
-	chunk := make([]trace.Record, 100)
-	for {
-		n, err := src.NextBatch(chunk)
-		got = append(got, chunk[:n]...)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(got) == 0 {
-		t.Fatal("no records decoded")
-	}
-	// KindNotTCP records cannot be expressed as TCP segments; everything
-	// else must round-trip exactly, including direction.
-	i := 0
-	for _, wantRec := range tr.Records {
-		if wantRec.Kind == packet.KindNotTCP {
-			continue
-		}
-		if i >= len(got) {
-			t.Fatalf("decoded %d records, expected more", len(got))
-		}
-		if got[i] != wantRec {
-			t.Fatalf("record %d:\n got  %+v\n want %+v", i, got[i], wantRec)
-		}
-		i++
-	}
-	if i != len(got) {
-		t.Fatalf("decoded %d extra records", len(got)-i)
-	}
-}
-
 // TestOpenChunkInvariance writes one trace in every container
 // ingest.Open reads and drains each at chunk sizes 1, 7 and
 // DefaultChunk: records and span must equal the trace that was
 // written, however the stream is cut. The packet containers carry TCP
 // records only, pcap and tcpdump text at microsecond resolution, and
 // learn the span at EOF as lastTs+1; tcpdump text also starts its
-// clock at the first record.
+// clock at the first record. An extension with no codec of its own
+// (.ipt here) reads as binary, the codec trace.Save writes for it.
 func TestOpenChunkInvariance(t *testing.T) {
 	tr := testTrace(t)
 	wire := func(res time.Duration) *trace.Trace {
@@ -319,7 +271,7 @@ func TestOpenChunkInvariance(t *testing.T) {
 		{"x.trace", trace.WriteBinary, tr},
 		{"x.csv", trace.WriteCSV, tr},
 		{"x.pcap", trace.WritePcap, pcapWire},
-		{"x.ipt", trace.WriteIPTrace, wire(1)},
+		{"x.ipt", trace.WriteBinary, tr},
 		{"x.pcap.gz", trace.WritePcap, pcapWire},
 		{"x.txt", trace.WriteTcpdump, textWire},
 	} {

@@ -44,7 +44,8 @@ func writeCapture(t *testing.T, path string, write func(io.Writer, *trace.Trace)
 // back through Open exactly; the path, lastTs+1 and the TCP records
 // for the packet formats, which carry TCP only (pcap and tcpdump text
 // at microsecond resolution, tcpdump text rebased to its first
-// packet).
+// packet). An extension with no codec of its own (.ipt) is binary on
+// both sides.
 func TestScan(t *testing.T) {
 	tr := testTrace(t)
 	var tcp []trace.Record
@@ -55,7 +56,6 @@ func TestScan(t *testing.T) {
 	}
 	lastUs := tcp[len(tcp)-1].Ts.Truncate(time.Microsecond)
 	pcapSpan := lastUs + 1
-	iptSpan := tcp[len(tcp)-1].Ts + 1
 	txtSpan := lastUs - tcp[0].Ts.Truncate(time.Microsecond) + 1
 	dir := t.TempDir()
 	for _, c := range []struct {
@@ -69,12 +69,12 @@ func TestScan(t *testing.T) {
 		{"x.bin", nil, tr.Name, tr.Span, len(tr.Records)},
 		{"x.csv", nil, tr.Name, tr.Span, len(tr.Records)},
 		{"x.pcap", nil, "", pcapSpan, len(tcp)},
-		{"x.ipt", trace.WriteIPTrace, "", iptSpan, len(tcp)},
+		{"x.ipt", nil, tr.Name, tr.Span, len(tr.Records)},
 		{"x.txt", trace.WriteTcpdump, "", txtSpan, len(tcp)},
 		{"x.trace.gz", nil, tr.Name, tr.Span, len(tr.Records)},
 		{"x.csv.gz", nil, tr.Name, tr.Span, len(tr.Records)},
 		{"x.pcap.gz", nil, "", pcapSpan, len(tcp)},
-		{"x.ipt.gz", trace.WriteIPTrace, "", iptSpan, len(tcp)},
+		{"x.ipt.gz", nil, tr.Name, tr.Span, len(tr.Records)},
 		{"x.txt.gz", trace.WriteTcpdump, "", txtSpan, len(tcp)},
 	} {
 		t.Run(c.file, func(t *testing.T) {

@@ -10,10 +10,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/iptrace"
 	"repro/internal/netsim"
 	"repro/internal/packet"
-	"repro/internal/pcapng"
 	"repro/internal/trace"
 )
 
@@ -22,7 +20,7 @@ type Info struct {
 	// Name is the trace name (header-carried or the file path).
 	Name string
 	// Span is the capture span; 0 when only known at EOF (pcap,
-	// iptrace, tcpdump text).
+	// tcpdump text).
 	Span time.Duration
 	// Records is the record count; -1 when unknown up front.
 	Records int
@@ -275,67 +273,6 @@ func (p *parker) unpark() {
 	}
 }
 
-// IPTraceSource streams an iptrace capture. Its payloads are bare IPv4
-// and its record headers carry direction in the tx flag, so the frame
-// parser runs on the raw link type and the tx flag then sets each
-// record's direction — no stub prefix needed.
-type IPTraceSource struct {
-	cr     *iptrace.CaptureReader
-	parser trace.FrameParser
-	c      io.Closer
-	max    time.Duration
-	seen   bool
-}
-
-// NewIPTraceSource parses the capture magic and returns a source.
-func NewIPTraceSource(r io.Reader) (*IPTraceSource, error) {
-	cr, err := iptrace.NewCaptureReader(r)
-	if err != nil {
-		return nil, err
-	}
-	parser, err := trace.NewFrameParser(pcapng.LinkTypeRaw, netip.Prefix{})
-	if err != nil {
-		return nil, err
-	}
-	return &IPTraceSource{cr: cr, parser: parser}, nil
-}
-
-// NextBatch decodes up to len(buf) classified records into buf. io.EOF
-// (possibly alongside n > 0) marks a clean end of stream.
-func (s *IPTraceSource) NextBatch(buf []trace.Record) (int, error) {
-	n := 0
-	for n < len(buf) {
-		p, err := s.cr.Next()
-		if err != nil {
-			return n, err
-		}
-		if !s.parser.Parse(p.Ts, p.Data, &buf[n]) {
-			continue
-		}
-		buf[n].Dir = trace.DirIn
-		if p.Tx {
-			buf[n].Dir = trace.DirOut
-		}
-		if p.Ts > s.max || !s.seen {
-			s.max = p.Ts
-			s.seen = true
-		}
-		n++
-	}
-	return n, nil
-}
-
-// Span returns lastTs+1 once the stream is exhausted, 0 before.
-func (s *IPTraceSource) Span() time.Duration {
-	if !s.seen {
-		return 0
-	}
-	return s.max + 1
-}
-
-// Close implements Source.
-func (s *IPTraceSource) Close() error { return closeAll(s.c) }
-
 // binarySource, csvSource, pcapSource and tcpdumpSource bind the trace
 // streams to their file handles.
 type binarySource struct {
@@ -367,14 +304,13 @@ type tcpdumpSource struct {
 func (s *tcpdumpSource) Close() error { return closeAll(s.c) }
 
 // Open opens a capture file as a streaming Source, picking the codec
-// from the extension (the rules trace.Save writes by, plus the iptrace
-// capture format):
+// from the extension by the rules trace.Save writes by, plus tcpdump
+// text, which Save refuses:
 //
-//	.trace/.bin  binary
 //	.csv         text
 //	.pcap        libpcap (needs stubPrefix)
-//	.ipt         iptrace 2.0 capture (direction from tx flag)
 //	.txt/.dump   tcpdump text (needs stubPrefix)
+//	other        binary (.trace, .bin)
 //	any + .gz    gzip-wrapped version of the inner extension
 //
 // Every format streams: no source holds more than its decoder's buffer
@@ -420,13 +356,6 @@ func openReader(r io.Reader, c io.Closer, path string, stubPrefix netip.Prefix) 
 			return nil, Info{}, err
 		}
 		return &pcapSource{PcapStream: s, c: c}, Info{Name: path, Records: -1}, nil
-	case strings.HasSuffix(name, ".ipt"):
-		s, err := NewIPTraceSource(r)
-		if err != nil {
-			return nil, Info{}, err
-		}
-		s.c = c
-		return s, Info{Name: path, Records: -1}, nil
 	case strings.HasSuffix(name, ".txt"), strings.HasSuffix(name, ".dump"):
 		if !stubPrefix.IsValid() {
 			return nil, Info{}, fmt.Errorf("trace: %s needs a stub prefix for direction inference", path)
@@ -454,10 +383,10 @@ func openReader(r io.Reader, c io.Closer, path string, stubPrefix netip.Prefix) 
 // records out of timestamp order (trace.ErrUnsorted) or outside
 // [0, span). Each chunk goes through Validate behind the previous
 // chunk's last record, so order holds across chunk boundaries too.
-// The span is final only at EOF (a CSV header may come late; pcap,
-// iptrace and tcpdump text learn it from the last record), so it is
-// checked then, on the last record: in a sorted stream, a record past
-// the span puts the last one past it as well.
+// The span is final only at EOF (a CSV header may come late; pcap and
+// tcpdump text learn it from the last record), so it is checked then,
+// on the last record: in a sorted stream, a record past the span puts
+// the last one past it as well.
 func Scan(path string, stubPrefix netip.Prefix) (Info, error) {
 	src, info, err := Open(path, stubPrefix)
 	if err != nil {

@@ -7,7 +7,8 @@
 // experiment "ablation-traceback" measures how many attack packets a
 // victim must collect before edge-sampling PPM reconstructs the attack
 // path, versus SYN-dog's fixed three-observation-period detection at
-// the source.
+// the source, and prints the ICMP traceback estimate (itrace.go)
+// beside it.
 //
 // Edge sampling (Savage et al., SIGCOMM 2000): every router, with
 // probability p, overwrites the mark with (start=self, distance=0);
@@ -96,9 +97,6 @@ func (m *Marker) Forward() Mark {
 	}
 	return mark
 }
-
-// PathLength returns the number of routers on the path.
-func (m *Marker) PathLength() int { return len(m.path) }
 
 // Collector is the victim-side reconstruction state.
 type Collector struct {

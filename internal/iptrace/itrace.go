@@ -1,19 +1,14 @@
 package iptrace
 
-import (
-	"math"
-	"math/rand"
-	"sort"
-)
+import "math"
 
-// This file implements ICMP traceback ("iTrace", Bellovin [2] and the
-// intention-driven variant [32]) — the other traceback family the
-// paper's introduction cites. Instead of marking passing packets,
-// every router independently samples forwarded packets with a small
-// probability (the drafts suggest ~1/20000) and emits a separate ICMP
-// traceback message to the packet's destination, identifying itself
-// and its adjacency. The victim reconstructs the path from collected
-// messages.
+// This file holds the cost model of ICMP traceback ("iTrace", Bellovin
+// [2] and the intention-driven variant [32]) — the other traceback
+// family the paper's introduction cites. Instead of marking passing
+// packets, every router independently samples forwarded packets with a
+// small probability (the drafts suggest ~1/20000) and emits a separate
+// ICMP traceback message to the packet's destination, identifying
+// itself and its adjacency.
 //
 // Compared with packet marking, iTrace needs no header bits but adds
 // traffic, and the victim needs at least one sample from *every*
@@ -22,147 +17,6 @@ import (
 
 // DefaultITraceProbability is the draft-suggested sampling rate.
 const DefaultITraceProbability = 1.0 / 20000
-
-// ITraceMessage is one emitted traceback message: the router and its
-// downstream neighbor (0 for the last hop).
-type ITraceMessage struct {
-	Router RouterID
-	Next   RouterID
-}
-
-// ITraceRouterSet simulates the routers of one path emitting iTrace
-// messages.
-type ITraceRouterSet struct {
-	path Path
-	p    float64
-	rng  *rand.Rand
-
-	emitted uint64
-}
-
-// NewITraceRouterSet builds the router set with sampling probability p.
-func NewITraceRouterSet(path Path, p float64, rng *rand.Rand) (*ITraceRouterSet, error) {
-	if len(path) == 0 {
-		return nil, ErrEmptyPath
-	}
-	if p <= 0 || p >= 1 {
-		return nil, ErrBadProbability
-	}
-	return &ITraceRouterSet{path: append(Path(nil), path...), p: p, rng: rng}, nil
-}
-
-// Forward passes one attack packet down the path; each router may
-// independently emit a traceback message. The returned slice is
-// usually empty.
-func (s *ITraceRouterSet) Forward() []ITraceMessage {
-	var out []ITraceMessage
-	for i, router := range s.path {
-		if s.rng.Float64() >= s.p {
-			continue
-		}
-		var next RouterID
-		if i+1 < len(s.path) {
-			next = s.path[i+1]
-		}
-		out = append(out, ITraceMessage{Router: router, Next: next})
-		s.emitted++
-	}
-	return out
-}
-
-// Emitted returns the total traceback messages generated — the
-// overhead traffic iTrace adds to the network.
-func (s *ITraceRouterSet) Emitted() uint64 { return s.emitted }
-
-// ITraceCollector reconstructs the path from received messages.
-type ITraceCollector struct {
-	// edges maps router -> downstream neighbor.
-	edges   map[RouterID]RouterID
-	packets uint64
-}
-
-// NewITraceCollector returns an empty collector.
-func NewITraceCollector() *ITraceCollector {
-	return &ITraceCollector{edges: make(map[RouterID]RouterID)}
-}
-
-// IngestPacket records that one attack packet arrived along with any
-// traceback messages it triggered.
-func (c *ITraceCollector) IngestPacket(msgs []ITraceMessage) {
-	c.packets++
-	for _, m := range msgs {
-		c.edges[m.Router] = m.Next
-	}
-}
-
-// Packets returns attack packets observed so far.
-func (c *ITraceCollector) Packets() uint64 { return c.packets }
-
-// RoutersHeard returns how many distinct routers have reported.
-func (c *ITraceCollector) RoutersHeard() int { return len(c.edges) }
-
-// Reconstruct stitches the edges into a path. It succeeds only when
-// every router on the true path has reported (otherwise the chain has
-// a gap and ErrIncomplete is returned).
-func (c *ITraceCollector) Reconstruct() (Path, error) {
-	if len(c.edges) == 0 {
-		return nil, ErrIncomplete
-	}
-	// The head is the router nobody points to.
-	pointedTo := make(map[RouterID]bool, len(c.edges))
-	for _, next := range c.edges {
-		if next != 0 {
-			pointedTo[next] = true
-		}
-	}
-	var heads []RouterID
-	for r := range c.edges {
-		if !pointedTo[r] {
-			heads = append(heads, r)
-		}
-	}
-	if len(heads) != 1 {
-		return nil, ErrIncomplete // gap in the chain: multiple fragments
-	}
-	sort.Slice(heads, func(i, j int) bool { return heads[i] < heads[j] })
-	path := Path{heads[0]}
-	seen := map[RouterID]bool{heads[0]: true}
-	cur := heads[0]
-	for {
-		next, ok := c.edges[cur]
-		if !ok || next == 0 {
-			break
-		}
-		if seen[next] {
-			return nil, ErrIncomplete // cycle: corrupted evidence
-		}
-		path = append(path, next)
-		seen[next] = true
-		cur = next
-	}
-	return path, nil
-}
-
-// ITracePacketsToReconstruct runs attack packets through the routers
-// until the collector reconstructs the exact path or budget is spent.
-func ITracePacketsToReconstruct(path Path, p float64, rng *rand.Rand, budget int) (int, bool, error) {
-	routers, err := NewITraceRouterSet(path, p, rng)
-	if err != nil {
-		return 0, false, err
-	}
-	col := NewITraceCollector()
-	for i := 1; i <= budget; i++ {
-		col.IngestPacket(routers.Forward())
-		if col.RoutersHeard() < len(path) {
-			continue
-		}
-		got, err := col.Reconstruct()
-		if err == nil && pathsEqual(got, path) {
-			return i, true, nil
-		}
-	}
-	return budget, false, nil
-}
 
 // ITraceExpectedPackets returns the coupon-collector estimate of the
 // packets needed: each router reports per packet with probability p,

@@ -1,19 +1,24 @@
 package stats
 
 import (
+	"errors"
 	"math"
 )
 
+// ErrShortSeries is returned when a series is too short for the
+// requested estimator.
+var ErrShortSeries = errors.New("stats: series too short")
+
 // VarianceTimeHurst estimates the Hurst exponent with the
-// variance-time method, the classic complement to R/S: the series is
-// aggregated at geometrically increasing block sizes m, and for a
-// self-similar process Var(X^(m)) ~ m^(2H-2), so the slope β of
-// log Var against log m gives H = 1 + β/2.
+// variance-time method: the series is aggregated at geometrically
+// increasing block sizes m, and for a self-similar process
+// Var(X^(m)) ~ m^(2H-2), so the slope β of log Var against log m gives
+// H = 1 + β/2.
 //
-// Together with HurstRS it lets trace tests cross-check that the
-// synthetic background exhibits the long-range dependence measured in
-// real wide-area TCP arrivals (H ≈ 0.7-0.9) rather than Poisson
-// smoothness (H = 0.5). Needs at least 64 points.
+// The trace tests use it to measure that every synthetic site
+// background exhibits the long-range dependence reported for real
+// wide-area TCP arrivals (H ≈ 0.7-0.9) rather than Poisson smoothness
+// (H = 0.5). Needs at least 64 points.
 func VarianceTimeHurst(xs []float64) (float64, error) {
 	n := len(xs)
 	if n < 64 {
@@ -35,6 +40,27 @@ func VarianceTimeHurst(xs []float64) (float64, error) {
 	slope, _ := linearFit(logM, logVar)
 	h := 1 + slope/2
 	return h, nil
+}
+
+// linearFit returns the least-squares slope and intercept of y on x.
+// Both slices must have equal, nonzero length (the caller guarantees
+// this); degenerate inputs yield slope 0.
+func linearFit(x, y []float64) (slope, intercept float64) {
+	n := float64(len(x))
+	if n == 0 {
+		return 0, 0
+	}
+	mx, my := Mean(x), Mean(y)
+	var num, den float64
+	for i := range x {
+		num += (x[i] - mx) * (y[i] - my)
+		den += (x[i] - mx) * (x[i] - mx)
+	}
+	if den == 0 {
+		return 0, my
+	}
+	slope = num / den
+	return slope, my - slope*mx
 }
 
 // aggregateMeans averages non-overlapping blocks of size m.

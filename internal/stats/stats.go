@@ -1,17 +1,16 @@
-// Package stats provides the small statistical toolkit used across the
-// SYN-dog reproduction: summary statistics, quantiles, autocorrelation,
-// histograms and a rescaled-range (R/S) Hurst-exponent estimator.
+// Package stats provides the small statistical toolkit the trace and
+// arrival tests measure the synthetic traffic with: moments, extrema,
+// the SYN-SYN/ACK correlation, the index of dispersion and a
+// variance-time Hurst-exponent estimator.
 //
-// All functions are pure and operate on float64 slices. They never
-// mutate their inputs unless explicitly documented (Quantile sorts a
-// private copy). The package has no dependencies beyond the standard
+// All functions are pure, operate on float64 slices and never mutate
+// their inputs. The package has no dependencies beyond the standard
 // library and is safe for concurrent use.
 package stats
 
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by functions that cannot produce a meaningful
@@ -86,98 +85,6 @@ func Sum(xs []float64) float64 {
 		s += x
 	}
 	return s
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between closest ranks (type-7 estimator, the default
-// in R and NumPy). The input is not modified.
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if q < 0 || q > 1 {
-		return 0, errors.New("stats: quantile out of range [0,1]")
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// Median returns the 0.5-quantile of xs.
-func Median(xs []float64) (float64, error) {
-	return Quantile(xs, 0.5)
-}
-
-// Summary bundles the common descriptive statistics of one sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Max    float64
-	P25    float64
-	Median float64
-	P75    float64
-	P99    float64
-}
-
-// Summarize computes a Summary of xs. It returns ErrEmpty for an empty
-// sample.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	mn, _ := Min(xs)
-	mx, _ := Max(xs)
-	p25, _ := Quantile(xs, 0.25)
-	med, _ := Quantile(xs, 0.5)
-	p75, _ := Quantile(xs, 0.75)
-	p99, _ := Quantile(xs, 0.99)
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    mn,
-		Max:    mx,
-		P25:    p25,
-		Median: med,
-		P75:    p75,
-		P99:    p99,
-	}, nil
-}
-
-// Autocorrelation returns the lag-k sample autocorrelation of xs,
-// normalized by the lag-0 autocovariance. It returns 0 when the series
-// is too short for the requested lag or has zero variance.
-func Autocorrelation(xs []float64, lag int) float64 {
-	n := len(xs)
-	if lag < 0 || lag >= n {
-		return 0
-	}
-	m := Mean(xs)
-	var num, den float64
-	for i := 0; i < n; i++ {
-		d := xs[i] - m
-		den += d * d
-	}
-	if den == 0 {
-		return 0
-	}
-	for i := 0; i+lag < n; i++ {
-		num += (xs[i] - m) * (xs[i+lag] - m)
-	}
-	return num / den
 }
 
 // CrossCorrelation returns the zero-lag Pearson correlation coefficient

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -65,90 +64,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	tests := []struct {
-		q    float64
-		want float64
-	}{
-		{0, 1},
-		{0.25, 2},
-		{0.5, 3},
-		{0.75, 4},
-		{1, 5},
-		{0.1, 1.4}, // interpolated
-	}
-	for _, tt := range tests {
-		got, err := Quantile(xs, tt.q)
-		if err != nil {
-			t.Fatalf("Quantile(%v): %v", tt.q, err)
-		}
-		if !almostEqual(got, tt.want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, want %v", tt.q, got, tt.want)
-		}
-	}
-	if _, err := Quantile(nil, 0.5); err != ErrEmpty {
-		t.Errorf("Quantile(nil) error = %v, want ErrEmpty", err)
-	}
-	if _, err := Quantile(xs, 1.5); err == nil {
-		t.Error("Quantile(q=1.5) should fail")
-	}
-	// Input must not be mutated.
-	in := []float64{3, 1, 2}
-	if _, err := Quantile(in, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if in[0] != 3 || in[1] != 1 || in[2] != 2 {
-		t.Errorf("Quantile mutated its input: %v", in)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	s, err := Summarize(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 10 {
-		t.Errorf("N = %d, want 10", s.N)
-	}
-	if !almostEqual(s.Mean, 5.5, 1e-12) {
-		t.Errorf("Mean = %v, want 5.5", s.Mean)
-	}
-	if s.Min != 1 || s.Max != 10 {
-		t.Errorf("Min/Max = %v/%v, want 1/10", s.Min, s.Max)
-	}
-	if !almostEqual(s.Median, 5.5, 1e-12) {
-		t.Errorf("Median = %v, want 5.5", s.Median)
-	}
-	if _, err := Summarize(nil); err != ErrEmpty {
-		t.Errorf("Summarize(nil) error = %v, want ErrEmpty", err)
-	}
-}
-
-func TestAutocorrelation(t *testing.T) {
-	// A constant series has zero variance: autocorrelation defined as 0.
-	if got := Autocorrelation([]float64{5, 5, 5, 5}, 1); got != 0 {
-		t.Errorf("constant series lag-1 = %v, want 0", got)
-	}
-	// Lag 0 is identically 1 for any non-constant series.
-	xs := []float64{1, 2, 1, 2, 1, 2, 1, 2}
-	if got := Autocorrelation(xs, 0); !almostEqual(got, 1, 1e-12) {
-		t.Errorf("lag-0 = %v, want 1", got)
-	}
-	// Perfectly alternating series has strongly negative lag-1.
-	if got := Autocorrelation(xs, 1); got >= 0 {
-		t.Errorf("alternating lag-1 = %v, want negative", got)
-	}
-	// Out-of-range lags are defined as 0.
-	if got := Autocorrelation(xs, 99); got != 0 {
-		t.Errorf("overlong lag = %v, want 0", got)
-	}
-	if got := Autocorrelation(xs, -1); got != 0 {
-		t.Errorf("negative lag = %v, want 0", got)
-	}
-}
-
 func TestCrossCorrelation(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	// Identical series correlate at exactly +1.
@@ -169,48 +84,6 @@ func TestCrossCorrelation(t *testing.T) {
 	}
 }
 
-func TestHurstRSWhiteNoise(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	xs := make([]float64, 4096)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
-	}
-	h, err := HurstRS(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// White noise has H = 0.5; R/S on finite samples is biased upward,
-	// so accept a generous band.
-	if h < 0.4 || h > 0.68 {
-		t.Errorf("white-noise Hurst = %v, want ~0.5", h)
-	}
-}
-
-func TestHurstRSTrendingSeries(t *testing.T) {
-	// A strongly persistent (integrated) series should report a higher
-	// Hurst exponent than white noise.
-	rng := rand.New(rand.NewSource(11))
-	xs := make([]float64, 4096)
-	level := 0.0
-	for i := range xs {
-		level += rng.NormFloat64()
-		xs[i] = level
-	}
-	h, err := HurstRS(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h < 0.8 {
-		t.Errorf("random-walk Hurst = %v, want > 0.8", h)
-	}
-}
-
-func TestHurstRSShortSeries(t *testing.T) {
-	if _, err := HurstRS(make([]float64, 10)); err != ErrShortSeries {
-		t.Errorf("short series error = %v, want ErrShortSeries", err)
-	}
-}
-
 func TestLinearFit(t *testing.T) {
 	x := []float64{0, 1, 2, 3}
 	y := []float64{1, 3, 5, 7} // y = 2x + 1
@@ -223,55 +96,6 @@ func TestLinearFit(t *testing.T) {
 	if slope != 0 || !almostEqual(intercept, 2, 1e-12) {
 		t.Errorf("degenerate fit = (%v, %v), want (0, 2)", slope, intercept)
 	}
-}
-
-func TestHistogramBasic(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{0, 1.9, 2, 5, 9.999, -1, 10, 11} {
-		h.Observe(x)
-	}
-	if h.Total() != 8 {
-		t.Errorf("Total = %d, want 8", h.Total())
-	}
-	if h.Count(0) != 2 { // 0 and 1.9
-		t.Errorf("bin0 = %d, want 2", h.Count(0))
-	}
-	if h.Count(1) != 1 { // 2
-		t.Errorf("bin1 = %d, want 1", h.Count(1))
-	}
-	if h.Count(2) != 1 { // 5
-		t.Errorf("bin2 = %d, want 1", h.Count(2))
-	}
-	if h.Count(4) != 1 { // 9.999
-		t.Errorf("bin4 = %d, want 1", h.Count(4))
-	}
-	if h.Underflow() != 1 || h.Overflow() != 2 {
-		t.Errorf("under/over = %d/%d, want 1/2", h.Underflow(), h.Overflow())
-	}
-	lo, hi := h.BinEdges(1)
-	if lo != 2 || hi != 4 {
-		t.Errorf("BinEdges(1) = %v,%v; want 2,4", lo, hi)
-	}
-	if got := h.Fraction(0); !almostEqual(got, 0.25, 1e-12) {
-		t.Errorf("Fraction(0) = %v, want 0.25", got)
-	}
-	if h.String() == "" {
-		t.Error("String() should render something")
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	assertPanics := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
-			}
-		}()
-		fn()
-	}
-	assertPanics("zero bins", func() { NewHistogram(0, 1, 0) })
-	assertPanics("inverted range", func() { NewHistogram(1, 0, 4) })
 }
 
 // Property: mean of any sample lies within [min, max].
@@ -316,59 +140,6 @@ func TestVarianceProperties(t *testing.T) {
 		}
 		v2 := Variance(shifted)
 		return almostEqual(v, v2, 1e-6*(1+v))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: quantile is monotone in q.
-func TestQuantileMonotoneProperty(t *testing.T) {
-	f := func(xs []float64, qa, qb uint8) bool {
-		clean := xs[:0:0]
-		for _, x := range xs {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				clean = append(clean, x)
-			}
-		}
-		if len(clean) == 0 {
-			return true
-		}
-		q1 := float64(qa%101) / 100
-		q2 := float64(qb%101) / 100
-		if q1 > q2 {
-			q1, q2 = q2, q1
-		}
-		v1, err1 := Quantile(clean, q1)
-		v2, err2 := Quantile(clean, q2)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return v1 <= v2
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: histogram never loses observations.
-func TestHistogramConservationProperty(t *testing.T) {
-	f := func(xs []float64) bool {
-		h := NewHistogram(-100, 100, 13)
-		n := 0
-		for _, x := range xs {
-			if math.IsNaN(x) {
-				continue
-			}
-			h.Observe(x)
-			n++
-		}
-		var inRange uint64
-		for i := 0; i < h.Bins(); i++ {
-			inRange += h.Count(i)
-		}
-		return h.Total() == uint64(n) &&
-			inRange+h.Underflow()+h.Overflow() == h.Total()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

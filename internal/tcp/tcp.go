@@ -547,28 +547,3 @@ func (c *Client) Deliver(now time.Duration, seg packet.Segment) {
 		}
 	}
 }
-
-// RSTResponder is a standalone endpoint modeling an innocent host
-// whose address was spoofed: any SYN/ACK it receives is answered with
-// a RST, resetting the victim's half-open connection.
-type RSTResponder struct {
-	Addr netip.Addr
-	send SendFunc
-	// Sent counts emitted RSTs.
-	Sent uint64
-}
-
-// NewRSTResponder builds a responder for addr.
-func NewRSTResponder(addr netip.Addr, send SendFunc) *RSTResponder {
-	return &RSTResponder{Addr: addr, send: send}
-}
-
-// Deliver implements the netsim delivery callback.
-func (r *RSTResponder) Deliver(_ time.Duration, seg packet.Segment) {
-	if seg.IP.Dst != r.Addr || seg.Kind() != packet.KindSYNACK {
-		return
-	}
-	r.Sent++
-	r.send(packet.Build(r.Addr, seg.IP.Src, seg.TCP.DstPort, seg.TCP.SrcPort,
-		seg.TCP.Ack, 0, packet.FlagRST))
-}

@@ -255,33 +255,6 @@ func TestRstClearsHalfOpen(t *testing.T) {
 	}
 }
 
-func TestRSTResponderFoilsSpoofedFlood(t *testing.T) {
-	// A spoofed source that is actually reachable answers the victim's
-	// SYN/ACK with RST, clearing the backlog entry (Section 1).
-	sim := eventsim.New()
-	w := &wire{sim: sim, delay: time.Millisecond}
-
-	var srv *Server
-	var resp *RSTResponder
-	srv, _ = NewServer(sim, serverAddr, 80,
-		w.sendTo(func(now time.Duration, s packet.Segment) { resp.Deliver(now, s) }),
-		ServerConfig{Backlog: 8})
-	resp = NewRSTResponder(clientAddr,
-		w.sendTo(func(now time.Duration, s packet.Segment) { srv.Deliver(now, s) }))
-
-	srv.Deliver(0, packet.Build(clientAddr, serverAddr, 999, 80, 5, 0, packet.FlagSYN))
-	sim.Run()
-	if srv.BacklogLen() != 0 {
-		t.Error("backlog entry survived the RST")
-	}
-	if resp.Sent != 1 {
-		t.Errorf("responder sent %d RSTs, want 1", resp.Sent)
-	}
-	if srv.Stats().Resets != 1 {
-		t.Errorf("server Resets = %d, want 1", srv.Stats().Resets)
-	}
-}
-
 func TestClientRstsUnexpectedSynAck(t *testing.T) {
 	sim := eventsim.New()
 	var out []packet.Segment

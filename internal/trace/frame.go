@@ -14,10 +14,10 @@ import (
 // Ethernet MAC headers and VLAN tags never reach the classifier),
 // classifying the packet with the paper's classifier, decoding the TCP
 // segment, and inferring direction from the destination. The pcap file
-// stream, the iptrace source and the live capture producer all decode
-// through it, so every input path classifies the same wire bytes the
-// same way. Parse never panics on arbitrary bytes (pinned by
-// FuzzFrameParse) and allocates nothing.
+// stream and the live capture producer both decode through it, so
+// every input path classifies the same wire bytes the same way. Parse
+// never panics on arbitrary bytes (pinned by FuzzFrameParse) and
+// allocates nothing.
 type FrameParser struct {
 	linkType uint32
 	prefix   netip.Prefix
