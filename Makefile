@@ -38,7 +38,7 @@ test:
 
 # Full suite under the race detector: exercises the experiment worker
 # pool, the parallel fleet trials, the syndogd replay/handler locking,
-# and the sharded source tracker under concurrent ChanSource feeds.
+# and the source tracker's lock under concurrent ChanSource feeds.
 race:
 	$(GO) test -race ./...
 

@@ -219,46 +219,44 @@ func BenchmarkRunCellFastPath(b *testing.B) {
 // --- per-source attribution engine -------------------------------------
 
 // BenchmarkSourceTrack measures the keyed engine's per-record cost
-// across shard counts and distinct-source populations. The tracker
-// holds the default 1024 CUSUM states; the 10k- and 1M-source streams
-// therefore run in the steady eviction regime, where Space-Saving
-// admission recycles states in place — the records/s figure is the
-// sustained keyed-demux rate and allocs/op must stay at zero.
+// across distinct-source populations. The tracker holds the default
+// 1024 CUSUM states; the 10k- and 1M-source streams therefore run in
+// the steady eviction regime, where Space-Saving admission recycles
+// states in place — the records/s figure is the sustained keyed-demux
+// rate and allocs/op must stay at zero. The "shards=1" in each name
+// keeps the rows comparable with the committed gate baseline.
 func BenchmarkSourceTrack(b *testing.B) {
-	for _, shards := range []int{1, 8, 64} {
-		for _, nsrc := range []int{10_000, 1_000_000} {
-			b.Run(fmt.Sprintf("shards=%d/sources=%d", shards, nsrc), func(b *testing.B) {
-				tk, err := sourcetrack.New(sourcetrack.Config{
-					KeyBits: 32,
-					Shards:  shards,
-					Agent:   core.Config{},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				dst := netip.MustParseAddr("11.99.99.1")
-				recs := make([]trace.Record, nsrc)
-				for i := range recs {
-					recs[i] = trace.Record{
-						Kind: packet.KindSYN,
-						Dir:  trace.DirOut,
-						Src:  netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)}),
-						Dst:  dst,
-					}
-				}
-				// One full pass fills the tracker to capacity so the
-				// timed loop measures steady state, not map growth.
-				for _, r := range recs {
-					tk.Observe(r)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					tk.Observe(recs[i%nsrc])
-				}
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "records/s")
+	for _, nsrc := range []int{10_000, 1_000_000} {
+		b.Run(fmt.Sprintf("shards=1/sources=%d", nsrc), func(b *testing.B) {
+			tk, err := sourcetrack.New(sourcetrack.Config{
+				KeyBits: 32,
+				Agent:   core.Config{},
 			})
-		}
+			if err != nil {
+				b.Fatal(err)
+			}
+			dst := netip.MustParseAddr("11.99.99.1")
+			recs := make([]trace.Record, nsrc)
+			for i := range recs {
+				recs[i] = trace.Record{
+					Kind: packet.KindSYN,
+					Dir:  trace.DirOut,
+					Src:  netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)}),
+					Dst:  dst,
+				}
+			}
+			// One full pass fills the tracker to capacity so the timed
+			// loop measures steady state, not map growth.
+			for _, r := range recs {
+				tk.Observe(r)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tk.Observe(recs[i%nsrc])
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "records/s")
+		})
 	}
 }
 
@@ -293,10 +291,10 @@ func sourceTrackStream(n int) []trace.Record {
 }
 
 // liveKeyedTracker is the live-keyed workload's tracker: /24 keys,
-// 1024 states over 2 shards.
+// 1024 states.
 func liveKeyedTracker(b *testing.B) *sourcetrack.Tracker {
 	b.Helper()
-	tk, err := sourcetrack.New(sourcetrack.Config{KeyBits: 24, MaxSources: 1024, Shards: 2,
+	tk, err := sourcetrack.New(sourcetrack.Config{KeyBits: 24, MaxSources: 1024,
 		Agent: core.Config{T0: 20 * time.Second}})
 	if err != nil {
 		b.Fatal(err)
@@ -305,7 +303,7 @@ func liveKeyedTracker(b *testing.B) *sourcetrack.Tracker {
 }
 
 // BenchmarkSourceTrackBatch measures the keyed tap the way the
-// live-keyed workload drives it: ObserveBatch over 1024-record chunks
+// live-keyed workload drives it: RecordBatch over 1024-record chunks
 // of sourceTrackStream, in the eviction regime (the evictions/syn
 // metric reports how many SYNs recycle a state). ns/op is per chunk.
 func BenchmarkSourceTrackBatch(b *testing.B) {
@@ -313,14 +311,14 @@ func BenchmarkSourceTrackBatch(b *testing.B) {
 	recs := sourceTrackStream(1 << 16)
 	tk := liveKeyedTracker(b)
 	for off := 0; off < len(recs); off += chunk {
-		tk.ObserveBatch(recs[off : off+chunk])
+		tk.RecordBatch(recs[off : off+chunk])
 	}
 	warm := tk.Stats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		off := i * chunk % len(recs)
-		tk.ObserveBatch(recs[off : off+chunk])
+		tk.RecordBatch(recs[off : off+chunk])
 	}
 	b.StopTimer()
 	st := tk.Stats()
@@ -339,7 +337,7 @@ func BenchmarkSourceTrackView(b *testing.B) {
 	tk := liveKeyedTracker(b)
 	per := len(recs) / periods
 	for p := 0; p < periods; p++ {
-		tk.ObserveBatch(recs[p*per : (p+1)*per])
+		tk.RecordBatch(recs[p*per : (p+1)*per])
 		tk.ClosePeriod(p, time.Duration(p+1)*20*time.Second)
 	}
 	if st := tk.Stats(); st.Tracked != 1024 || st.Alarmed == 0 {

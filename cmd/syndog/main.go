@@ -99,12 +99,9 @@ func run(args []string, stdout io.Writer) (int, error) {
 	}
 	var tracker *sourcetrack.Tracker
 	if *track {
-		// Offline replay is single-goroutine, so one shard keeps the
-		// run bit-identical to a per-key agent bank.
 		tracker, err = sourcetrack.New(sourcetrack.Config{
 			KeyBits:    *keyBits,
 			MaxSources: *maxSources,
-			Shards:     1,
 			Agent: core.Config{
 				T0:        *t0,
 				Alpha:     *alpha,

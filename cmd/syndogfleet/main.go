@@ -240,7 +240,6 @@ func runCampaign(cfg campaignConfig, w io.Writer) error {
 		if sr.tracker, err = sourcetrack.New(sourcetrack.Config{
 			KeyBits:    8,
 			MaxSources: 64,
-			Shards:     1,
 			Agent:      core.Config{T0: cfg.t0},
 		}); err != nil {
 			return err
@@ -256,8 +255,8 @@ func runCampaign(cfg campaignConfig, w io.Writer) error {
 			}
 		})
 		// The keyed bank taps the pipeline directly: the pipeline
-		// goroutine folds each counted chunk into the one-shard
-		// tracker, so period closes see exactly the records before them.
+		// goroutine folds each counted chunk into the tracker, so
+		// period closes see exactly the records before them.
 		p := &ingest.Pipeline{
 			Source:   live,
 			Detector: sr.agent,

@@ -128,7 +128,6 @@ func fleetTrack() *sourcetrack.Config {
 	return &sourcetrack.Config{
 		KeyBits:    8,
 		MaxSources: 64,
-		Shards:     1,
 		Agent:      core.Config{T0: 10 * time.Second},
 	}
 }

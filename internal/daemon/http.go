@@ -130,8 +130,8 @@ func (d *Daemon) Status() Status {
 		s.CheckpointAge = time.Since(d.lastCheckpoint)
 	}
 	if tr := d.opts.Tracker; tr != nil {
-		// The tracker has its own (leaf) shard locks; reading it under
-		// d.mu is deadlock-free because nothing acquires them first.
+		// The tracker has its own (leaf) lock; reading it under d.mu
+		// is deadlock-free because nothing acquires that lock first.
 		ts := tr.Stats()
 		s.Tracking = true
 		s.SourcesTracked = ts.Tracked

@@ -66,7 +66,7 @@ type drainResult struct {
 }
 
 // drainThrough runs src dry through a fresh CUSUM agent and a
-// single-shard tracker — the same chunk loop on both sides, so any
+// keyed tracker — the same chunk loop on both sides, so any
 // difference comes from the source, not the consumer.
 func drainThrough(t *testing.T, src ingest.Source) drainResult {
 	t.Helper()
@@ -74,7 +74,7 @@ func drainThrough(t *testing.T, src ingest.Source) drainResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tracker, err := sourcetrack.New(sourcetrack.Config{Shards: 1, Agent: core.Config{}})
+	tracker, err := sourcetrack.New(sourcetrack.Config{Agent: core.Config{}})
 	if err != nil {
 		t.Fatal(err)
 	}

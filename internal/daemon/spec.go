@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/netip"
 	"os"
-	"runtime"
 	"slices"
 	"strings"
 	"time"
@@ -169,7 +168,6 @@ func (s AgentSpec) trackConfig() *sourcetrack.Config {
 	return &sourcetrack.Config{
 		KeyBits:    s.KeyBits,
 		MaxSources: s.MaxSources,
-		Shards:     runtime.GOMAXPROCS(0),
 		Agent:      s.coreConfig(),
 	}
 }

@@ -45,8 +45,6 @@ type Observation struct {
 type Detector interface {
 	// Observe consumes one period and returns the (latched) decision.
 	Observe(o Observation) bool
-	// Alarmed reports the latched decision.
-	Alarmed() bool
 	// Reset clears the alarm and decision state.
 	Reset()
 	// Name identifies the detector in reports.
@@ -77,9 +75,6 @@ func (d *StaticThreshold) Observe(o Observation) bool {
 	}
 	return d.alarmed
 }
-
-// Alarmed implements Detector.
-func (d *StaticThreshold) Alarmed() bool { return d.alarmed }
 
 // Reset implements Detector.
 func (d *StaticThreshold) Reset() { d.alarmed = false }
@@ -115,9 +110,6 @@ func (d *RatioDetector) Observe(o Observation) bool {
 	}
 	return d.alarmed
 }
-
-// Alarmed implements Detector.
-func (d *RatioDetector) Alarmed() bool { return d.alarmed }
 
 // Reset implements Detector.
 func (d *RatioDetector) Reset() { d.alarmed = false }
@@ -176,9 +168,6 @@ func (d *AdaptiveEWMA) Observe(o Observation) bool {
 	d.absDev.Update(math.Abs(o.OutSYN - m))
 	return d.alarmed
 }
-
-// Alarmed implements Detector.
-func (d *AdaptiveEWMA) Alarmed() bool { return d.alarmed }
 
 // Reset implements Detector.
 func (d *AdaptiveEWMA) Reset() { d.alarmed = false }

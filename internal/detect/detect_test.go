@@ -52,7 +52,7 @@ func TestStaticThresholdDetectsAndLatches(t *testing.T) {
 		t.Error("alarm did not latch")
 	}
 	d.Reset()
-	if d.Alarmed() {
+	if d.Observe(Observation{OutSYN: 10}) {
 		t.Error("Reset failed")
 	}
 	if d.Name() != "static-threshold" {
@@ -219,8 +219,7 @@ func TestStaticThresholdIsSiteDependent(t *testing.T) {
 
 func TestRunResetsDetector(t *testing.T) {
 	d, _ := NewStaticThreshold(10)
-	d.Observe(Observation{OutSYN: 100})
-	if !d.Alarmed() {
+	if !d.Observe(Observation{OutSYN: 100}) {
 		t.Fatal("setup failed")
 	}
 	res := Run(d, []Observation{{OutSYN: 1}})

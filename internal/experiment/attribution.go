@@ -142,7 +142,6 @@ func AblationAttribution(opts Options) ([]Artifact, error) {
 		tk, err := sourcetrack.New(sourcetrack.Config{
 			KeyBits:    24,
 			MaxSources: 4096,
-			Shards:     1,
 			Agent:      core.Config{},
 		})
 		if err != nil {

@@ -68,7 +68,6 @@ func distReplaySite(name string, tr *trace.Trace, t0 time.Duration) (bool, []sum
 	tracker, err := sourcetrack.New(sourcetrack.Config{
 		KeyBits:    24,
 		MaxSources: 4096,
-		Shards:     1,
 		Agent:      core.Config{T0: t0},
 	})
 	if err != nil {

@@ -29,10 +29,9 @@ import (
 // accept queue, as the fraction of legitimate handshakes that still
 // complete, next to the fraction of attack SYNs that still pass.
 //
-// Everything is seed-deterministic (exact-grid attacks, Shards=1
-// tracking, event-driven victim), so the emitted matrix is
-// byte-identical across runs of the same seed: a regression battery
-// over the detector's own blind spots.
+// Everything is seed-deterministic (exact-grid attacks, event-driven
+// victim), so the emitted matrix is byte-identical across runs of the
+// same seed: a regression battery over the detector's own blind spots.
 
 // Tracker sizing for the matrix: small enough that the many-source
 // scenarios overflow Space-Saving admission by design.
@@ -344,7 +343,6 @@ func scoreEvasionScenario(sc *evasion.Scenario, base *trace.Trace, handshakes []
 	tracker, err := sourcetrack.New(sourcetrack.Config{
 		KeyBits:    params.KeyBits,
 		MaxSources: evasionMaxSources,
-		Shards:     1,
 		Agent:      core.Config{},
 	})
 	if err != nil {

@@ -30,8 +30,6 @@ type Pattern interface {
 	Rate(t time.Duration) float64
 	// Peak returns an upper bound of Rate over the flood duration.
 	Peak() float64
-	// Mean returns the long-run average rate.
-	Mean() float64
 }
 
 // Constant floods at a fixed rate — the paper's default ("without
@@ -46,9 +44,6 @@ func (c Constant) Rate(time.Duration) float64 { return c.PerSecond }
 
 // Peak implements Pattern.
 func (c Constant) Peak() float64 { return c.PerSecond }
-
-// Mean implements Pattern.
-func (c Constant) Mean() float64 { return c.PerSecond }
 
 // Bursty alternates between PeakRate during On windows and silence
 // during Off windows, modeling pulsing DDoS tools.
@@ -72,7 +67,7 @@ func (b Bursty) Rate(t time.Duration) float64 {
 // Peak implements Pattern.
 func (b Bursty) Peak() float64 { return b.PeakRate }
 
-// Mean implements Pattern.
+// Mean returns the long-run average rate.
 func (b Bursty) Mean() float64 {
 	cycle := b.On + b.Off
 	if cycle <= 0 {
@@ -94,13 +89,13 @@ type Pulsing struct {
 	On, Off  time.Duration
 }
 
-// Rate, Peak and Mean implement Pattern with Bursty's envelope.
+// Rate implements Pattern with Bursty's envelope.
 func (p Pulsing) Rate(t time.Duration) float64 { return Bursty(p).Rate(t) }
 
 // Peak implements Pattern.
 func (p Pulsing) Peak() float64 { return Bursty(p).Peak() }
 
-// Mean implements Pattern.
+// Mean returns the long-run average rate.
 func (p Pulsing) Mean() float64 { return Bursty(p).Mean() }
 
 // Ramp grows linearly from StartRate to EndRate over Span, modeling a
@@ -127,9 +122,6 @@ func (r Ramp) Rate(t time.Duration) float64 {
 
 // Peak implements Pattern.
 func (r Ramp) Peak() float64 { return math.Max(r.StartRate, r.EndRate) }
-
-// Mean implements Pattern.
-func (r Ramp) Mean() float64 { return (r.StartRate + r.EndRate) / 2 }
 
 // Config describes one flooding source inside one stub network.
 type Config struct {

@@ -29,7 +29,7 @@ func baseConfig(p Pattern) Config {
 
 func TestPatternRates(t *testing.T) {
 	c := Constant{PerSecond: 45}
-	if c.Rate(0) != 45 || c.Peak() != 45 || c.Mean() != 45 {
+	if c.Rate(0) != 45 || c.Peak() != 45 {
 		t.Error("constant pattern wrong")
 	}
 
@@ -65,8 +65,8 @@ func TestPatternRates(t *testing.T) {
 	if r.Rate(-time.Second) != 0 {
 		t.Error("ramp before start should hold StartRate")
 	}
-	if r.Peak() != 100 || r.Mean() != 50 {
-		t.Errorf("ramp peak/mean = %v/%v", r.Peak(), r.Mean())
+	if r.Peak() != 100 {
+		t.Errorf("ramp peak = %v", r.Peak())
 	}
 	if (Ramp{StartRate: 1, EndRate: 9}).Rate(time.Second) != 9 {
 		t.Error("zero-span ramp should return EndRate")

@@ -40,9 +40,8 @@ func batchChunkRecords(n int) []trace.Record {
 
 // TestBatchPathAllocs pins the batch pipeline's zero-allocation
 // contract end to end: arena Get/Put per chunk, FeedBatch through the
-// aggregator, and the keyed tracker's batch tap (multi-shard, so the
-// per-shard grouping scratch is exercised) must allocate nothing once
-// warm.
+// aggregator, and the keyed tracker's batch tap must allocate nothing
+// once warm.
 func TestBatchPathAllocs(t *testing.T) {
 	recs := batchChunkRecords(DefaultChunk)
 	det, err := core.NewAgent(core.Config{})
@@ -51,7 +50,6 @@ func TestBatchPathAllocs(t *testing.T) {
 	}
 	tracker, err := sourcetrack.New(sourcetrack.Config{
 		KeyBits: 24,
-		Shards:  2,
 		Agent:   core.Config{},
 	})
 	if err != nil {
@@ -151,7 +149,6 @@ func newFuzzTracker(t *testing.T) *sourcetrack.Tracker {
 	tk, err := sourcetrack.New(sourcetrack.Config{
 		KeyBits:    24,
 		MaxSources: 8, // tiny, so eviction churn is in scope
-		Shards:     1,
 		Agent:      core.Config{T0: time.Second},
 	})
 	if err != nil {

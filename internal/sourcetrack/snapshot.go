@@ -21,9 +21,7 @@ var ErrBadSnapshot = errors.New("sourcetrack: invalid snapshot")
 // per-key detector parameters disagree with the requested
 // configuration. Resuming it would graft per-key CUSUM evidence onto
 // detectors with different semantics, so it is a hard error — the
-// operator fixes the flags or moves the snapshot aside. The shard
-// count is deliberately NOT part of the match: like experiment
-// Parallelism it is an execution detail.
+// operator fixes the flags or moves the snapshot aside.
 var ErrConfigMismatch = errors.New("sourcetrack: snapshot keying disagrees with requested config")
 
 // KeySnapshot is one key's persisted state.
@@ -49,10 +47,9 @@ type KeySnapshot struct {
 }
 
 // Snapshot is the tracker's complete persistable state. Keys are
-// sorted by key so the encoding is deterministic regardless of shard
-// layout or map iteration order; counts inside the current partial
-// period are NOT persisted, matching the aggregate snapshot's
-// at-most-one-t0 loss semantics.
+// sorted by key so the encoding is deterministic regardless of heap
+// layout; counts inside the current partial period are NOT persisted,
+// matching the aggregate snapshot's at-most-one-t0 loss semantics.
 type Snapshot struct {
 	Version    int           `json:"version"`
 	KeyBits    int           `json:"keyBits"`
@@ -63,35 +60,34 @@ type Snapshot struct {
 	Keys       []KeySnapshot `json:"keys"`
 }
 
-// Snapshot captures the tracker's state.
+// Snapshot captures the tracker's state under one lock, so the period
+// clock, the counters and the keys describe the same instant.
 func (t *Tracker) Snapshot() Snapshot {
+	t.mu.Lock()
 	s := Snapshot{
 		Version:    snapshotVersion,
 		KeyBits:    t.cfg.KeyBits,
 		MaxSources: t.cfg.MaxSources,
 		Agent:      t.cfg.Agent,
-		Periods:    t.Periods(),
-		Stats:      t.Stats(),
+		Periods:    t.periods,
+		Stats:      t.statsLocked(),
 	}
-	for _, sh := range t.shards {
-		sh.mu.Lock()
-		for _, e := range sh.heap {
-			st := &sh.slab[e.slot]
-			ks := KeySnapshot{
-				Key: e.k.prefix(t.cfg.KeyBits), Count: e.count, Err: st.errc,
-				KBar: st.kBar.Value(), KBarPrimed: st.kBar.Primed(),
-				Y: st.det.Statistic(), AlarmLatched: st.det.Alarmed(),
-				Observations: st.det.Observations(), OnsetIndex: st.det.OnsetIndex(),
-				Periods: st.periods, Last: st.last,
-			}
-			if st.alarmed {
-				al := st.alarm
-				ks.Alarm = &al
-			}
-			s.Keys = append(s.Keys, ks)
+	for _, e := range t.heap {
+		st := &t.slab[e.slot]
+		ks := KeySnapshot{
+			Key: e.k.prefix(t.cfg.KeyBits), Count: e.count, Err: st.errc,
+			KBar: st.kBar.Value(), KBarPrimed: st.kBar.Primed(),
+			Y: st.det.Statistic(), AlarmLatched: st.det.Alarmed(),
+			Observations: st.det.Observations(), OnsetIndex: st.det.OnsetIndex(),
+			Periods: st.periods, Last: st.last,
 		}
-		sh.mu.Unlock()
+		if st.alarmed {
+			al := st.alarm
+			ks.Alarm = &al
+		}
+		s.Keys = append(s.Keys, ks)
 	}
+	t.mu.Unlock()
 	slices.SortFunc(s.Keys, func(a, b KeySnapshot) int {
 		if c := a.Key.Addr().Compare(b.Key.Addr()); c != 0 {
 			return c
@@ -103,8 +99,8 @@ func (t *Tracker) Snapshot() Snapshot {
 
 // Restore rebuilds a tracker from a snapshot under cfg. cfg's
 // normalized KeyBits, MaxSources and Agent must match the snapshot
-// (ErrConfigMismatch otherwise); cfg.Shards may differ — keys rehash
-// onto the new stripe layout and the final states are unchanged.
+// (ErrConfigMismatch otherwise), and the snapshot may hold at most
+// MaxSources keys (ErrBadSnapshot otherwise).
 func Restore(s Snapshot, cfg Config) (*Tracker, error) {
 	if s.Version != snapshotVersion {
 		return nil, fmt.Errorf("%w: version %d (want %d)", ErrBadSnapshot, s.Version, snapshotVersion)
@@ -125,14 +121,9 @@ func Restore(s Snapshot, cfg Config) (*Tracker, error) {
 	if len(s.Keys) > s.MaxSources {
 		return nil, fmt.Errorf("%w: %d keys exceed max sources %d", ErrBadSnapshot, len(s.Keys), s.MaxSources)
 	}
-	t.periods.Store(int64(s.Periods))
-	t.unkeyed.Store(s.Stats.Unkeyed)
-	// Volume counters persist as totals; they live on shard 0 and are
-	// only ever reported summed.
-	t.shards[0].syns = s.Stats.SYNs
-	t.shards[0].synAcks = s.Stats.SYNACKs
-	t.shards[0].untracked = s.Stats.UntrackedSYNACKs
-	t.shards[0].evicted = s.Stats.Evicted
+	t.periods = s.Periods
+	t.syns, t.synAcks = s.Stats.SYNs, s.Stats.SYNACKs
+	t.untracked, t.unkeyed, t.evicted = s.Stats.UntrackedSYNACKs, s.Stats.Unkeyed, s.Stats.Evicted
 	for i, ks := range s.Keys {
 		k, ok := t.keyOf(ks.Key.Addr())
 		if !ok || k.prefix(cfg.KeyBits) != ks.Key {
@@ -149,8 +140,7 @@ func Restore(s Snapshot, cfg Config) (*Tracker, error) {
 		if ks.KBar < 0 {
 			return nil, fmt.Errorf("%w: key %v negative kBar %g", ErrBadSnapshot, ks.Key, ks.KBar)
 		}
-		sh := t.shards[t.shardIndex(k)]
-		st := sh.fresh
+		st := t.fresh
 		st.errc, st.periods, st.last = ks.Err, ks.Periods, ks.Last
 		if err := st.kBar.Restore(ks.KBar, ks.KBarPrimed); err != nil {
 			return nil, fmt.Errorf("%w: key %v kBar: %v", ErrBadSnapshot, ks.Key, err)
@@ -160,12 +150,12 @@ func Restore(s Snapshot, cfg Config) (*Tracker, error) {
 		}
 		if ks.Alarm != nil {
 			st.alarm, st.alarmed = *ks.Alarm, true
-			sh.alarmed++
+			t.alarmed++
 		}
-		if sh.index.find(k) >= 0 {
+		if t.index.find(k) >= 0 {
 			return nil, fmt.Errorf("%w: duplicate key %v (entry %d)", ErrBadSnapshot, ks.Key, i)
 		}
-		sh.insert(k, ks.Count, &st)
+		t.insert(k, ks.Count, &st)
 	}
 	return t, nil
 }

@@ -20,7 +20,6 @@ func busyTracker(t *testing.T) *Tracker {
 	tk, err := New(Config{
 		KeyBits:    24,
 		MaxSources: 4,
-		Shards:     2,
 		Agent:      core.Config{T0: time.Second},
 	})
 	if err != nil {
@@ -87,19 +86,14 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("encode/decode changed the snapshot")
 	}
 
-	// Restoring under the same config — and under a different shard
-	// count, which is an execution detail — reproduces the state
-	// exactly, including the stats ledger.
-	for _, shards := range []int{1, 2, 3} {
-		cfg := tk.Config()
-		cfg.Shards = shards
-		restored, err := Restore(decoded, cfg)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if got := restored.Snapshot(); !reflect.DeepEqual(snap, got) {
-			t.Fatalf("shards=%d: restored snapshot differs", shards)
-		}
+	// Restoring under the same config reproduces the state exactly,
+	// including the stats ledger.
+	restored, err := Restore(decoded, tk.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := restored.Snapshot(); !reflect.DeepEqual(snap, got) {
+		t.Fatal("restored snapshot differs")
 	}
 }
 
@@ -109,7 +103,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestSnapshotResumeEquivalence(t *testing.T) {
 	p := trace.LBL()
 	tr := mixedTrace(t, p, 23, netip.MustParsePrefix("240.7.0.0/24"), 25)
-	cfg := Config{KeyBits: 24, MaxSources: 512, Shards: 1, Agent: core.Config{T0: 20 * time.Second}}
+	cfg := Config{KeyBits: 24, MaxSources: 512, Agent: core.Config{T0: 20 * time.Second}}
 
 	full, err := New(cfg)
 	if err != nil {

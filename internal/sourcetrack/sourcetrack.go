@@ -18,17 +18,19 @@
 // key arrives at capacity the minimum-count state is recycled in
 // place, so the tracker allocates O(K) detector states no matter how
 // many distinct sources the stream carries; evictions are counted in
-// TrackerStats, never dropped silently. Each shard keeps its states in
-// flat arrays — a slab of per-key states with the EWMA and CUSUM
-// inline, an open-addressing index from key to slot, and a min-heap of
-// inline (count, key, slot) entries — so a spoofed flood that recycles
-// a state on most SYNs costs integer compares, not allocations.
+// TrackerStats, never dropped silently. The tracker keeps its states in
+// one table of flat arrays — a slab of per-key states with the EWMA and
+// CUSUM inline, an open-addressing index from key to slot, and a
+// min-heap of inline (count, key, slot) entries — so a spoofed flood
+// that recycles a state on most SYNs costs integer compares, not
+// allocations.
 //
-// Concurrency: keys hash (FNV-1a) onto lock-striped shards, so live
-// ingestion scales across GOMAXPROCS. Replays wanting determinism use
-// Shards=1 (the default): a single-shard single-goroutine run is
-// bit-identical to running one core.Agent per key over a pre-filtered
-// trace — the equivalence the tests pin.
+// Concurrency: one mutex guards the table, so readers (View, Stats,
+// Snapshot) may run beside the goroutine feeding records. Every output
+// depends only on the records and the period closes, never on the
+// host: a single-goroutine run is bit-identical to running one
+// core.Agent per key over a pre-filtered trace — the equivalence the
+// tests pin.
 package sourcetrack
 
 import (
@@ -42,7 +44,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -72,10 +73,9 @@ type Config struct {
 	// (default 1024). Everything beyond K competes via Space-Saving
 	// admission.
 	MaxSources int
-	// Shards is the lock-stripe count (default 1). One shard is the
-	// deterministic replay path; live feeds pass GOMAXPROCS. The
-	// shard count is an execution detail like experiment Parallelism:
-	// it may change across a resume.
+	// Deprecated: Shards is ignored; the tracker keeps one table
+	// behind one mutex. The field remains only so that callers which
+	// still set it compile.
 	Shards int
 	// Agent holds the per-key detector parameters (T0, Alpha, Offset,
 	// Threshold, MinK, WarmupPeriods). A zero MinK defaults to
@@ -85,16 +85,13 @@ type Config struct {
 
 // Normalized returns the configuration with defaults applied. Two
 // configurations resume-match exactly when their normalized KeyBits,
-// MaxSources and Agent agree (Shards is an execution detail).
+// MaxSources and Agent agree.
 func (c Config) Normalized() Config {
 	if c.KeyBits == 0 {
 		c.KeyBits = DefaultKeyBits
 	}
 	if c.MaxSources == 0 {
 		c.MaxSources = DefaultMaxSources
-	}
-	if c.Shards == 0 {
-		c.Shards = 1
 	}
 	if c.Agent.MinK == 0 {
 		c.Agent.MinK = DefaultKeyMinK
@@ -180,10 +177,10 @@ func (k key) prefix(keyBits int) netip.Prefix {
 
 // keyState is one tracked source: the same scalars a core.Agent keeps
 // (EWMA K̄, CUSUM statistic, period counters) plus the Space-Saving
-// error bound; the count and the key sit in the shard's heap entry.
+// error bound; the count and the key sit in the tracker's heap entry.
 // It deliberately carries no report history and no pointer — per key
-// memory is O(1), so total memory is O(MaxSources), and a shard's
-// slab of states is one allocation the garbage collector never scans.
+// memory is O(1), so total memory is O(MaxSources), and the slab of
+// states is one allocation the garbage collector never scans.
 type keyState struct {
 	errc uint64 // overestimation bound inherited at admission
 
@@ -214,7 +211,7 @@ func (st *keyState) endPeriod(end time.Duration, cfg *core.Config) (core.Report,
 	return r, newAlarm
 }
 
-// heapEntry is one node of a shard's admission min-heap: the key's
+// heapEntry is one node of the tracker's admission min-heap: the key's
 // Space-Saving count and the key itself inline, so ordering two nodes
 // reads no state, and the slab slot holding the key's detector.
 type heapEntry struct {
@@ -332,212 +329,37 @@ func (x *index) remove(k key) {
 	}
 }
 
-// shard is one lock stripe: a slab of key states, the index from key
-// to slab slot, and the Space-Saving min-heap over every slot, with
-// pos locating each slot's heap node.
-type shard struct {
-	mu     sync.Mutex
-	cap    int
-	warmup int
-	fresh  keyState // a never-observed state: the detector parameters, nothing else
+// Tracker is the keyed detection engine: one Space-Saving table — a
+// slab of key states, the index from key to slab slot, and the
+// admission min-heap over every slot, with pos locating each slot's
+// heap node — behind one mutex. Records and reads may come from any
+// goroutine; ClosePeriod must come from the single caller feeding
+// records (the pipeline's aggregator) with no record in flight, so
+// period boundaries are deterministic — exactly the discipline the
+// ingest.Aggregator's single FeedBatch/ClosePeriod caller already has.
+type Tracker struct {
+	cfg   Config
+	mask  uint64   // keeps a key's top KeyBits of the low 32 address bits
+	fresh keyState // a never-observed state: the detector parameters, nothing else
 
+	mu    sync.Mutex // guards every field below but OnReport
 	slab  []keyState
 	heap  []heapEntry
 	pos   []int32
 	index index
 
-	syns, synAcks, untracked, evicted uint64
-	alarmed                           int
-}
-
-// place puts e at heap position i and records where its slot went.
-func (s *shard) place(e heapEntry, i int) {
-	s.heap[i] = e
-	s.pos[e.slot] = int32(i)
-}
-
-func (s *shard) siftUp(i int) {
-	e := s.heap[i]
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !e.less(&s.heap[parent]) {
-			break
-		}
-		s.place(s.heap[parent], i)
-		i = parent
-	}
-	s.place(e, i)
-}
-
-func (s *shard) siftDown(i int) {
-	e := s.heap[i]
-	n := len(s.heap)
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if r := c + 1; r < n && s.heap[r].less(&s.heap[c]) {
-			c = r
-		}
-		if !s.heap[c].less(&e) {
-			break
-		}
-		s.place(s.heap[c], i)
-		i = c
-	}
-	s.place(e, i)
-}
-
-// reset recycles st for a (possibly new) key. inherited is the
-// Space-Saving count the key starts from (the evicted minimum; 0 when
-// admitted below capacity). done is the tracker's completed-period
-// clock: a key first seen now is indistinguishable from one that sat
-// at zero counts since the stream began, and `done` zero-count
-// periods prime K̄ to 0 (the first EWMA sample initializes directly)
-// and leave the CUSUM statistic at 0 having consumed every
-// post-warm-up period — so a late-admitted key is bit-identical to a
-// core.Agent that replayed the key's records from the trace start.
-func (s *shard) reset(st *keyState, inherited uint64, done int) {
-	*st = s.fresh
-	st.errc = inherited
-	st.periods = done
-	// The zero state cannot fail validation.
-	_ = st.kBar.Restore(0, done > 0)
-	_ = st.det.Restore(0, false, uint64(max(done-s.warmup, 0)), 0)
-}
-
-// insert adds a key's state at the given count: admission below
-// capacity, and restored states (resume path; may exceed cap when the
-// shard count changed across the restart — admission then recycles in
-// place without growing, so memory stays bounded by the snapshot).
-func (s *shard) insert(k key, count uint64, st *keyState) int32 {
-	slot := int32(len(s.slab))
-	s.slab = append(s.slab, *st)
-	s.pos = append(s.pos, int32(len(s.heap)))
-	s.heap = append(s.heap, heapEntry{count: count, k: k, slot: slot})
-	s.index.insert(k, slot)
-	s.siftUp(len(s.heap) - 1)
-	return slot
-}
-
-// admit gives a new key a state and returns its slot, growing the slab
-// below capacity and recycling the minimum-count state (Space-Saving)
-// at capacity. Callers hold s.mu.
-func (s *shard) admit(k key, done int) int32 {
-	if len(s.heap) < s.cap {
-		var st keyState
-		s.reset(&st, 0, done)
-		return s.insert(k, 0, &st)
-	}
-	root := &s.heap[0] // minimum count
-	s.index.remove(root.k)
-	st := &s.slab[root.slot]
-	if st.alarmed {
-		s.alarmed--
-	}
-	s.evicted++
-	// The new key inherits the evicted minimum as count and error
-	// bound; count is unchanged so the heap property holds at the
-	// root until the caller's increment sifts it down.
-	s.reset(st, root.count, done)
-	root.k = k
-	s.index.insert(k, root.slot)
-	return root.slot
-}
-
-// observeSYNLocked counts one keyed SYN, admitting the key if it holds
-// no state. Callers hold the shard lock.
-func (s *shard) observeSYNLocked(k key, done int) {
-	s.syns++
-	slot := s.index.find(k)
-	if slot < 0 {
-		slot = s.admit(k, done)
-	}
-	s.slab[slot].outSYN++
-	i := int(s.pos[slot])
-	s.heap[i].count++
-	s.siftDown(i)
-}
-
-func (s *shard) observeSYNACKLocked(k key) {
-	if slot := s.index.find(k); slot >= 0 {
-		s.synAcks++
-		s.slab[slot].inSYNACK++
-	} else {
-		s.untracked++
-	}
-}
-
-func (s *shard) closePeriod(end time.Duration, cfg *core.Config, keyBits int, onReport func(netip.Prefix, core.Report)) {
-	s.mu.Lock()
-	for i := range s.heap {
-		e := &s.heap[i]
-		r, newAlarm := s.slab[e.slot].endPeriod(end, cfg)
-		if newAlarm {
-			s.alarmed++
-		}
-		if onReport != nil {
-			onReport(e.k.prefix(keyBits), r)
-		}
-	}
-	s.mu.Unlock()
-}
-
-// report builds the /sources row of the key at heap node e.
-func (s *shard) report(e *heapEntry, keyBits int) SourceReport {
-	st := &s.slab[e.slot]
-	r := SourceReport{
-		Key: e.k.prefix(keyBits), Count: e.count, CountErr: st.errc,
-		Periods: st.periods, KBar: st.kBar.Value(),
-		Y: st.det.Statistic(), X: st.last.X,
-		OutSYN: st.last.OutSYN, InSYNACK: st.last.InSYNACK,
-		Alarmed: st.alarmed,
-	}
-	if st.alarmed {
-		r.AlarmPeriod = st.alarm.Period
-		r.AlarmAtNanos = int64(st.alarm.At)
-		r.AlarmY = st.alarm.Y
-	}
-	return r
-}
-
-// Tracker is the keyed detection engine. Observe routes records onto
-// shards concurrently; ClosePeriod must come from a single caller
-// (the pipeline's aggregator) with no Observe in flight for
-// deterministic period boundaries — exactly the discipline the
-// ingest.Aggregator's single FeedBatch/ClosePeriod caller already has.
-type Tracker struct {
-	cfg     Config
-	mask    uint64 // keeps a key's top KeyBits of the low 32 address bits
-	shards  []*shard
-	periods atomic.Int64
-	unkeyed atomic.Uint64
-
-	// sweepMu serializes whole-tracker sweeps: ClosePeriod holds it
-	// exclusively for its full multi-shard pass, and View holds it
-	// shared — so a view can never observe shard 0 folded into period
-	// n+1 while shard 1 still sits in period n. Observe deliberately
-	// does not touch it: per-record routing stays lock-striped and the
-	// single-caller ClosePeriod discipline already excludes in-flight
-	// records at boundaries.
-	sweepMu sync.RWMutex
-
-	// batchMu guards the per-shard grouping scratch ObserveBatch uses.
-	// The canonical caller (the aggregator's single FeedBatch
-	// goroutine) is serial; the lock merely keeps an unexpected
-	// concurrent batch caller safe, at one uncontended lock per chunk.
-	batchMu sync.Mutex
-	scratch [][]feedOp
+	periods                                    int
+	syns, synAcks, untracked, unkeyed, evicted uint64
+	alarmed                                    int
 
 	// OnReport, if set, receives every per-key period report as it
-	// closes. Called under the shard lock; keep it cheap. Tests use it
-	// to compare against a per-key core.Agent.
+	// closes. Called under the tracker lock; keep it cheap. Tests use
+	// it to compare against a per-key core.Agent.
 	OnReport func(key netip.Prefix, r core.Report)
 }
 
 // New builds a tracker. The per-key detector parameters are validated
-// once here; admissions reuse them unchecked.
+// once here; admissions reuse them unchecked. cfg.Shards is ignored.
 func New(cfg Config) (*Tracker, error) {
 	cfg = cfg.Normalized()
 	if cfg.KeyBits < 1 || cfg.KeyBits > 32 {
@@ -545,9 +367,6 @@ func New(cfg Config) (*Tracker, error) {
 	}
 	if cfg.MaxSources < 1 {
 		return nil, fmt.Errorf("sourcetrack: non-positive max sources %d", cfg.MaxSources)
-	}
-	if cfg.Shards < 1 || cfg.Shards > cfg.MaxSources {
-		return nil, fmt.Errorf("sourcetrack: shard count %d outside [1,%d]", cfg.Shards, cfg.MaxSources)
 	}
 	if cfg.Agent.T0 <= 0 {
 		return nil, errors.New("sourcetrack: non-positive observation period")
@@ -563,24 +382,14 @@ func New(cfg Config) (*Tracker, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sourcetrack: detector: %w", err)
 	}
-	perShard := (cfg.MaxSources + cfg.Shards - 1) / cfg.Shards
-	t := &Tracker{
-		cfg:    cfg,
-		mask:   ^uint64(0) << (32 - cfg.KeyBits),
-		shards: make([]*shard, cfg.Shards),
-	}
 	// An odd seed1 keeps the index hash of a v4 key (hi = 0) a product
 	// with an odd factor, a bijection on the key word.
-	seed0, seed1 := rand.Uint64(), rand.Uint64()|1
-	for i := range t.shards {
-		t.shards[i] = &shard{
-			cap:    perShard,
-			warmup: cfg.Agent.WarmupPeriods,
-			fresh:  keyState{kBar: *kBar, det: *det},
-			index:  newIndex(seed0, seed1),
-		}
-	}
-	return t, nil
+	return &Tracker{
+		cfg:   cfg,
+		mask:  ^uint64(0) << (32 - cfg.KeyBits),
+		fresh: keyState{kBar: *kBar, det: *det},
+		index: newIndex(rand.Uint64(), rand.Uint64()|1),
+	}, nil
 }
 
 // Config returns the tracker's effective configuration.
@@ -600,60 +409,182 @@ func (t *Tracker) keyOf(a netip.Addr) (key, bool) {
 	return key{hi: hi, lo: lo & t.mask, v6: true}, true
 }
 
-// FNV-1a over the key's 16-byte address form and its prefix bits
-// routes keys to shards. The routing decides which shard's
-// Space-Saving table a key competes in, so it is part of the output.
+// place puts e at heap position i and records where its slot went.
+func (t *Tracker) place(e heapEntry, i int) {
+	t.heap[i] = e
+	t.pos[e.slot] = int32(i)
+}
+
+func (t *Tracker) siftUp(i int) {
+	e := t.heap[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.less(&t.heap[parent]) {
+			break
+		}
+		t.place(t.heap[parent], i)
+		i = parent
+	}
+	t.place(e, i)
+}
+
+func (t *Tracker) siftDown(i int) {
+	e := t.heap[i]
+	n := len(t.heap)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && t.heap[r].less(&t.heap[c]) {
+			c = r
+		}
+		if !t.heap[c].less(&e) {
+			break
+		}
+		t.place(t.heap[c], i)
+		i = c
+	}
+	t.place(e, i)
+}
+
+// reset recycles st for a (possibly new) key. inherited is the
+// Space-Saving count the key starts from (the evicted minimum; 0 when
+// admitted below capacity). The tracker's completed-period clock is
+// the key's: a key first seen now is indistinguishable from one that
+// sat at zero counts since the stream began, and that many zero-count
+// periods prime K̄ to 0 (the first EWMA sample initializes directly)
+// and leave the CUSUM statistic at 0 having consumed every
+// post-warm-up period — so a late-admitted key is bit-identical to a
+// core.Agent that replayed the key's records from the trace start.
+func (t *Tracker) reset(st *keyState, inherited uint64) {
+	done := t.periods
+	*st = t.fresh
+	st.errc = inherited
+	st.periods = done
+	// The zero state cannot fail validation.
+	_ = st.kBar.Restore(0, done > 0)
+	_ = st.det.Restore(0, false, uint64(max(done-t.cfg.Agent.WarmupPeriods, 0)), 0)
+}
+
+// insert adds a key's state at the given count: admission below
+// capacity, and restored states on the resume path.
+func (t *Tracker) insert(k key, count uint64, st *keyState) int32 {
+	if len(t.slab) == cap(t.slab) {
+		// Double, but never past MaxSources: append's own growth would
+		// leave a full 1024-state table's arrays a third oversized.
+		n := min(max(2*len(t.slab), 16), t.cfg.MaxSources)
+		t.slab = append(make([]keyState, 0, n), t.slab...)
+		t.heap = append(make([]heapEntry, 0, n), t.heap...)
+		t.pos = append(make([]int32, 0, n), t.pos...)
+	}
+	slot := int32(len(t.slab))
+	t.slab = append(t.slab, *st)
+	t.pos = append(t.pos, int32(len(t.heap)))
+	t.heap = append(t.heap, heapEntry{count: count, k: k, slot: slot})
+	t.index.insert(k, slot)
+	t.siftUp(len(t.heap) - 1)
+	return slot
+}
+
+// admit gives a new key a state and returns its slot, growing the slab
+// below capacity and recycling the minimum-count state (Space-Saving)
+// at capacity. Callers hold t.mu.
+func (t *Tracker) admit(k key) int32 {
+	if len(t.heap) < t.cfg.MaxSources {
+		var st keyState
+		t.reset(&st, 0)
+		return t.insert(k, 0, &st)
+	}
+	root := &t.heap[0] // minimum count
+	t.index.remove(root.k)
+	st := &t.slab[root.slot]
+	if st.alarmed {
+		t.alarmed--
+	}
+	t.evicted++
+	// The new key inherits the evicted minimum as count and error
+	// bound; count is unchanged so the heap property holds at the
+	// root until the caller's increment sifts it down.
+	t.reset(st, root.count)
+	root.k = k
+	t.index.insert(k, root.slot)
+	return root.slot
+}
+
+// recordKind is what a record is to the tracker.
+type recordKind uint8
+
 const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
+	ignored recordKind = iota // neither an outgoing SYN nor an incoming SYN/ACK
+	unkeyed                   // one of those, with no usable address
+	syn                       // an outgoing SYN, keyed by its source
+	synAck                    // an incoming SYN/ACK, keyed by its destination
 )
 
-// fnvMapped is the FNV-1a state after the 12 constant bytes a v4 key's
-// 16-byte (v4-mapped) form starts with.
-var fnvMapped = fnvBytes(fnvBytes(fnvOffset, 0, 8), 0xffff, 4)
-
-// fnvBytes folds the low n bytes of w, most significant first.
-func fnvBytes(h, w uint64, n int) uint64 {
-	for i := 8 * (n - 1); i >= 0; i -= 8 {
-		h ^= (w >> i) & 0xff
-		h *= fnvPrime
+// classify returns what r is to the tracker and the key it counts
+// under. It reads no tracker state but the immutable mask, so Observe
+// runs it before taking the lock: keying a record behind the lock's
+// atomic costs a few ns per record.
+func (t *Tracker) classify(r *trace.Record) (key, recordKind) {
+	var (
+		a    netip.Addr
+		kind recordKind
+	)
+	switch {
+	case r.Dir == trace.DirOut && r.Kind == packet.KindSYN:
+		a, kind = r.Src, syn
+	case r.Dir == trace.DirIn && r.Kind == packet.KindSYNACK:
+		a, kind = r.Dst, synAck
+	default:
+		return key{}, ignored
 	}
-	return h
-}
-
-// shardIndex routes a key to its lock stripe (inline FNV-1a; no
-// per-record allocation).
-func (t *Tracker) shardIndex(k key) int {
-	if len(t.shards) == 1 {
-		return 0
-	}
-	var h uint64
-	width := t.cfg.KeyBits
-	if k.v6 {
-		h = fnvBytes(fnvBytes(fnvOffset, k.hi, 8), k.lo, 8)
-		width += 96
-	} else {
-		h = fnvBytes(fnvMapped, k.lo, 4)
-	}
-	h ^= uint64(uint8(width))
-	h *= fnvPrime
-	return int(h % uint64(len(t.shards)))
-}
-
-// Observe routes one record. Only the pair the paper's detector pairs
-// is keyed: outgoing SYNs by source, incoming SYN/ACKs by destination
-// — both name the inside host behind the connection (see keyRecord).
-// SYN/ACKs never admit a key (only SYN pressure does); a SYN/ACK for
-// an untracked key is tallied in TrackerStats.UntrackedSYNACKs.
-func (t *Tracker) Observe(r trace.Record) {
-	op, ok := t.keyRecord(&r)
+	k, ok := t.keyOf(a)
 	if !ok {
+		return key{}, unkeyed
+	}
+	return k, kind
+}
+
+// observeLocked folds one classified record in. Callers hold t.mu.
+func (t *Tracker) observeLocked(k key, kind recordKind) {
+	switch kind {
+	case unkeyed:
+		t.unkeyed++
+	case syn:
+		t.syns++
+		slot := t.index.find(k)
+		if slot < 0 {
+			slot = t.admit(k)
+		}
+		t.slab[slot].outSYN++
+		i := int(t.pos[slot])
+		t.heap[i].count++
+		t.siftDown(i)
+	case synAck:
+		if slot := t.index.find(k); slot >= 0 {
+			t.synAcks++
+			t.slab[slot].inSYNACK++
+		} else {
+			t.untracked++
+		}
+	}
+}
+
+// Observe folds one record in. Only the pair the paper's detector
+// pairs is keyed: outgoing SYNs by source, incoming SYN/ACKs by
+// destination — both name the inside host behind the connection.
+// SYN/ACKs never admit a key (only SYN pressure does); a SYN/ACK for
+// an untracked key is tallied in TrackerStats.UntrackedSYNACKs, and a
+// keyed record with no usable address in TrackerStats.Unkeyed.
+func (t *Tracker) Observe(r trace.Record) {
+	k, kind := t.classify(&r)
+	if kind == ignored {
 		return
 	}
-	s := t.shards[t.shardIndex(op.k)]
-	s.mu.Lock()
-	s.applyLocked(op, int(t.periods.Load()))
-	s.mu.Unlock()
+	t.mu.Lock()
+	t.observeLocked(k, kind)
+	t.mu.Unlock()
 }
 
 // Record observes one record. The ingest pipeline delivers records
@@ -662,138 +593,77 @@ func (t *Tracker) Observe(r trace.Record) {
 // perfbench/capture.go calls it.
 func (t *Tracker) Record(r trace.Record) { t.Observe(r) }
 
-// keyRecord classifies one record into a feedOp: outgoing SYNs keyed
-// by source, incoming SYN/ACKs by destination, everything else (and
-// unkeyable addresses, which bump the unkeyed counter) ignored.
-func (t *Tracker) keyRecord(r *trace.Record) (feedOp, bool) {
-	switch {
-	case r.Dir == trace.DirOut && r.Kind == packet.KindSYN:
-		k, ok := t.keyOf(r.Src)
-		if !ok {
-			t.unkeyed.Add(1)
-			return feedOp{}, false
-		}
-		return feedOp{k: k}, true
-	case r.Dir == trace.DirIn && r.Kind == packet.KindSYNACK:
-		k, ok := t.keyOf(r.Dst)
-		if !ok {
-			t.unkeyed.Add(1)
-			return feedOp{}, false
-		}
-		return feedOp{k: k, synAck: true}, true
-	}
-	return feedOp{}, false
-}
-
-// applyLocked folds one pre-keyed op into the shard. Callers hold the
-// shard lock; done is the tracker's completed-period clock, stable for
-// the whole chunk because period closes are excluded while a batch is
-// in flight.
-func (s *shard) applyLocked(op feedOp, done int) {
-	if op.synAck {
-		s.observeSYNACKLocked(op.k)
-	} else {
-		s.observeSYNLocked(op.k, done)
-	}
-}
-
-// feedOp is one pre-keyed observation: a SYN for k (synAck=false)
-// or a SYN/ACK toward k (synAck=true).
-type feedOp struct {
-	k      key
-	synAck bool
-}
-
-// ObserveBatch routes a chunk of records, grouping ops per shard so
-// each shard lock is taken once per chunk instead of once per record.
-// Per-shard op order preserves record order, so the resulting state is
-// bit-identical to calling Observe record by record (the equivalence
-// the keyed fuzz target pins). The grouping scratch is retained across
-// calls; steady-state batches allocate nothing.
-func (t *Tracker) ObserveBatch(recs []trace.Record) {
-	t.batchMu.Lock()
-	defer t.batchMu.Unlock()
-	if t.scratch == nil {
-		t.scratch = make([][]feedOp, len(t.shards))
-	}
+// RecordBatch folds a chunk of records in order under one lock, so the
+// state is the one Observe record by record reaches, however the
+// stream is chunked (the equivalence the keyed fuzz target pins). It
+// implements the ingest.RecordTap demux hook and allocates nothing.
+func (t *Tracker) RecordBatch(recs []trace.Record) {
+	t.mu.Lock()
 	for i := range recs {
-		op, ok := t.keyRecord(&recs[i])
-		if !ok {
-			continue
-		}
-		si := t.shardIndex(op.k)
-		t.scratch[si] = append(t.scratch[si], op)
+		t.observeLocked(t.classify(&recs[i]))
 	}
-	done := int(t.periods.Load())
-	for si, ops := range t.scratch {
-		if len(ops) == 0 {
-			continue
-		}
-		s := t.shards[si]
-		s.mu.Lock()
-		for _, op := range ops {
-			s.applyLocked(op, done)
-		}
-		s.mu.Unlock()
-		t.scratch[si] = ops[:0]
-	}
+	t.mu.Unlock()
 }
-
-// RecordBatch implements the ingest.RecordTap demux hook.
-func (t *Tracker) RecordBatch(recs []trace.Record) { t.ObserveBatch(recs) }
 
 // ClosePeriod closes the observation period for every tracked key.
 // index is the pipeline's period index (informational; the tracker
 // keeps its own clock, which the daemon aligns at startup).
 func (t *Tracker) ClosePeriod(index int, end time.Duration) {
 	_ = index
-	t.sweepMu.Lock()
-	for _, s := range t.shards {
-		s.closePeriod(end, &t.cfg.Agent, t.cfg.KeyBits, t.OnReport)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i := range t.heap {
+		e := &t.heap[i]
+		r, newAlarm := t.slab[e.slot].endPeriod(end, &t.cfg.Agent)
+		if newAlarm {
+			t.alarmed++
+		}
+		if t.OnReport != nil {
+			t.OnReport(e.k.prefix(t.cfg.KeyBits), r)
+		}
 	}
-	t.periods.Add(1)
-	t.sweepMu.Unlock()
+	t.periods++
 }
 
 // Periods returns how many observation periods have closed, including
 // resumed or fast-forwarded ones.
-func (t *Tracker) Periods() int { return int(t.periods.Load()) }
+func (t *Tracker) Periods() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.periods
+}
 
 // FastForward advances an empty tracker's period clock — used when
 // keyed tracking is first enabled over an aggregate-only snapshot:
 // keyed evidence starts at the resume point and keys admitted later
-// fast-forward from there (see shard.reset).
+// fast-forward from there (see Tracker.reset).
 func (t *Tracker) FastForward(periods int) error {
 	if periods < 0 {
 		return fmt.Errorf("sourcetrack: negative period count %d", periods)
 	}
-	st := t.Stats()
-	if st.Tracked != 0 || st.SYNs != 0 || st.Unkeyed != 0 || t.Periods() != 0 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(t.heap) != 0 || t.syns != 0 || t.unkeyed != 0 || t.periods != 0 {
 		return errors.New("sourcetrack: fast-forward on a non-fresh tracker")
 	}
-	t.periods.Store(int64(periods))
+	t.periods = periods
 	return nil
 }
 
-// addStats adds the shard's counters to st. Callers hold s.mu.
-func (s *shard) addStats(st *TrackerStats) {
-	st.SYNs += s.syns
-	st.SYNACKs += s.synAcks
-	st.UntrackedSYNACKs += s.untracked
-	st.Evicted += s.evicted
-	st.Tracked += len(s.heap)
-	st.Alarmed += s.alarmed
+// statsLocked reads the counters. Callers hold t.mu.
+func (t *Tracker) statsLocked() TrackerStats {
+	return TrackerStats{
+		SYNs: t.syns, SYNACKs: t.synAcks, UntrackedSYNACKs: t.untracked,
+		Unkeyed: t.unkeyed, Evicted: t.evicted,
+		Tracked: len(t.heap), Alarmed: t.alarmed,
+	}
 }
 
-// Stats sums the per-shard counters.
+// Stats returns the tracker's counters.
 func (t *Tracker) Stats() TrackerStats {
-	st := TrackerStats{Unkeyed: t.unkeyed.Load()}
-	for _, s := range t.shards {
-		s.mu.Lock()
-		s.addStats(&st)
-		s.mu.Unlock()
-	}
-	return st
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.statsLocked()
 }
 
 // Sources returns the tracked keys ranked most-suspect first: alarmed
@@ -813,11 +683,11 @@ type TrackerView struct {
 // rankEntry is one tracked key's place in a view's ranking: the
 // fields the order reads, inline, and where the key's heap node sits.
 type rankEntry struct {
-	y           float64
-	count       uint64
-	k           key
-	shard, node int32
-	alarmed     bool
+	y       float64
+	count   uint64
+	k       key
+	node    int32
+	alarmed bool
 }
 
 // compareRank is the Sources order: alarmed keys, then by CUSUM
@@ -883,46 +753,51 @@ func topRanked(r []rankEntry, limit int) []rankEntry {
 	return top
 }
 
-// View captures a consistent view of the tracker in a single sweep.
+// View captures a consistent view of the tracker under one lock.
 // Unlike calling Periods, Stats and Sources back to back, the three
-// parts cannot straddle a ClosePeriod: the whole collection runs under
-// the shared sweep lock with every shard locked, so the ranking and
-// the rows it selects are one read. Every tracked key is ranked;
-// limit > 0 truncates the ranked list, and only the rows kept are
-// built (the stats still describe the full population).
+// parts cannot straddle a ClosePeriod, so the ranking and the rows it
+// selects are one read. Every tracked key is ranked; limit > 0
+// truncates the ranked list, and only the rows kept are built (the
+// stats still describe the full population).
 func (t *Tracker) View(limit int) TrackerView {
-	t.sweepMu.RLock()
-	v := TrackerView{
-		Periods: int(t.periods.Load()),
-		Stats:   TrackerStats{Unkeyed: t.unkeyed.Load()},
-	}
-	for _, s := range t.shards {
-		s.mu.Lock()
-		s.addStats(&v.Stats)
-	}
-	ranks := make([]rankEntry, 0, v.Stats.Tracked)
-	for si, s := range t.shards {
-		for i, e := range s.heap {
-			st := &s.slab[e.slot]
-			ranks = append(ranks, rankEntry{y: st.det.Statistic(), count: e.count, k: e.k,
-				shard: int32(si), node: int32(i), alarmed: st.alarmed})
-		}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	v := TrackerView{Periods: t.periods, Stats: t.statsLocked()}
+	ranks := make([]rankEntry, len(t.heap))
+	for i, e := range t.heap {
+		st := &t.slab[e.slot]
+		ranks[i] = rankEntry{y: st.det.Statistic(), count: e.count, k: e.k,
+			node: int32(i), alarmed: st.alarmed}
 	}
 	top := topRanked(ranks, limit)
 	v.Sources = make([]SourceReport, len(top))
 	for i, r := range top {
-		s := t.shards[r.shard]
-		v.Sources[i] = s.report(&s.heap[r.node], t.cfg.KeyBits)
+		v.Sources[i] = t.report(&t.heap[r.node])
 	}
-	for _, s := range t.shards {
-		s.mu.Unlock()
-	}
-	t.sweepMu.RUnlock()
 	return v
 }
 
+// report builds the /sources row of the key at heap node e. Callers
+// hold t.mu.
+func (t *Tracker) report(e *heapEntry) SourceReport {
+	st := &t.slab[e.slot]
+	r := SourceReport{
+		Key: e.k.prefix(t.cfg.KeyBits), Count: e.count, CountErr: st.errc,
+		Periods: st.periods, KBar: st.kBar.Value(),
+		Y: st.det.Statistic(), X: st.last.X,
+		OutSYN: st.last.OutSYN, InSYNACK: st.last.InSYNACK,
+		Alarmed: st.alarmed,
+	}
+	if st.alarmed {
+		r.AlarmPeriod = st.alarm.Period
+		r.AlarmAtNanos = int64(st.alarm.At)
+		r.AlarmY = st.alarm.Y
+	}
+	return r
+}
+
 // ProcessTrace replays a recorded trace through the tracker: each
-// remaining complete period's run of records goes through ObserveBatch
+// remaining complete period's run of records goes through RecordBatch
 // and the period closes, a boundary every Agent.T0. It is
 // resume-aware (periods the tracker already closed are skipped) and
 // discards the trailing partial period, matching trace.Aggregate.
@@ -947,7 +822,7 @@ func (t *Tracker) ProcessTrace(tr *trace.Trace) error {
 		for j < len(recs) && recs[j].Ts < end {
 			j++
 		}
-		t.ObserveBatch(recs[i:j])
+		t.RecordBatch(recs[i:j])
 		t.ClosePeriod(done, end)
 		i = j
 	}

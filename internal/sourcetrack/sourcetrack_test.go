@@ -61,8 +61,8 @@ func filterForKey(tr *trace.Trace, tk *Tracker, key netip.Prefix) *trace.Trace {
 }
 
 // TestKeyedEquivalencePerKeyAgents pins the package's core claim: a
-// single-shard keyed run is bit-identical to running one core.Agent
-// per key over the key's pre-filtered records — including keys first
+// keyed run is bit-identical to running one core.Agent per key over
+// the key's pre-filtered records — including keys first
 // admitted mid-trace (the flood keys), which exercises the
 // fast-forward closed form in keyState.reset.
 func TestKeyedEquivalencePerKeyAgents(t *testing.T) {
@@ -81,7 +81,6 @@ func TestKeyedEquivalencePerKeyAgents(t *testing.T) {
 			cfg := Config{
 				KeyBits:    tc.keyBits,
 				MaxSources: 4096,
-				Shards:     1,
 				Agent:      core.Config{T0: 20 * time.Second},
 			}
 			tk, err := New(cfg)
@@ -144,38 +143,20 @@ func TestKeyedEquivalencePerKeyAgents(t *testing.T) {
 					t.Fatalf("background key %v alarmed: %+v", s.Key, s)
 				}
 			}
-
-			// Sharded execution is an execution detail: same trace, same
-			// config, eight stripes — identical final snapshot.
-			sharded, err := New(Config{
-				KeyBits:    tc.keyBits,
-				MaxSources: 4096,
-				Shards:     8,
-				Agent:      core.Config{T0: 20 * time.Second},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sharded.ProcessTrace(tr); err != nil {
-				t.Fatal(err)
-			}
-			if a, b := tk.Snapshot(), sharded.Snapshot(); !reflect.DeepEqual(a, b) {
-				t.Fatalf("sharded snapshot differs from single-shard snapshot")
-			}
 		})
 	}
 }
 
 // TestBoundedMemoryMillionSources pins the Space-Saving bound: a
 // stream with 2^20 distinct sources leaves exactly MaxSources CUSUM
-// states behind, reports every recycling in Stats.Evicted, and the
-// steady-state admission path allocates nothing per record.
+// states behind, in arrays no larger than MaxSources, reports every
+// recycling in Stats.Evicted, and the steady-state admission path
+// allocates nothing per record.
 func TestBoundedMemoryMillionSources(t *testing.T) {
 	const n = 1 << 20
 	tk, err := New(Config{
 		KeyBits:    32,
 		MaxSources: 256,
-		Shards:     4,
 		Agent:      core.Config{T0: 20 * time.Second},
 	})
 	if err != nil {
@@ -206,10 +187,11 @@ func TestBoundedMemoryMillionSources(t *testing.T) {
 	if st.Evicted != n-256 {
 		t.Fatalf("Evicted = %d, want %d — truncation must be fully accounted", st.Evicted, n-256)
 	}
-	for i, sh := range tk.shards {
-		if len(sh.heap) != sh.cap || len(sh.slab) != len(sh.heap) || sh.index.n != len(sh.heap) {
-			t.Fatalf("shard %d: %d heap / %d states / %d indexed, cap %d", i, len(sh.heap), len(sh.slab), sh.index.n, sh.cap)
-		}
+	if len(tk.heap) != 256 || len(tk.slab) != len(tk.heap) || tk.index.n != len(tk.heap) {
+		t.Fatalf("%d heap / %d states / %d indexed, want 256 each", len(tk.heap), len(tk.slab), tk.index.n)
+	}
+	if cap(tk.slab) != 256 || cap(tk.heap) != 256 || cap(tk.pos) != 256 {
+		t.Fatalf("capacity %d states / %d heap / %d positions, want 256 each", cap(tk.slab), cap(tk.heap), cap(tk.pos))
 	}
 	if got := len(tk.Sources(10)); got != 10 {
 		t.Fatalf("Sources(10) returned %d entries", got)
@@ -227,11 +209,11 @@ func TestBoundedMemoryMillionSources(t *testing.T) {
 	}
 }
 
-// TestConcurrentChanSourceFeeds drives one sharded tracker from four
+// TestConcurrentChanSourceFeeds drives one tracker from four
 // stub-style producer/consumer pairs over ingest.ChanSource — the
-// fleet topology — and checks, against a sequentially-fed single-shard
-// tracker, that the final state is independent of both interleaving
-// and stripe layout. Run under -race this is the locking exercise.
+// fleet topology — and checks, against a sequentially-fed tracker,
+// that the final state is independent of the interleaving. Run under
+// -race this is the locking exercise.
 func TestConcurrentChanSourceFeeds(t *testing.T) {
 	const (
 		stubs   = 4
@@ -241,14 +223,13 @@ func TestConcurrentChanSourceFeeds(t *testing.T) {
 	cfg := Config{
 		KeyBits:    24,
 		MaxSources: 64,
-		Shards:     8,
 		Agent:      core.Config{T0: time.Second},
 	}
 	tk, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := New(Config{KeyBits: 24, MaxSources: 64, Shards: 1, Agent: cfg.Agent})
+	seq, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +298,7 @@ func TestConcurrentChanSourceFeeds(t *testing.T) {
 		t.Fatalf("counts not conserved: %+v, want %d SYNs and SYN/ACKs", st, want)
 	}
 	if a, b := tk.Snapshot(), seq.Snapshot(); !reflect.DeepEqual(a, b) {
-		t.Fatalf("concurrent sharded state differs from sequential single-shard state:\n%+v\n%+v", a.Stats, b.Stats)
+		t.Fatalf("concurrently fed state differs from sequentially fed state:\n%+v\n%+v", a.Stats, b.Stats)
 	}
 }
 
@@ -336,8 +317,7 @@ func TestSpaceSavingAdversarialChurn(t *testing.T) {
 		steadyKeys = maxSources - 1
 		churnKeys  = 400
 	)
-	tk, err := New(Config{KeyBits: 24, MaxSources: maxSources, Shards: 1,
-		Agent: core.Config{}})
+	tk, err := New(Config{KeyBits: 24, MaxSources: maxSources, Agent: core.Config{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,21 +451,20 @@ func TestSpaceSavingAdversarialChurn(t *testing.T) {
 // as three separate calls can straddle a ClosePeriod sweep, returning
 // a period clock that disagrees with the per-key reports. View must
 // never do that — every row it returns carries the view's own period
-// count. On the pre-fix code (no sweep lock) dozens of the views below
-// catch a half-swept tracker.
+// count, because a view and a period close each hold the tracker lock
+// for their whole pass.
 func TestViewConsistentAcrossPeriodClose(t *testing.T) {
 	tk, err := New(Config{
 		KeyBits:    32,
 		MaxSources: 256,
-		Shards:     16,
 		Agent:      core.Config{T0: time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Admit keys spread across all shards at period 0, so every key's
-	// period clock advances with every ClosePeriod and each sweep is
-	// wide enough for a view to land inside it.
+	// Admit every key at period 0, so every key's period clock advances
+	// with every ClosePeriod and each sweep is wide enough for a view
+	// to land inside it.
 	const keys = 256
 	for k := 0; k < keys; k++ {
 		tk.Observe(trace.Record{
@@ -563,7 +542,7 @@ func TestIPv6AndMixedFamilyKeying(t *testing.T) {
 		}
 		return r
 	}
-	tk.ObserveBatch([]trace.Record{
+	tk.RecordBatch([]trace.Record{
 		syn("::ffff:10.1.2.9"),
 		syn("10.1.2.200"),
 		syn("2001:db8::1234"),
@@ -608,19 +587,15 @@ func TestIPv6AndMixedFamilyKeying(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 2, 3} {
-		cfg := tk.Config()
-		cfg.Shards = shards
-		restored, err := Restore(decoded, cfg)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if !reflect.DeepEqual(restored.Snapshot(), snap) {
-			t.Fatalf("shards=%d: restored mixed-family snapshot differs", shards)
-		}
-		if !reflect.DeepEqual(restored.Sources(0), got) {
-			t.Fatalf("shards=%d: restored ranking differs", shards)
-		}
+	restored, err := Restore(decoded, tk.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(restored.Snapshot(), snap) {
+		t.Fatal("restored mixed-family snapshot differs")
+	}
+	if !reflect.DeepEqual(restored.Sources(0), got) {
+		t.Fatal("restored ranking differs")
 	}
 
 	decoded.Keys[0].Key = netip.MustParsePrefix("::ffff:10.9.9.0/120")
@@ -642,26 +617,25 @@ func TestIndexProbeRunsStayShort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := tk.shards[0]
 	for i := 0; i < 4*keys; i++ {
 		a := uint32(i*size) << 8
 		tk.Observe(trace.Record{Kind: packet.KindSYN, Dir: trace.DirOut,
 			Src: netip.AddrFrom4([4]byte{byte(a >> 24), byte(a >> 16), byte(a >> 8), 1}),
 			Dst: netip.MustParseAddr("11.9.9.9")})
 	}
-	if st := tk.Stats(); st.Tracked != keys || st.Evicted != 3*keys || sh.index.n != keys || len(sh.index.ents) != size {
+	if st := tk.Stats(); st.Tracked != keys || st.Evicted != 3*keys || tk.index.n != keys || len(tk.index.ents) != size {
 		t.Fatalf("stats %+v, %d of %d buckets used; want %d tracked and indexed, %d evicted, %d buckets",
-			st, sh.index.n, len(sh.index.ents), keys, 3*keys, size)
+			st, tk.index.n, len(tk.index.ents), keys, 3*keys, size)
 	}
-	for _, e := range sh.heap {
-		if got := sh.index.find(e.k); got != e.slot {
+	for _, e := range tk.heap {
+		if got := tk.index.find(e.k); got != e.slot {
 			t.Fatalf("key %v indexed at slot %d, heap says %d", e.k.prefix(24), got, e.slot)
 		}
 	}
 	longest := 0
-	for j, e := range sh.index.ents {
+	for j, e := range tk.index.ents {
 		if e.slot >= 0 {
-			longest = max(longest, (j-sh.index.home(e.k))&(size-1))
+			longest = max(longest, (j-tk.index.home(e.k))&(size-1))
 		}
 	}
 	if longest > 64 {

@@ -75,7 +75,7 @@ func TestEffectiveTopK(t *testing.T) {
 func testTracker(t *testing.T) *sourcetrack.Tracker {
 	t.Helper()
 	tk, err := sourcetrack.New(sourcetrack.Config{
-		KeyBits: 24, MaxSources: 16, Shards: 1, Agent: core.Config{T0: 20 * time.Second},
+		KeyBits: 24, MaxSources: 16, Agent: core.Config{T0: 20 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
