@@ -149,6 +149,7 @@ fuzz:
 	$(GO) test ./internal/trace -fuzz '^FuzzAggregate$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pcapng -fuzz '^FuzzReader$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pcapng -fuzz '^FuzzReaderStreaming$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/pcapng -fuzz '^FuzzReaderMatchesReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sourcetrack -fuzz '^FuzzKeyedSnapshotRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/flood -fuzz '^FuzzPulsingCountsMatchRecords$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ingest -fuzz '^FuzzBatchMatchesRecordPath$$' -fuzztime $(FUZZTIME)

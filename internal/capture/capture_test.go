@@ -456,58 +456,120 @@ func TestCloseUnblocksFullRing(t *testing.T) {
 // blocks must not hold those records back — NextBatch hands all k over
 // while the producer waits in ReadFrame — and Close must unblock both
 // that read and a consumer parked in NextBatch, which returns io.EOF.
+// The pcap case is live:pcap: over a FIFO on a quiet link: the pipe
+// has carried the file header and k records and stays open, so a
+// reader that waited to fill its buffer would never hand them over.
 func TestCloseUnblocksBlockedRead(t *testing.T) {
 	const k = 5
-	r := newStubReader(stubFrames(t, k))
-	r.block = make(chan struct{})
-	src, err := NewSource(r, Config{StubPrefix: testPrefix})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		open func(t *testing.T) FrameReader
+	}{
+		{"stub", func(t *testing.T) FrameReader {
+			r := newStubReader(stubFrames(t, k))
+			r.block = make(chan struct{})
+			return r
+		}},
+		{"pcap pipe", func(t *testing.T) FrameReader { return pipePcapReader(t, stubFrames(t, k)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src, err := NewSource(tc.open(t), Config{StubPrefix: testPrefix})
+			if err != nil {
+				t.Fatal(err)
+			}
+			type batch struct {
+				n   int
+				err error
+			}
+			// Buffered past anything the consumer can send, so it never
+			// blocks on a test that has already failed.
+			batches := make(chan batch, k+1)
+			go func() {
+				buf := make([]trace.Record, 64)
+				for {
+					n, err := src.NextBatch(buf)
+					batches <- batch{n, err}
+					if err != nil {
+						return
+					}
+				}
+			}()
+			next := func() batch {
+				t.Helper()
+				select {
+				case b := <-batches:
+					return b
+				case <-time.After(5 * time.Second):
+					t.Fatal("NextBatch is still blocked")
+					return batch{}
+				}
+			}
+			for got := 0; got < k; {
+				b := next()
+				if b.err != nil {
+					t.Fatalf("NextBatch after %d of %d records: %v", got, k, b.err)
+				}
+				got += b.n
+			}
+
+			done := make(chan struct{})
+			go func() { src.Close(); close(done) }()
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("Close deadlocked against a blocked ReadFrame")
+			}
+			if b := next(); b.n != 0 || b.err != io.EOF {
+				t.Errorf("parked NextBatch after Close = (%d, %v), want (0, io.EOF)", b.n, b.err)
+			}
+		})
 	}
-	type batch struct {
-		n   int
+}
+
+// pipePcapReader is a PcapReader over an io.Pipe whose writer sends the
+// pcap file header and one record per frame, then holds the pipe open
+// until the test ends.
+func pipePcapReader(t *testing.T, frames [][]byte) *PcapReader {
+	t.Helper()
+	pr, pw := io.Pipe()
+	hold, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		w, err := pcapng.NewWriter(pw, 0)
+		for i := 0; err == nil && i < len(frames); i++ {
+			err = w.Write(pcapng.Packet{Ts: time.Duration(i) * time.Millisecond, Data: frames[i]})
+		}
+		if err == nil {
+			<-hold
+		}
+		pw.Close()
+	}()
+	t.Cleanup(func() {
+		pr.Close()
+		close(hold)
+		<-done
+	})
+	// The file header arrives like any record: a reader that waits for
+	// more than it needs blocks here, so the open runs under the same
+	// deadline (the cleanup's pr.Close releases it).
+	type opened struct {
+		fr  *PcapReader
 		err error
 	}
-	// Buffered past anything the consumer can send, so it never blocks
-	// on a test that has already failed.
-	batches := make(chan batch, k+1)
+	ch := make(chan opened, 1)
 	go func() {
-		buf := make([]trace.Record, 64)
-		for {
-			n, err := src.NextBatch(buf)
-			batches <- batch{n, err}
-			if err != nil {
-				return
-			}
-		}
+		fr, err := NewPcapReader(pr, pr)
+		ch <- opened{fr, err}
 	}()
-	next := func() batch {
-		t.Helper()
-		select {
-		case b := <-batches:
-			return b
-		case <-time.After(5 * time.Second):
-			t.Fatal("NextBatch is still blocked")
-			return batch{}
-		}
-	}
-	for got := 0; got < k; {
-		b := next()
-		if b.err != nil {
-			t.Fatalf("NextBatch after %d of %d records: %v", got, k, b.err)
-		}
-		got += b.n
-	}
-
-	done := make(chan struct{})
-	go func() { src.Close(); close(done) }()
 	select {
-	case <-done:
+	case o := <-ch:
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		return o.fr
 	case <-time.After(5 * time.Second):
-		t.Fatal("Close deadlocked against a blocked ReadFrame")
-	}
-	if b := next(); b.n != 0 || b.err != io.EOF {
-		t.Errorf("parked NextBatch after Close = (%d, %v), want (0, io.EOF)", b.n, b.err)
+		t.Fatal("NewPcapReader is still blocked on the file header")
+		return nil
 	}
 }
 

@@ -116,20 +116,24 @@ func TestChanSourceDropMode(t *testing.T) {
 	}
 }
 
+// fuzzDirs maps a direction byte to a record direction: bytes 0 and 1
+// are out and in, and the rest are direction bytes a binary trace
+// carries unchecked (the unset 0, and values past DirOut).
+var fuzzDirs = [...]trace.Direction{trace.DirOut, trace.DirIn, 0, 3, 200}
+
 // fuzzRecords decodes an arbitrary byte string into a record stream:
 // 4 bytes per record (signed ts delta in 100ms steps, kind, dir, host
-// byte). Deliberately unclamped — negative and out-of-order timestamps
-// must drive both paths into the same error at the same record.
+// byte). Kinds run past KindOther and directions past in and out, as a
+// binary trace may carry them. Deliberately unclamped — negative and
+// out-of-order timestamps must drive both paths into the same error at
+// the same record.
 func fuzzRecords(data []byte) []trace.Record {
 	recs := make([]trace.Record, 0, len(data)/4)
 	ts := time.Duration(0)
 	for i := 0; i+4 <= len(data); i += 4 {
 		ts += time.Duration(int8(data[i])) * 100 * time.Millisecond
-		kind := packet.Kind(data[i+1] % 6)
-		dir := trace.DirOut
-		if data[i+2]%2 == 1 {
-			dir = trace.DirIn
-		}
+		kind := packet.Kind(data[i+1] % 16)
+		dir := fuzzDirs[int(data[i+2])%len(fuzzDirs)]
 		h := data[i+3]
 		src := netip.AddrFrom4([4]byte{130, 216, h, 1})
 		dst := netip.AddrFrom4([4]byte{11, 0, 0, h})
@@ -176,6 +180,9 @@ func FuzzBatchMatchesRecordPath(f *testing.F) {
 	f.Add([]byte{100, 1, 0, 3, 0, 2, 1, 3, 50, 3, 0, 4, 50, 1, 0, 5}, uint8(3))
 	f.Add([]byte{255, 1, 0, 1}, uint8(7))                             // negative delta: out-of-order/negative ts
 	f.Add([]byte{127, 1, 0, 1, 127, 1, 0, 1, 127, 1, 0, 1}, uint8(2)) // past span
+	// SYNs and SYN/ACKs of unknown direction, and unknown kinds: the
+	// period counts must leave them out, as trace.Aggregate does.
+	f.Add([]byte{5, 1, 2, 1, 5, 1, 3, 2, 5, 2, 4, 3, 5, 1, 0, 4, 5, 9, 1, 5, 5, 7, 0, 6}, uint8(2))
 	f.Fuzz(func(t *testing.T, data []byte, chunkByte uint8) {
 		recs := fuzzRecords(data)
 		const t0 = time.Second

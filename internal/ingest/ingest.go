@@ -11,9 +11,8 @@
 // live captures) through trace.FrameParser; record-backed sources
 // (binary, CSV, in-memory traces, simulator taps) carry the kind
 // already. The whole path is O(1) in trace length: nothing past
-// the current chunk and the current period's four counters is
-// retained, which is what lets the daemon ingest captures larger than
-// memory.
+// the current chunk and the current period's counts is retained,
+// which is what lets the daemon ingest captures larger than memory.
 //
 // The Aggregator is the only code that walks a record stream into
 // periods; an in-memory trace is binned by trace.Aggregate instead and
@@ -96,7 +95,11 @@ type Aggregator struct {
 	next    time.Duration // end of the current open period
 	resumed time.Duration // records before this were counted pre-snapshot
 
-	out, in core.PeriodCounts
+	// tally holds the open period's counts indexed by direction and
+	// kind, each clamped to its last slot: a table increment in place
+	// of a branch per kind, which mispredicts on mixed traffic. Only
+	// the DirOut and DirIn rows feed the period.
+	tally [4][8]uint64
 
 	lastTs    time.Duration
 	sawRecord bool
@@ -198,7 +201,7 @@ func (a *Aggregator) FeedBatch(recs []trace.Record) error {
 			j++
 		}
 		for k := i; k < j; k++ {
-			a.count(recs[k])
+			a.count(&recs[k])
 		}
 		a.lastTs, a.sawRecord = prev, true
 		a.records += j - i
@@ -210,31 +213,34 @@ func (a *Aggregator) FeedBatch(recs []trace.Record) error {
 	return nil
 }
 
-// count adds one record to the open period's counters. KindOther and
-// KindNotTCP records are ignored, exactly as Sniffer.Count tallies
-// nothing observable for them.
-func (a *Aggregator) count(r trace.Record) {
-	pc := &a.out
-	if r.Dir == trace.DirIn {
-		pc = &a.in
-	}
-	switch r.Kind {
-	case packet.KindSYN:
-		pc.SYN++
-	case packet.KindSYNACK:
-		pc.SYNACK++
-	case packet.KindFIN:
-		pc.FIN++
-	case packet.KindRST:
-		pc.RST++
+// count adds one record to the open period's tally. Only DirOut and
+// DirIn records of the four counted kinds reach the period, exactly
+// as trace.Aggregate and Sniffer.Count tally nothing observable for
+// the rest.
+func (a *Aggregator) count(r *trace.Record) {
+	a.tally[min(r.Dir, 3)][min(r.Kind, 7)]++
+}
+
+// periodCounts reads one direction's row of the tally.
+func periodCounts(row *[8]uint64) core.PeriodCounts {
+	return core.PeriodCounts{
+		SYN:    row[packet.KindSYN],
+		SYNACK: row[packet.KindSYNACK],
+		FIN:    row[packet.KindFIN],
+		RST:    row[packet.KindRST],
 	}
 }
 
 // closePeriod folds the open period into the detector and starts the
 // next one.
 func (a *Aggregator) closePeriod() {
-	p := Period{Index: a.done, End: a.next, Out: a.out, In: a.in}
-	a.out, a.in = core.PeriodCounts{}, core.PeriodCounts{}
+	p := Period{
+		Index: a.done,
+		End:   a.next,
+		Out:   periodCounts(&a.tally[trace.DirOut]),
+		In:    periodCounts(&a.tally[trace.DirIn]),
+	}
+	a.tally = [4][8]uint64{}
 	rep := a.det.Period(p)
 	if a.sink != nil {
 		a.sink(rep)

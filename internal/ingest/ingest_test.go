@@ -142,6 +142,39 @@ func TestPipelineMatchesProcessTrace(t *testing.T) {
 		}
 		compareReports(t, runPipeline(t, &pcapSource{PcapStream: s}, 0), pcapWant)
 	})
+
+	t.Run("binary file with unknown directions", func(t *testing.T) {
+		// A .trace file carries the direction byte unchecked. A record
+		// of direction 0 or 3 is neither outgoing nor incoming, so no
+		// period counts it, as trace.Aggregate counts it nowhere: per
+		// 20 s period, 5 of the 10 SYNs and 5 of the 10 SYN/ACKs count.
+		odd := &trace.Trace{Name: "odd-dirs", Span: time.Minute}
+		dirs := [4]trace.Direction{0, 3, trace.DirOut, trace.DirIn}
+		for i := 0; i < 40; i++ {
+			r := trace.Record{
+				Ts: time.Duration(i) * time.Second, Kind: packet.KindSYN, Dir: dirs[i%4],
+				Src: netip.MustParseAddr("130.216.1.1"), Dst: netip.MustParseAddr("11.0.0.1"),
+			}
+			if i%2 == 1 {
+				r.Kind = packet.KindSYNACK
+			}
+			odd.Records = append(odd.Records, r)
+		}
+		path := filepath.Join(t.TempDir(), "odd.trace")
+		writeCapture(t, path, trace.WriteBinary, odd)
+		src, _, err := Open(path, testPrefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer src.Close()
+		got := runPipeline(t, src, 0)
+		compareReports(t, got, processTraceReports(t, odd))
+		for i, want := range []uint64{5, 5, 0} {
+			if got[i].OutSYN != want || got[i].InSYNACK != want {
+				t.Errorf("period %d: OutSYN %v, InSYNACK %v; want %v each", i, got[i].OutSYN, got[i].InSYNACK, want)
+			}
+		}
+	})
 }
 
 // TestPipelineAlarms sanity-checks the end decision, not just the

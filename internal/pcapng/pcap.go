@@ -11,7 +11,6 @@
 package pcapng
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -94,12 +93,14 @@ var (
 	ErrTooLarge  = errors.New("pcapng: packet exceeds snap length")
 )
 
-// Packet is one captured packet: a timestamp relative to an arbitrary
-// epoch and the raw bytes starting at the link layer.
+// Packet is one captured packet: its capture timestamp and the raw
+// bytes starting at the link layer.
 type Packet struct {
-	// Ts is the capture timestamp. Readers express it as a Duration
-	// since the Unix epoch of the capture; the SYN-dog pipeline only
-	// uses differences, so the epoch is irrelevant.
+	// Ts is the capture timestamp as stored in the record: a Duration
+	// since the Unix epoch for captures taken by libpcap, since 0 for
+	// the ones Writer writes from synthetic traces. Readers pass it on
+	// unchanged, and the SYN-dog pipeline bins it as is, so a capture
+	// stamped in Unix time starts that many periods after 0.
 	Ts time.Duration
 	// Data is the captured bytes (snap-length truncated, like libpcap).
 	Data []byte
@@ -135,7 +136,8 @@ func NewWriter(w io.Writer, snapLen uint32) (*Writer, error) {
 
 // Write appends one packet record. Packets longer than the snap length
 // are rejected rather than silently truncated: the simulator controls
-// its packet sizes, so truncation would be a bug.
+// its packet sizes, so truncation would be a bug. Write copies p.Data
+// into its own buffer, so the caller may reuse p.Data once it returns.
 func (w *Writer) Write(p Packet) error {
 	if uint32(len(p.Data)) > w.snapLen {
 		return ErrTooLarge
@@ -158,49 +160,67 @@ func (w *Writer) Write(p Packet) error {
 	return nil
 }
 
-// Reader decodes a pcap stream.
+// readBufSize is the Reader's buffer size: room for over a thousand
+// minimal records, so a refill costs one Read per thousand frames.
+// Only a record larger than this grows the buffer.
+const readBufSize = 64 << 10
+
+// maxRecord is the absolute sanity cap on one record's length,
+// independent of the (attacker-controlled) snaplen field: no real
+// capture stores 16 MiB frames, and a forged length must not drive
+// allocation.
+const maxRecord = 16 << 20
+
+// Reader decodes a pcap stream. It owns one read buffer and decodes
+// records in place: NextReuse hands out a view of the buffer, so a
+// record costs no copy and no call into the source reader until the
+// buffer runs dry.
 type Reader struct {
 	r        io.Reader
-	order    binary.ByteOrder
+	buf      []byte
+	off, end int   // unread bytes are buf[off:end]
+	err      error // the source's first read error, returned once the buffer runs dry
+	big      bool  // big-endian header fields
 	nano     bool
 	linkType uint32
 	snapLen  uint32
-	scratch  []byte                // NextReuse buffer
-	hdr      [recordHeaderLen]byte // record-header buffer, kept off the per-call stack
 }
 
 // NewReader parses the file header and returns a Reader.
 //
-// Each packet record costs two small reads (header, then data). Over a
-// raw *os.File those are two syscalls per packet and dominate streaming
-// ingest, so readers that do not already buffer — detected by the
-// absence of io.ByteReader, which bufio.Reader, bytes.Reader and
-// bytes.Buffer all provide — are wrapped in a 64 KiB bufio.Reader.
+// The Reader buffers r itself and reads it with single Read calls,
+// each taking what is available, so a pipe or FIFO hands each record
+// over as soon as its bytes arrive; there is no point in wrapping r
+// in a bufio.Reader.
 func NewReader(r io.Reader) (*Reader, error) {
-	if _, ok := r.(io.ByteReader); !ok {
-		r = bufio.NewReaderSize(r, 1<<16)
-	}
-	var hdr [fileHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	rd := &Reader{r: r, buf: make([]byte, readBufSize)}
+	if err := rd.fill(fileHeaderLen); err != nil {
 		return nil, fmt.Errorf("pcapng: read header: %w", errTrunc(err))
 	}
-	rd := &Reader{r: r}
-	magic := binary.LittleEndian.Uint32(hdr[0:4])
-	switch magic {
+	hdr := rd.buf[rd.off : rd.off+fileHeaderLen]
+	rd.off += fileHeaderLen
+	switch binary.LittleEndian.Uint32(hdr[0:4]) {
 	case magicMicro:
-		rd.order = binary.LittleEndian
 	case magicNano:
-		rd.order, rd.nano = binary.LittleEndian, true
+		rd.nano = true
 	case magicMicroSwapped:
-		rd.order = binary.BigEndian
+		rd.big = true
 	case magicNanoSwapped:
-		rd.order, rd.nano = binary.BigEndian, true
+		rd.big, rd.nano = true, true
 	default:
 		return nil, ErrBadMagic
 	}
-	rd.snapLen = rd.order.Uint32(hdr[16:20])
-	rd.linkType = rd.order.Uint32(hdr[20:24])
+	rd.snapLen = rd.u32(hdr[16:20])
+	rd.linkType = rd.u32(hdr[20:24])
 	return rd, nil
+}
+
+// u32 decodes a header field in the capture's byte order.
+func (r *Reader) u32(b []byte) uint32 {
+	if r.big {
+		return binary.BigEndian.Uint32(b)
+	}
+	return binary.LittleEndian.Uint32(b)
 }
 
 // LinkType returns the capture's link type.
@@ -213,50 +233,46 @@ func (r *Reader) SnapLen() uint32 { return r.snapLen }
 // A partially written trailing record yields ErrTruncated. The packet's
 // Data is freshly allocated and remains valid indefinitely.
 func (r *Reader) Next() (Packet, error) {
-	return r.next(false)
-}
-
-// NextReuse is Next with an amortized-zero-allocation contract: the
-// returned Packet's Data aliases an internal scratch buffer that the
-// following NextReuse (or Next) call overwrites. Streaming consumers
-// that classify and drop each packet before pulling the next one — the
-// ingest pipeline — use it to keep per-record allocation O(1).
-func (r *Reader) NextReuse() (Packet, error) {
-	return r.next(true)
-}
-
-func (r *Reader) next(reuse bool) (Packet, error) {
-	if _, err := io.ReadFull(r.r, r.hdr[:]); err != nil {
-		if err == io.EOF {
-			return Packet{}, io.EOF
-		}
-		return Packet{}, errTrunc(err)
+	p, err := r.NextReuse()
+	if err != nil {
+		return Packet{}, err
 	}
-	sec := r.order.Uint32(r.hdr[0:4])
-	frac := r.order.Uint32(r.hdr[4:8])
-	capLen := r.order.Uint32(r.hdr[8:12])
+	data := make([]byte, len(p.Data))
+	copy(data, p.Data)
+	p.Data = data
+	return p, nil
+}
+
+// NextReuse is Next without the copy: the returned Packet's Data is a
+// view of the Reader's buffer that the following NextReuse (or Next)
+// call may overwrite. Streaming consumers that classify and drop each
+// packet before pulling the next one — the ingest pipeline — use it
+// to decode a record without allocating or copying it.
+func (r *Reader) NextReuse() (Packet, error) {
+	if r.end-r.off < recordHeaderLen {
+		if err := r.fill(recordHeaderLen); err != nil {
+			if err == io.EOF && r.off == r.end {
+				return Packet{}, io.EOF
+			}
+			return Packet{}, errTrunc(err)
+		}
+	}
+	hdr := r.buf[r.off : r.off+recordHeaderLen]
+	sec, frac, capLen := r.u32(hdr[0:4]), r.u32(hdr[4:8]), r.u32(hdr[8:12])
 	if r.snapLen > 0 && capLen > r.snapLen {
 		return Packet{}, fmt.Errorf("pcapng: record length %d exceeds snaplen %d", capLen, r.snapLen)
 	}
-	// Absolute sanity cap independent of the (attacker-controlled)
-	// snaplen field: no real capture stores 16 MiB frames, and a
-	// forged length must not drive allocation.
-	const maxRecord = 16 << 20
 	if capLen > maxRecord {
 		return Packet{}, fmt.Errorf("pcapng: record length %d exceeds sanity cap", capLen)
 	}
-	var data []byte
-	if reuse {
-		if cap(r.scratch) < int(capLen) {
-			r.scratch = make([]byte, capLen)
+	need := recordHeaderLen + int(capLen)
+	if r.end-r.off < need {
+		if err := r.fill(need); err != nil {
+			return Packet{}, errTrunc(err)
 		}
-		data = r.scratch[:capLen]
-	} else {
-		data = make([]byte, capLen)
 	}
-	if _, err := io.ReadFull(r.r, data); err != nil {
-		return Packet{}, errTrunc(err)
-	}
+	data := r.buf[r.off+recordHeaderLen : r.off+need : r.off+need]
+	r.off += need
 	ts := time.Duration(sec) * time.Second
 	if r.nano {
 		ts += time.Duration(frac) * time.Nanosecond
@@ -264,6 +280,32 @@ func (r *Reader) next(reuse bool) (Packet, error) {
 		ts += time.Duration(frac) * time.Microsecond
 	}
 	return Packet{Ts: ts, Data: data}, nil
+}
+
+// fill makes at least n unread bytes available at buf[off:]; callers
+// call it only when fewer are buffered. It moves the unread tail to
+// the front, growing the buffer only if n exceeds it, then reads with
+// single Read calls until n bytes are present: it never waits for more
+// than the record it was asked for. It returns the source's error once
+// the buffer cannot cover n.
+func (r *Reader) fill(n int) error {
+	if n > len(r.buf) {
+		grown := make([]byte, n)
+		r.end = copy(grown, r.buf[r.off:r.end])
+		r.buf = grown
+	} else {
+		r.end = copy(r.buf, r.buf[r.off:r.end])
+	}
+	r.off = 0
+	for r.end < n {
+		if r.err != nil {
+			return r.err
+		}
+		k, err := r.r.Read(r.buf[r.end:])
+		r.end += k
+		r.err = err
+	}
+	return nil
 }
 
 // ReadAll drains the stream into a slice.

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"io"
 	"net/netip"
 	"strings"
 	"testing"
@@ -165,6 +166,33 @@ func TestPcapRoundTrip(t *testing.T) {
 			g.SrcPort != w.SrcPort || g.DstPort != w.DstPort {
 			t.Errorf("record %d = %+v, want %+v", i, g, w)
 		}
+	}
+}
+
+// TestWritePcapAllocs pins that exporting a capture costs a fixed
+// number of allocations (the writer and its buffers), not one per
+// record: a trace a hundred times longer must not allocate more.
+func TestWritePcapAllocs(t *testing.T) {
+	repeat := func(n int) *Trace {
+		tr := &Trace{Span: time.Duration(n) * time.Second}
+		for i := 0; i < n; i++ {
+			r := sampleTrace().Records[i%5]
+			r.Ts = time.Duration(i) * time.Second
+			tr.Records = append(tr.Records, r)
+		}
+		return tr
+	}
+	allocs := func(tr *Trace) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if err := WritePcap(io.Discard, tr); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(repeat(50)), allocs(repeat(5000))
+	if large > small {
+		t.Errorf("WritePcap allocated %.0f times for 50 records and %.0f for 5000; want no growth with the record count",
+			small, large)
 	}
 }
 

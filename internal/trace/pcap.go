@@ -24,10 +24,10 @@ func WritePcap(w io.Writer, t *Trace) error {
 			continue
 		}
 		seg := packet.Build(r.Src, r.Dst, r.SrcPort, r.DstPort, 0, 0, flags)
+		// The writer copies the bytes into its record, so the one
+		// marshal buffer serves every record.
 		buf = seg.Marshal(buf[:0])
-		data := make([]byte, len(buf))
-		copy(data, buf)
-		if err := pw.Write(pcapng.Packet{Ts: r.Ts, Data: data}); err != nil {
+		if err := pw.Write(pcapng.Packet{Ts: r.Ts, Data: buf}); err != nil {
 			return err
 		}
 	}
